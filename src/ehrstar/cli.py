@@ -4,17 +4,12 @@ Subcommands: compute, convert, audit, series, search, selftest.
 Exit codes: 0 success; 1 audit/selftest failure signal; 2 bad input;
 3 no feasible counting strategy (cost or volume caps, missing strategy);
 4 search budget exhausted (partial output).
-
-`--threads` (or EHRSTAR_THREADS) is validated and reserved for kernel
-partitioning; all kernels currently run sequentially in deterministic
-chunks, so output never depends on the value.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -75,14 +70,11 @@ class CliConfig:
     output_format: str
     count_cap: int
     volume_cap: int
-    threads: int
     seed: int
 
     def __post_init__(self):
         if self.count_cap < 1 or self.volume_cap < 1:
             raise InputError("caps must be positive")
-        if self.threads < 1:
-            raise InputError("thread count must be at least 1")
 
 
 # -- builtins -----------------------------------------------------------------
@@ -138,16 +130,21 @@ def build_builtin(name: str, seed: int = 0) -> LatticePolytope | LatticeSimplex:
     raise InputError(f"unknown builtin {name!r}")
 
 
+def _read_text(path: str) -> str:
+    """The whole file; an unreadable file is bad input (exit 2)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+
+
 def _load_polytope(config: CliConfig) -> LatticePolytope | LatticeSimplex:
     if config.builtin:
         return build_builtin(config.builtin, config.seed)
     if not config.input_path:
         raise InputError("provide --input FILE or --builtin NAME")
-    try:
-        with open(config.input_path, encoding="utf-8") as fh:
-            return polytope_from_json(fh.read())
-    except OSError as exc:
-        raise InputError(f"cannot read {config.input_path}: {exc}") from exc
+    return polytope_from_json(_read_text(config.input_path))
 
 
 def _load_vectors_or_polytope(config: CliConfig):
@@ -156,11 +153,7 @@ def _load_vectors_or_polytope(config: CliConfig):
         return "polytope", build_builtin(config.builtin, config.seed)
     if not config.input_path:
         raise InputError("provide --input FILE or --builtin NAME")
-    try:
-        with open(config.input_path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {config.input_path}: {exc}") from exc
+    text = _read_text(config.input_path)
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -209,8 +202,7 @@ def cmd_compute(config: CliConfig) -> int:
 def cmd_convert(config: CliConfig) -> int:
     if not config.input_path:
         raise InputError("convert needs --input FILE with a vector JSON")
-    with open(config.input_path, encoding="utf-8") as fh:
-        h, f, _prov = vectors_from_json(fh.read())
+    h, f, _prov = vectors_from_json(_read_text(config.input_path))
     if h is None:
         h = h_from_f(f)
     if f is None:
@@ -446,16 +438,6 @@ def cmd_selftest(config: CliConfig, args) -> int:
 # -- argument plumbing ---------------------------------------------------------
 
 
-def _default_threads() -> int:
-    env = os.environ.get("EHRSTAR_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InputError(f"bad EHRSTAR_THREADS value {env!r}") from exc
-    return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ehrstar",
@@ -474,8 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="max candidate points per bounding-box scan")
     common.add_argument("--volume-cap", type=int, default=engine.DEFAULT_VOLUME_CAP,
                         help="max normalized volume for parallelepiped enumeration")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker count (EHRSTAR_THREADS as fallback)")
     common.add_argument("--seed", type=int, default=0, help="seed for random builtins")
 
     sub.add_parser("compute", parents=[common],
@@ -514,7 +494,6 @@ def main(argv=None) -> int:
             output_format=args.output_format,
             count_cap=args.count_cap,
             volume_cap=args.volume_cap,
-            threads=args.threads if args.threads is not None else _default_threads(),
             seed=args.seed,
         )
         if args.command == "compute":

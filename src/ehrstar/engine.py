@@ -8,8 +8,11 @@ Counting strategies, in dispatch order:
     are iterated partial sums of the base counts;
   * simplices: membership scan over the bounding box of the dilate,
     decided by the sign pattern of a precomputed scaled inverse;
-  * half-space lists: inequality scan over the bounding box derived from
-    the feasible intersection points of the defining hyperplanes.
+  * half-space lists: inequality scan over the bounding box of the
+    vertices, which are the feasible intersection points of the defining
+    hyperplanes (`LatticePolytope.halfspace_box`). Every vertex must be a
+    lattice point; boundedness is decided by a cofactor ray test on the
+    facet normals.
 
 The h*-vector of a simplex is computed directly, without any counting,
 by enumerating the lattice points of the half-open parallelepiped
@@ -23,9 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
-from itertools import accumulate, combinations, product
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -33,17 +34,15 @@ from .errors import (
     CostGuardExceeded,
     InputError,
     NoCountingStrategy,
-    NotFullDimensionalError,
     VolumeCapExceeded,
 )
-from .intlinalg import EchelonBasis, diagonalize_lattice_basis, solve_rational
+from .intlinalg import diagonalize_lattice_basis
 from .lattice import (
     BoxHint,
     LatticePolytope,
     LatticeSimplex,
     PyramidHint,
     _homogenized_columns,
-    as_simplex,
     require_full_dimensional,
 )
 from .starbasis import FStarVector, HStarVector, eval_ehrhart, f_from_h, h_from_f
@@ -52,7 +51,6 @@ DEFAULT_COUNT_CAP = 10**9
 DEFAULT_VOLUME_CAP = 10**7
 
 _SCAN_CHUNK = 1 << 17
-_HALFSPACE_COMBO_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -164,101 +162,10 @@ def _check_scan_cost(lows, highs, count_cap: int) -> None:
         )
 
 
-def _fm_feasible(rows: list[tuple[int, list[int]]]) -> bool:
-    """Feasibility of {const + coeffs . s >= 0} over the rationals, by
-    Fourier-Motzkin elimination with exact integer cross-multiplication."""
-    while rows and rows[0][1]:
-        pos, neg, rest = [], [], []
-        for const, coef in rows:
-            c = coef[-1]
-            if c > 0:
-                pos.append((const, coef))
-            elif c < 0:
-                neg.append((const, coef))
-            else:
-                rest.append((const, coef[:-1]))
-        combined = rest
-        for cp, p in pos:
-            for cq, q in neg:
-                a, b = p[-1], -q[-1]
-                const = cp * b + cq * a
-                coef = [x * b + y * a for x, y in zip(p[:-1], q[:-1])]
-                combined.append((const, coef))
-        seen = set()
-        rows = []
-        for const, coef in combined:
-            g = math.gcd(const, *coef) if coef or const else 1
-            if g > 1:
-                const, coef = const // g, [x // g for x in coef]
-            key = (const, tuple(coef))
-            if key not in seen:
-                seen.add(key)
-                rows.append((const, coef))
-        if len(rows) > 20_000:
-            raise CostGuardExceeded("half-space boundedness check blew up")
-    return all(const >= 0 for const, _coef in rows)
-
-
-def _has_recession_ray(halfspaces, d: int) -> bool:
-    """Whether {x : normals . x >= 0} contains a nonzero vector, i.e. the
-    polyhedron is unbounded. Any such vector has a nonzero coordinate that
-    can be scaled to +-1, so 2d fixed-coordinate slices cover the cone."""
-    normals = [list(h.normal) for h in halfspaces]
-    for j in range(d):
-        for sign in (1, -1):
-            rows = [
-                (a[j] * sign, [a[k] for k in range(d) if k != j]) for a in normals
-            ]
-            if _fm_feasible(rows):
-                return True
-    return False
-
-
-@lru_cache(maxsize=None)
-def _halfspace_box(p: LatticePolytope) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Exact bounding box of a bounded half-space polytope.
-
-    Every vertex of a bounded polyhedron solves some d of its defining
-    hyperplanes with equality, so the box over all feasible intersection
-    points is the bounding box of the polytope. Empty, unbounded and
-    lower-dimensional inputs are rejected.
-    """
-    d = p.ambient_dim
-    hs = p.halfspaces
-    if math.comb(len(hs), d) > _HALFSPACE_COMBO_CAP:
-        raise CostGuardExceeded(
-            f"half-space box derivation needs {math.comb(len(hs), d)} subsystems"
-        )
-    points: list[tuple[Fraction, ...]] = []
-    for subset in combinations(hs, d):
-        sol = solve_rational([list(h.normal) for h in subset], [-h.offset for h in subset])
-        if sol is None:
-            continue
-        if all(h.offset + sum(a * x for a, x in zip(h.normal, sol)) >= 0 for h in hs):
-            points.append(tuple(sol))
-    if not points:
-        raise InputError("half-space system has no vertices (empty or unbounded)")
-    if _has_recession_ray(hs, d):
-        raise InputError("half-space system is unbounded")
-    basis = EchelonBasis()
-    p0 = points[0]
-    for pt in points[1:]:
-        diff = [x - y for x, y in zip(pt, p0)]
-        den = math.lcm(*(fr.denominator for fr in diff)) if diff else 1
-        basis.insert([int(fr * den) for fr in diff])
-    if basis.rank != d:
-        raise NotFullDimensionalError(
-            f"half-space polytope has affine dimension {basis.rank} inside R^{d}"
-        )
-    mins = tuple(min(pt[j] for pt in points) for j in range(d))
-    maxs = tuple(max(pt[j] for pt in points) for j in range(d))
-    return mins, maxs
-
-
 def _halfspace_scan_count(p: LatticePolytope, n: int, count_cap: int) -> int:
-    mins, maxs = _halfspace_box(p)
-    lows = [math.ceil(n * m) for m in mins]
-    highs = [math.floor(n * m) for m in maxs]
+    mins, maxs = p.halfspace_box
+    lows = [n * m for m in mins]
+    highs = [n * m for m in maxs]
     _check_scan_cost(lows, highs, count_cap)
     rows = [list(h.normal) for h in p.halfspaces]
     offsets = [n * h.offset for h in p.halfspaces]
@@ -266,11 +173,6 @@ def _halfspace_scan_count(p: LatticePolytope, n: int, count_cap: int) -> int:
 
 
 # -- strategy dispatch --------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _detect_simplex(p: LatticePolytope) -> LatticeSimplex | None:
-    return as_simplex(p)
 
 
 def count_points(p: LatticePolytope | LatticeSimplex, n: int, *, count_cap: int = DEFAULT_COUNT_CAP) -> int:
@@ -283,7 +185,7 @@ def count_points(p: LatticePolytope | LatticeSimplex, n: int, *, count_cap: int 
         return _counts_through(p, n, count_cap)[n]
     require_full_dimensional(p)
     if p.vertices is not None:
-        s = _detect_simplex(p)
+        s = p.simplex
         if s is not None:
             return _simplex_scan_count(s, n, count_cap)
         raise NoCountingStrategy(
@@ -433,7 +335,7 @@ def compute_vectors(
     s = p if isinstance(p, LatticeSimplex) else None
     if s is None and isinstance(p, LatticePolytope) and p.vertices is not None:
         require_full_dimensional(p)
-        s = _detect_simplex(p)
+        s = p.simplex
     if s is not None and s.normalized_volume <= volume_cap:
         table = box_points_simplex(s, volume_cap=volume_cap)
         h = HStarVector(table.heights, polytope_derived=True)

@@ -79,13 +79,6 @@ class EchelonBasis:
         return False
 
 
-def rank(rows: list[list[int]]) -> int:
-    basis = EchelonBasis()
-    for row in rows:
-        basis.insert(row)
-    return basis.rank
-
-
 def solve_rational(rows: IntMatrix, rhs: list[int]) -> list[Fraction] | None:
     """Solve A x = b exactly over Q; None if A is singular."""
     n = len(rows)

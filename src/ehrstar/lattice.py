@@ -10,18 +10,24 @@ the counting engine exploits; hints never change the mathematical object.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import combinations, product
 
-from .errors import DegenerateSimplexError, InputError, NotFullDimensionalError
-from .intlinalg import EchelonBasis, det, scaled_inverse
+from .errors import (
+    CostGuardExceeded,
+    DegenerateSimplexError,
+    InputError,
+    NotFullDimensionalError,
+)
+from .intlinalg import EchelonBasis, det, scaled_inverse, solve_rational
 
 LatticePoint = tuple[int, ...]
 
 CUBE_DIM_CAP = 20  # explicit vertex lists have 2^d vertices
+_HALFSPACE_COMBO_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -84,6 +90,74 @@ class LatticePolytope:
 
     def is_full_dimensional(self) -> bool:
         return self.dim == self.ambient_dim
+
+    @cached_property
+    def simplex(self) -> "LatticeSimplex | None":
+        """The vertex list as a simplex, or None when it is not one."""
+        return as_simplex(self)
+
+    @cached_property
+    def halfspace_box(self) -> tuple[LatticePoint, LatticePoint]:
+        """(mins, maxs): the integral bounding box of a half-space polytope.
+
+        Every vertex of a bounded polyhedron solves some d of its defining
+        hyperplanes with equality, so the box over all feasible intersection
+        points is the bounding box of the polytope. Once a vertex exists the
+        normals have rank d, and the cofactor ray test decides boundedness.
+        Empty, unbounded and lower-dimensional inputs are rejected, and so is
+        a vertex that is not a lattice point.
+        """
+        d = self.ambient_dim
+        hs = self.halfspaces
+        if hs is None:
+            raise InputError("half-space box needs a half-space representation")
+        subsystems = max(math.comb(len(hs), d), math.comb(len(hs), max(d - 1, 0)))
+        if subsystems > _HALFSPACE_COMBO_CAP:
+            raise CostGuardExceeded(
+                f"half-space box derivation needs {subsystems} subsystems"
+            )
+        points = []
+        for subset in combinations(hs, d):
+            sol = solve_rational([list(h.normal) for h in subset], [-h.offset for h in subset])
+            if sol is None:
+                continue
+            if all(h.offset + sum(a * x for a, x in zip(h.normal, sol)) >= 0 for h in hs):
+                points.append(sol)
+        if not points:
+            raise InputError("half-space system has no vertices (empty or unbounded)")
+        if _has_recession_ray([h.normal for h in hs], d):
+            raise InputError("half-space system is unbounded")
+        for pt in points:
+            if any(x.denominator != 1 for x in pt):
+                raise InputError(
+                    f"half-space polytope has the non-lattice vertex "
+                    f"({', '.join(map(str, pt))}); only lattice polytopes are supported"
+                )
+        vertices = tuple(tuple(int(x) for x in pt) for pt in points)
+        rank = LatticePolytope(d, vertices=vertices).dim
+        if rank != d:
+            raise NotFullDimensionalError(
+                f"half-space polytope has affine dimension {rank} inside R^{d}"
+            )
+        return tuple(map(min, zip(*vertices))), tuple(map(max, zip(*vertices)))
+
+
+def _has_recession_ray(normals: list[LatticePoint], d: int) -> bool:
+    """Whether {r : n . r >= 0 for every normal n} holds some r != 0.
+
+    Needs normals of rank d. The cone is then pointed, so it is nonzero iff
+    it has an extreme ray, and an extreme ray spans the kernel of d - 1
+    independent normals: up to sign, the vector of their signed maximal
+    minors (Schrijver, Theory of Linear and Integer Programming, 8.8).
+    """
+    for subset in combinations(normals, max(d - 1, 0)):
+        ray = [(-1) ** j * det([n[:j] + n[j + 1 :] for n in subset]) for j in range(d)]
+        if not any(ray):
+            continue
+        dots = [sum(a * r for a, r in zip(n, ray)) for n in normals]
+        if all(v >= 0 for v in dots) or all(v <= 0 for v in dots):
+            return True
+    return False
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,17 @@ class TestCompute:
         code, _out, err = run(capsys, "compute", "--input", str(path))
         assert code == 2 and "error" in err
 
+    def test_non_lattice_halfspaces_exit_2(self, capsys, tmp_path):
+        # vertex (10/3, 6): not a lattice polytope, so no h*-vector is reported
+        path = tmp_path / "rational.json"
+        path.write_text('{"ambient_dim": 2, "halfspaces": [[2,3,-2],[4,-3,1],[0,3,0]]}')
+        code, out, err = run(capsys, "compute", "--input", str(path))
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            "error: half-space polytope has the non-lattice vertex (10/3, 6); "
+            "only lattice polytopes are supported"
+        ]
+
     def test_no_strategy_exit_3(self, capsys, tmp_path):
         path = tmp_path / "square.json"
         path.write_text('{"ambient_dim": 2, "vertices": [[0,0],[1,0],[0,1],[1,1]]}')
@@ -171,6 +182,13 @@ class TestConvertAndSeries:
         path.write_text(json.dumps({"d": 2, "f_star": ["9", "16", "8"]}))
         obj = run_json(capsys, "convert", "--input", str(path), "--format", "json")
         assert obj["h_star"] == ["1", "6", "1"]
+
+    @pytest.mark.parametrize("command", ["convert", "compute", "audit"])
+    def test_missing_input_file_exit_2(self, capsys, tmp_path, command):
+        missing = tmp_path / "missing.json"
+        code, out, err = run(capsys, command, "--input", str(missing))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: cannot read ")
 
     def test_series_json(self, capsys):
         obj = run_json(capsys, "series", "--builtin", "higashitani-15", "--format", "json")
@@ -261,18 +279,6 @@ class TestSelftest:
 
 
 class TestConfig:
-    def test_bad_threads_exit_2(self, capsys):
-        code, _out, _err = run(capsys, "compute", "--builtin", "cube-1-0-1", "--threads", "0")
-        assert code == 2
-
-    def test_threads_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("EHRSTAR_THREADS", "4")
-        code, _out, _err = run(capsys, "compute", "--builtin", "cube-1-0-1")
-        assert code == 0
-        monkeypatch.setenv("EHRSTAR_THREADS", "garbage")
-        code, _out, _err = run(capsys, "compute", "--builtin", "cube-1-0-1")
-        assert code == 2
-
     def test_bad_caps_exit_2(self, capsys):
         code, _out, _err = run(
             capsys, "compute", "--builtin", "cube-1-0-1", "--count-cap", "0"

@@ -1,8 +1,11 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import as_halfspace_polytope, bounded_volume_simplices, fraction_brute_count
+import ehrstar.lattice
+from conftest import as_halfspace_polytope, fraction_brute_count, simplex_facets
 from ehrstar.engine import (
     BoxPointTable,
     CountProfile,
@@ -284,6 +287,44 @@ class TestGuardsAndErrors:
         )
         with pytest.raises(NotFullDimensionalError):
             count_points(p, 1)
+
+
+class TestHalfspaceVertexStep:
+    """Box derivation of H-polytopes, pinned by simplices known by their vertices."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_simplex_facets_give_the_vertex_box(self, d, seed):
+        s = make_random_simplex(d, 2, seed)
+        facets = simplex_facets(s.vertices)
+        start = time.perf_counter()
+        box = LatticePolytope(d, halfspaces=tuple(facets)).halfspace_box
+        assert time.perf_counter() - start < 1.0
+        assert box == (tuple(map(min, zip(*s.vertices))), tuple(map(max, zip(*s.vertices))))
+        # without one facet the rest is a cone at the opposite vertex
+        for i in range(d + 1):
+            cone = LatticePolytope(d, halfspaces=tuple(facets[:i] + facets[i + 1 :]))
+            with pytest.raises(InputError, match="^half-space system is unbounded$"):
+                cone.halfspace_box
+
+    def test_non_lattice_vertex_rejected(self):
+        # 2 + 3x - 2y >= 0, 4 - 3x + y >= 0, 3x >= 0 has the vertex (10/3, 6)
+        p = LatticePolytope(
+            2, halfspaces=(HalfSpace(2, (3, -2)), HalfSpace(4, (-3, 1)), HalfSpace(0, (3, 0)))
+        )
+        with pytest.raises(InputError, match=r"non-lattice vertex \(10/3, 6\)"):
+            compute_vectors(p)
+
+    # C(30, 6) is over the cap; C(23, 17) is not, but C(23, 16) is
+    @pytest.mark.parametrize("m, d", [(30, 6), (23, 17)])
+    def test_subsystem_cap_checked_before_any_solve(self, monkeypatch, m, d):
+        def no_solve(*_args):
+            raise AssertionError("a subsystem was solved before the cap check")
+
+        monkeypatch.setattr(ehrstar.lattice, "solve_rational", no_solve)
+        rows = tuple(HalfSpace(1, tuple((i + j) % 3 - 1 for j in range(d))) for i in range(m))
+        with pytest.raises(CostGuardExceeded):
+            LatticePolytope(d, halfspaces=rows).halfspace_box
 
 
 class TestBigCoordinates:
