@@ -1,15 +1,16 @@
 """Command-line interface.
 
 Subcommands: compute, convert, audit, series, search, selftest.
-Exit codes: 0 success; 1 audit/selftest failure signal; 2 bad input;
-3 no feasible counting strategy (cost or volume caps, missing strategy);
-4 search budget exhausted (partial output).
+Exit codes: 0 success, or a reader that closed stdout early; 1 audit/selftest
+failure signal; 2 bad input; 3 no feasible counting strategy (cost or volume
+caps, missing strategy); 4 search budget exhausted (partial output).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -486,6 +487,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (`ehrstar ... | head`). Point stdout at devnull
+        # so that the flush at interpreter shutdown cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
+    return code
+
+
+def _run(args) -> int:
     try:
         config = CliConfig(
             command=args.command,

@@ -242,12 +242,13 @@ def box_points_simplex(s: LatticeSimplex, *, volume_cap: int = DEFAULT_VOLUME_CA
     The homogenized vertices u_i = (v_i, 1) generate a sublattice of
     Z^{d+1} of index N = normalized volume, and the half-open box
     {sum t_i u_i : 0 <= t_i < 1} holds one lattice point per residue
-    class. Residues are enumerated through the Smith normal form of the
-    generator matrix: for a residue tuple r, the barycentric coordinates
-    of its lift are sum_i (r_i / diag_i) T[:, i], so reducing each
-    coordinate mod 1 lands the representative inside the box. All that is
-    needed of the lift is its height, the sum of the reduced coordinates.
-    Runs in O(N * d) integer operations after the normal form.
+    class. Residues are enumerated through a diagonal form S U T = diag of
+    the generator matrix U (`diagonalize_lattice_basis`): for a residue
+    tuple r, the barycentric coordinates of its lift are
+    sum_i (r_i / diag_i) T[:, i], so reducing each coordinate mod 1 lands
+    the representative inside the box. All that is needed of the lift is
+    its height, the sum of the reduced coordinates. Runs in O(N * d)
+    integer operations after the diagonal form.
     """
     d = s.ambient_dim
     n_total = s.normalized_volume

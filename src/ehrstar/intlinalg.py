@@ -1,9 +1,8 @@
 """Exact linear algebra over the integers and rationals.
 
-Matrices are plain lists of rows of Python ints (or Fractions where noted).
-Everything here is exact; no floating point. Sizes are small (a few dozen
-rows at most), so clarity wins over asymptotics, except that `det` uses
-Bareiss elimination to keep intermediate entries polynomial in size.
+Matrices are plain lists of rows of Python ints; no floating point.
+`det`, `solve_rational` and `scaled_inverse` share one fraction-free
+(Bareiss) Gauss-Jordan elimination, whose entries stay minors of the input.
 """
 
 from __future__ import annotations
@@ -14,31 +13,40 @@ from math import gcd
 IntMatrix = list[list[int]]
 
 
-def det(rows: IntMatrix) -> int:
-    """Determinant of a square integer matrix (Bareiss, fraction-free)."""
+def _eliminate(rows: IntMatrix, rhs: IntMatrix) -> tuple[int, IntMatrix | None]:
+    """(det, X) with rows @ X == det * rhs; (0, None) for singular rows.
+
+    Fraction-free Gauss-Jordan on [rows | rhs]: step k scales every other
+    row by the pivot and clears column k, dividing exactly by the previous
+    pivot (Bareiss). The left block ends as p * I, where p is the
+    determinant of the row-permuted matrix, so the right block is
+    p * rows^-1 @ rhs.
+    """
     n = len(rows)
-    if n == 0:
-        return 1
-    a = [list(r) for r in rows]
-    if any(len(r) != n for r in a):
+    if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    a = [list(r) + list(b) for r, b in zip(rows, rhs)]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0, None
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        pk = a[k]
+        p = pk[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pk)]
+        prev = p
+    return sign * prev, [[sign * x for x in row[n:]] for row in a]
+
+
+def det(rows: IntMatrix) -> int:
+    """Determinant of a square integer matrix."""
+    return _eliminate(rows, [[] for _ in rows])[0]
 
 
 def _reduce_by_gcd(row: list[int]) -> list[int]:
@@ -81,20 +89,8 @@ class EchelonBasis:
 
 def solve_rational(rows: IntMatrix, rhs: list[int]) -> list[Fraction] | None:
     """Solve A x = b exactly over Q; None if A is singular."""
-    n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col]), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return [a[i][n] for i in range(n)]
+    d, x = _eliminate(rows, [[b] for b in rhs])
+    return None if x is None else [Fraction(row[0], d) for row in x]
 
 
 def scaled_inverse(rows: IntMatrix) -> tuple[IntMatrix, int] | None:
@@ -105,53 +101,53 @@ def scaled_inverse(rows: IntMatrix) -> tuple[IntMatrix, int] | None:
     of rows @ x = b is A @ b / D, and its sign pattern is that of A @ b.
     """
     n = len(rows)
-    d0 = det(rows)
-    if d0 == 0:
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    d, x = _eliminate(rows, identity)
+    if x is None:
         return None
-    a = [[Fraction(x) for x in row] for row in rows]
-    inv = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        inv[i][i] = Fraction(1)
-    for col in range(n):
-        piv = next(i for i in range(col, n) if a[i][col])
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        f = 1 / a[col][col]
-        a[col] = [x * f for x in a[col]]
-        inv[col] = [x * f for x in inv[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-                inv[i] = [x - f * y for x, y in zip(inv[i], inv[col])]
-    scale = abs(d0)
-    out: IntMatrix = []
-    for row in inv:
-        scaled = [x * scale for x in row]
-        if any(x.denominator != 1 for x in scaled):
-            raise ArithmeticError("scaled inverse is not integral")
-        out.append([int(x) for x in scaled])
-    return out, scale
+    if d < 0:
+        d, x = -d, [[-v for v in row] for row in x]
+    product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*rows)] for row in x]
+    if product != [[d * v for v in row] for row in identity]:
+        raise ArithmeticError("scaled inverse fails A @ rows == D * I")
+    return x, d
 
 
 def diagonalize_lattice_basis(rows: IntMatrix) -> tuple[list[int], IntMatrix]:
-    """Smith normal form data for a nonsingular integer matrix U.
+    """A diagonal form of a nonsingular integer matrix U.
 
-    Returns (diag, T) where S * U * T = diag(diag) for unimodular S, T.
-    Only the right transform T is needed by callers: the columns of
-    U generate a finite-index sublattice of Z^n, the quotient group is
-    the direct sum of Z/diag[i], and the solution of U x = r_lift for a
-    residue tuple r is sum_i (r_i / diag[i]) * T[:, i].
+    Returns (diag, T) with S * U * T = diag(diag), S and T unimodular and
+    every diag[i] > 0; only T is tracked. The columns of U generate a
+    sublattice of Z^n whose quotient is the direct sum of the Z/diag[i], and
+    the solution of U x = r_lift for a residue tuple r is
+    sum_i (r_i / diag[i]) * T[:, i]. That needs no divisibility chain, so
+    this is not the Smith normal form. Each pass moves an entry of least
+    absolute value in the trailing block to the pivot and reduces the pivot
+    row and column by it; nonzero remainders are smaller, so passes end.
     """
-    # sympy is imported lazily: it costs ~0.3 s and only this kernel needs it.
-    from sympy import ZZ
-    from sympy.matrices import Matrix
-    from sympy.matrices.normalforms import smith_normal_decomp
-
     n = len(rows)
-    snf, _s, t = smith_normal_decomp(Matrix(rows), domain=ZZ)
-    diag = [int(snf[i, i]) for i in range(n)]
-    if any(x == 0 for x in diag):
-        raise ValueError("matrix is singular")
-    t_rows = [[int(t[i, j]) for j in range(n)] for i in range(n)]
-    return diag, t_rows
+    a = [list(r) for r in rows]
+    t = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        while True:
+            entries = [(abs(a[i][j]), i, j) for i in range(k, n) for j in range(k, n) if a[i][j]]
+            if not entries:
+                raise ValueError("matrix is singular")
+            _, pi, pj = min(entries)
+            a[k], a[pi] = a[pi], a[k]
+            s = -1 if a[k][pj] < 0 else 1  # keeps the pivot positive
+            for row in a + t:
+                row[pj], row[k] = row[k], s * row[pj]
+            p = a[k][k]
+            for j in range(k + 1, n):
+                q = a[k][j] // p
+                if q:
+                    for row in a + t:
+                        row[j] -= q * row[k]
+            for i in range(k + 1, n):
+                q = a[i][k] // p
+                if q:
+                    a[i] = [x - q * y for x, y in zip(a[i], a[k])]
+            if not any(a[k][k + 1 :]) and not any(a[i][k] for i in range(k + 1, n)):
+                break
+    return [a[k][k] for k in range(n)], t

@@ -27,6 +27,7 @@ from .intlinalg import EchelonBasis, det, scaled_inverse, solve_rational
 LatticePoint = tuple[int, ...]
 
 CUBE_DIM_CAP = 20  # explicit vertex lists have 2^d vertices
+GENERATOR_DIM_CAP = 100  # simplex and pyramid generators build O(d^2) entries
 _HALFSPACE_COMBO_CAP = 200_000
 
 
@@ -283,9 +284,15 @@ def pyramid(p: LatticePolytope) -> LatticePolytope:
     return LatticePolytope(p.ambient_dim + 1, vertices=vertices, hint=hint)
 
 
+def _require_generator_dim(d: int) -> None:
+    if d > GENERATOR_DIM_CAP:
+        raise InputError(f"generator dimension {d} exceeds the cap {GENERATOR_DIM_CAP}")
+
+
 def iterated_pyramid(p: LatticePolytope, times: int) -> LatticePolytope:
     if times < 0:
         raise InputError("times must be nonnegative")
+    _require_generator_dim(p.ambient_dim + times)
     for _ in range(times):
         p = pyramid(p)
     return p
@@ -308,6 +315,7 @@ def make_unimodular_simplex(d: int) -> LatticeSimplex:
     """conv{0, e_1, ..., e_d}; normalized volume 1."""
     if d < 1:
         raise InputError("simplex dimension must be positive")
+    _require_generator_dim(d)
     origin = (0,) * d
     units = tuple(tuple(1 if j == i else 0 for j in range(d)) for i in range(d))
     return LatticeSimplex.from_vertices((origin,) + units)
@@ -327,6 +335,7 @@ def make_higashitani(
     d = ones_len + big_len + 1
     if d < 3:
         raise InputError("resulting dimension must be at least 3")
+    _require_generator_dim(d)
     w = (1,) * ones_len + (big_val,) * big_len + (last_val,)
     origin = (0,) * d
     units = tuple(tuple(1 if j == i else 0 for j in range(d)) for i in range(d - 1))
@@ -343,6 +352,7 @@ def make_random_simplex(
     """
     if d < 1 or coord_bound < 1:
         raise InputError("dimension and coordinate bound must be positive")
+    _require_generator_dim(d)
     rng = random.Random(seed)
     for _ in range(max_attempts):
         vertices = tuple(
@@ -375,6 +385,12 @@ def _int_entry(x) -> int:
         raise InputError(f"bad integer entry {x!r}") from exc
 
 
+def _json_list(x, what: str) -> list:
+    if not isinstance(x, list):
+        raise InputError(f"{what} must be a JSON list, not {type(x).__name__}")
+    return x
+
+
 def polytope_from_json(text: str) -> LatticePolytope:
     try:
         obj = json.loads(text)
@@ -384,12 +400,15 @@ def polytope_from_json(text: str) -> LatticePolytope:
         raise InputError("polytope JSON must be an object with 'ambient_dim'")
     dim = _int_entry(obj["ambient_dim"])
     if "vertices" in obj:
-        vertices = tuple(tuple(_int_entry(x) for x in v) for v in obj["vertices"])
+        vertices = tuple(
+            tuple(_int_entry(x) for x in _json_list(v, "a vertex"))
+            for v in _json_list(obj["vertices"], "'vertices'")
+        )
         return LatticePolytope(dim, vertices=vertices)
     if "halfspaces" in obj:
         rows = []
-        for row in obj["halfspaces"]:
-            entries = [_int_entry(x) for x in row]
+        for row in _json_list(obj["halfspaces"], "'halfspaces'"):
+            entries = [_int_entry(x) for x in _json_list(row, "a half-space row")]
             if len(entries) != dim + 1:
                 raise InputError("half-space rows must have 1 + ambient_dim entries")
             rows.append(HalfSpace(entries[0], tuple(entries[1:])))

@@ -226,6 +226,8 @@ def _parse_entry(x) -> int:
 def _parse_vector_field(obj: dict, key: str, d: int) -> tuple[int, ...] | None:
     if key not in obj:
         return None
+    if not isinstance(obj[key], list):
+        raise InputError(f"'{key}' must be a JSON list, not {type(obj[key]).__name__}")
     entries = tuple(_parse_entry(x) for x in obj[key])
     if len(entries) != d + 1:
         raise InputError(f"{key} must have d+1 = {d + 1} entries, got {len(entries)}")

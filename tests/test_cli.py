@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ehrstar
 from ehrstar.cli import build_builtin, main
 
 SPIKE15_H = ["1"] + ["0"] * 7 + ["131"] + ["0"] * 7
@@ -95,6 +100,31 @@ class TestCompute:
             "error: half-space polytope has the non-lattice vertex (10/3, 6); "
             "only lattice polytopes are supported"
         ]
+
+    @pytest.mark.parametrize("command", ["compute", "audit", "convert"])
+    @pytest.mark.parametrize("payload", [
+        {"ambient_dim": 2, "vertices": 5},
+        {"ambient_dim": 2, "vertices": [[0, 0], 5]},
+        {"ambient_dim": 2, "vertices": "[[0, 0]]"},
+        {"ambient_dim": 1, "halfspaces": {"0": [1, 1]}},
+        {"ambient_dim": 1, "halfspaces": [[1, 1], 1]},
+        {"d": 2, "h_star": 5},
+        {"d": 2, "f_star": "123"},
+    ])
+    def test_bad_container_shape_exit_2(self, capsys, tmp_path, command, payload):
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, command, "--input", str(path))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("name", [
+        "unimodular-101", "pyr-100-unimodular-1", "random-101-1", "higashitani-1-2-99-3",
+    ])
+    def test_generator_over_dimension_cap_exit_2(self, capsys, name):
+        code, out, err = run(capsys, "compute", "--builtin", name)
+        assert code == 2 and out == ""
+        assert err == "error: generator dimension 101 exceeds the cap 100\n"
 
     def test_no_strategy_exit_3(self, capsys, tmp_path):
         path = tmp_path / "square.json"
@@ -284,3 +314,48 @@ class TestConfig:
             capsys, "compute", "--builtin", "cube-1-0-1", "--count-cap", "0"
         )
         assert code == 2
+
+
+class TestProcess:
+    """Cold `python -m ehrstar.cli` processes."""
+
+    @staticmethod
+    def env(unbuffered=False):
+        src = str(Path(ehrstar.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        return env
+
+    # Unbuffered, the first print hits the closed pipe; buffered, only the
+    # flush at the end of main does.
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_stdout_pipe_exits_0_quietly(self, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the child writes
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ehrstar.cli", "compute", "--builtin", "higashitani-15"],
+                stdout=write_end, stderr=subprocess.PIPE, env=self.env(unbuffered), timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+
+    def test_audit_does_not_import_sympy(self):
+        script = (
+            "import runpy, sys\n"
+            "sys.argv = ['ehrstar', 'audit', '--builtin', 'higashitani-15']\n"
+            "try:\n"
+            "    runpy.run_module('ehrstar.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "print('sympy loaded:', 'sympy' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=self.env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "unimodal: NO (first dip at 9)" in proc.stdout
+        assert proc.stdout.splitlines()[-1] == "sympy loaded: False"

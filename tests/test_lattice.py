@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from ehrstar.errors import DegenerateSimplexError, InputError
 from ehrstar.lattice import (
+    GENERATOR_DIM_CAP,
     BoxHint,
     LatticePolytope,
     LatticeSimplex,
@@ -147,6 +148,17 @@ class TestGenerators:
         with pytest.raises(InputError):
             make_cube(21, 0, 1)
         make_cube(21, 0, 1, max_dim=21)
+
+    @pytest.mark.parametrize("build", [
+        make_unimodular_simplex,
+        lambda d: make_higashitani(1, 2, d - 2, 3),
+        lambda d: make_random_simplex(d, 1, 0),
+        lambda d: iterated_pyramid(make_cube(2, 0, 1), d - 2),
+    ], ids=["unimodular", "higashitani", "random", "pyramid"])
+    def test_generator_dimension_cap(self, build):
+        assert build(GENERATOR_DIM_CAP).ambient_dim == GENERATOR_DIM_CAP
+        with pytest.raises(InputError, match=f"dimension {GENERATOR_DIM_CAP + 1} exceeds"):
+            build(GENERATOR_DIM_CAP + 1)
 
     @pytest.mark.parametrize("d", [1, 2, 15])
     def test_unimodular_simplex(self, d):
