@@ -157,7 +157,7 @@ def _load_vectors_or_polytope(config: CliConfig):
     text = _read_text(config.input_path)
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"invalid JSON: {exc}") from exc
     if isinstance(obj, dict) and ("vertices" in obj or "halfspaces" in obj):
         return "polytope", polytope_from_json(text)

@@ -14,6 +14,13 @@ Counting strategies, in dispatch order:
     lattice point; boundedness is decided by a cofactor ray test on the
     facet normals.
 
+A profile of a simplex or a half-space polytope scans only the dilates
+n <= ceil(d/2), each for its lattice points and its interior points.
+Ehrhart-Macdonald reciprocity turns the interior counts into ehr(-n), and
+Newton forward differences on the nodes -k..k give the whole polynomial.
+Each scan enumerates all box axes but the last, which it counts as one
+integer interval per point of the others.
+
 The h*-vector of a simplex is computed directly, without any counting,
 by enumerating the lattice points of the half-open parallelepiped
 spanned by the homogenized vertices (see `box_points_simplex`). All
@@ -55,7 +62,11 @@ _SCAN_CHUNK = 1 << 17
 
 @dataclass(frozen=True)
 class CountProfile:
-    """Exact counts ehr(n) for n = 0..d+1; the interpolation input."""
+    """Exact counts ehr(n) for n = 0..d+1; the interpolation input.
+
+    The counts are the same whichever dilates were scanned to obtain them
+    (see `count_profile`).
+    """
 
     dim: int
     counts: tuple[int, ...]
@@ -94,8 +105,20 @@ class BoxPointTable:
 def _count_box_satisfying(lows, highs, rows, offsets, *, chunk=_SCAN_CHUNK) -> int:
     """Count integer points x with lows <= x <= highs and rows @ x + offsets >= 0.
 
-    Chunked so that only a bounded tail block is materialized; the tail
-    contribution matrix is computed once and reused for every prefix.
+    Only the first d - 1 axes are enumerated. For each of their points the
+    rows leave c + a * t >= 0 on the last coordinate t, where c is the
+    partial value and a the last coefficient: rows with a > 0 bound t below
+    by ceil(-c / a), rows with a < 0 bound it above by floor(c / -a), and
+    rows with a = 0 pass or fail as c >= 0. The points counted are one
+    integer interval, clipped to the box. The enumerated part is chunked:
+    a tail block of at most `chunk` points is materialized once and reused
+    for every prefix.
+
+    The int64 path runs only when `worst` < 2^62, which bounds every
+    intermediate: the partial values c, the quotients (|c // a| <= |c|), the
+    box coordinates +- 1, the difference hi - lo + 1 of two of those, and
+    the running total (at most the number of candidates). Otherwise the
+    arrays hold Python ints, on which // is the same exact floor division.
     """
     d = len(lows)
     sizes = [hi - lo + 1 for lo, hi in zip(lows, highs)]
@@ -106,49 +129,77 @@ def _count_box_satisfying(lows, highs, rows, offsets, *, chunk=_SCAN_CHUNK) -> i
 
     maxabs = [max(abs(lo), abs(hi)) for lo, hi in zip(lows, highs)]
     worst = max(
-        sum(abs(row[j]) * maxabs[j] for j in range(d)) + abs(c)
-        for row, c in zip(rows, offsets)
+        max(sum(abs(row[j]) * maxabs[j] for j in range(d)) + abs(c) for row, c in zip(rows, offsets)),
+        max(maxabs) + 1,
+        math.prod(sizes),
     )
     dtype = np.int64 if worst < 2**62 else object
 
-    split = d
+    # Rows with a last coefficient > 0, then < 0, then = 0, so that each
+    # kind is a column slice of the partial values.
+    order = sorted(range(len(rows)), key=lambda i: (rows[i][-1] <= 0, rows[i][-1] == 0))
+    last = [rows[i][-1] for i in order]
+    n_pos = sum(a > 0 for a in last)
+    n_bound = n_pos + sum(a < 0 for a in last)
+    a_pos = np.array(last[:n_pos], dtype=dtype).reshape(-1, 1)
+    a_neg = np.array([-a for a in last[n_pos:n_bound]], dtype=dtype).reshape(-1, 1)
+    t_lo, t_hi = lows[-1], highs[-1]
+
+    p = d - 1  # enumerated axes
+    split = p
     tail_count = 1
     while split > 0 and tail_count * sizes[split - 1] <= chunk:
         split -= 1
         tail_count *= sizes[split]
 
-    axes = [np.arange(lows[j], highs[j] + 1, dtype=np.int64) for j in range(split, d)]
+    axes = [np.arange(lows[j], highs[j] + 1, dtype=dtype) for j in range(split, p)]
     if axes:
         grid = np.meshgrid(*axes, indexing="ij")
-        tail_pts = np.stack([g.reshape(-1) for g in grid], axis=1)
+        tail_pts = np.stack([g.reshape(-1) for g in grid])
     else:
-        tail_pts = np.zeros((1, 0), dtype=np.int64)
-    if dtype is object:
-        tail_pts = tail_pts.astype(object)
+        tail_pts = np.zeros((0, 1), dtype=dtype)
 
-    mat = np.array(rows, dtype=dtype)
-    off = np.array(offsets, dtype=dtype)
-    tail_contrib = tail_pts @ mat[:, split:].T + off
+    # One row of partial values per inequality, one column per tail point.
+    mat = np.array([rows[i][:p] for i in order], dtype=dtype).reshape(len(rows), p)
+    off = np.array([offsets[i] for i in order], dtype=dtype).reshape(-1, 1)
+    tail_contrib = mat[:, split:] @ tail_pts + off
 
     count = 0
     for prefix in product(*(range(lows[j], highs[j] + 1) for j in range(split))):
         vals = tail_contrib
         if prefix:
-            vals = vals + mat[:, :split] @ np.array(prefix, dtype=dtype)
-        count += int((vals >= 0).all(axis=1).sum())
+            vals = vals + (mat[:, :split] @ np.array(prefix, dtype=dtype)).reshape(-1, 1)
+        lo = t_lo
+        if n_pos:  # max of the ceilings -(c // a) is minus the min of the floors
+            lo = np.maximum(-(vals[:n_pos] // a_pos).min(axis=0), t_lo)
+        hi = t_hi
+        if n_bound > n_pos:
+            hi = np.minimum((vals[n_pos:n_bound] // a_neg).min(axis=0), t_hi)
+        width = np.maximum(hi - lo + 1, 0)
+        if n_bound < len(rows):
+            width = width * (vals[n_bound:] >= 0).all(axis=0)
+        count += int(np.sum(width))
     return count
 
 
-def _simplex_scan_count(s: LatticeSimplex, n: int, count_cap: int) -> int:
-    """|nS ∩ Z^d| by barycentric membership over the bounding box of nS."""
-    d = s.ambient_dim
-    a, _scale = s.membership_kernel
-    lows = [n * min(v[j] for v in s.vertices) for j in range(d)]
-    highs = [n * max(v[j] for v in s.vertices) for j in range(d)]
-    _check_scan_cost(lows, highs, count_cap)
-    rows = [row[:d] for row in a]
-    offsets = [n * row[d] for row in a]
-    return _count_box_satisfying(lows, highs, rows, offsets)
+def _scan_system(q: LatticePolytope | LatticeSimplex, n: int):
+    """(lows, highs, rows, offsets): the box scan of the n-th dilate of q.
+
+    A simplex scans its vertex box with the barycentric membership kernel
+    (`LatticeSimplex.membership_kernel`); a half-space polytope scans the
+    box of its vertices (`LatticePolytope.halfspace_box`) with its own rows.
+    """
+    if isinstance(q, LatticeSimplex):
+        d = q.ambient_dim
+        a, _scale = q.membership_kernel
+        lows = [n * min(v[j] for v in q.vertices) for j in range(d)]
+        highs = [n * max(v[j] for v in q.vertices) for j in range(d)]
+        return lows, highs, [row[:d] for row in a], [n * row[d] for row in a]
+    mins, maxs = q.halfspace_box
+    lows = [n * m for m in mins]
+    highs = [n * m for m in maxs]
+    rows = [list(h.normal) for h in q.halfspaces]
+    return lows, highs, rows, [n * h.offset for h in q.halfspaces]
 
 
 def _check_scan_cost(lows, highs, count_cap: int) -> None:
@@ -162,37 +213,39 @@ def _check_scan_cost(lows, highs, count_cap: int) -> None:
         )
 
 
-def _halfspace_scan_count(p: LatticePolytope, n: int, count_cap: int) -> int:
-    mins, maxs = p.halfspace_box
-    lows = [n * m for m in mins]
-    highs = [n * m for m in maxs]
-    _check_scan_cost(lows, highs, count_cap)
-    rows = [list(h.normal) for h in p.halfspaces]
-    offsets = [n * h.offset for h in p.halfspaces]
-    return _count_box_satisfying(lows, highs, rows, offsets)
-
-
 # -- strategy dispatch --------------------------------------------------------
+
+
+def _scanned(p: LatticePolytope | LatticeSimplex) -> LatticePolytope | LatticeSimplex:
+    """The object whose box is scanned: a simplex or a half-space polytope.
+
+    A half-space polytope must pass its box derivation here, since at d = 0
+    no dilate is scanned.
+    """
+    if isinstance(p, LatticeSimplex):
+        return p
+    require_full_dimensional(p)
+    if p.vertices is None:
+        p.halfspace_box  # raises on empty, unbounded or non-lattice input
+        return p
+    s = p.simplex
+    if s is None:
+        raise NoCountingStrategy(
+            "vertex polytope is not a simplex and carries no structure hint; "
+            "provide a half-space description to count it"
+        )
+    return s
 
 
 def count_points(p: LatticePolytope | LatticeSimplex, n: int, *, count_cap: int = DEFAULT_COUNT_CAP) -> int:
     """Exact number of lattice points in the n-th dilate, n >= 1."""
     if n < 1:
         raise InputError("dilate must be positive")
-    if isinstance(p, LatticeSimplex):
-        return _simplex_scan_count(p, n, count_cap)
-    if isinstance(p.hint, (BoxHint, PyramidHint)):
+    if isinstance(p, LatticePolytope) and isinstance(p.hint, (BoxHint, PyramidHint)):
         return _counts_through(p, n, count_cap)[n]
-    require_full_dimensional(p)
-    if p.vertices is not None:
-        s = p.simplex
-        if s is not None:
-            return _simplex_scan_count(s, n, count_cap)
-        raise NoCountingStrategy(
-            "vertex polytope is not a simplex and carries no structure hint; "
-            "provide a half-space description to count it"
-        )
-    return _halfspace_scan_count(p, n, count_cap)
+    lows, highs, rows, offsets = _scan_system(_scanned(p), n)
+    _check_scan_cost(lows, highs, count_cap)
+    return _count_box_satisfying(lows, highs, rows, offsets)
 
 
 def _counts_through(p: LatticePolytope | LatticeSimplex, nmax: int, count_cap: int) -> list[int]:
@@ -208,11 +261,49 @@ def _counts_through(p: LatticePolytope | LatticeSimplex, nmax: int, count_cap: i
         for _ in range(p.hint.times):
             counts = list(accumulate(counts))
         return counts
-    return [1] + [count_points(p, n, count_cap=count_cap) for n in range(1, nmax + 1)]
+    return _reciprocity_counts(_scanned(p), nmax, count_cap)
+
+
+def _reciprocity_counts(q: LatticePolytope | LatticeSimplex, nmax: int, count_cap: int) -> list[int]:
+    """[ehr(0), ..., ehr(nmax)] from the scans of the dilates n <= ceil(d/2).
+
+    Each scanned dilate gives ehr(n) and, by Ehrhart-Macdonald reciprocity,
+    ehr(-n) = (-1)^d * #interior(nP). For integer x, row . x + off > 0 is
+    row . x + off - 1 >= 0, and the interior of a full-dimensional polytope
+    is cut out by the strict versions of its rows with a nonzero normal, so
+    the interior count is the same kernel on those rows with offsets - 1.
+    With ehr(0) = 1 that gives ehr on the nodes -k..k, whose Newton forward
+    differences determine the polynomial of degree d exactly. For odd d
+    there is one node more than needed: its difference must vanish.
+    """
+    d = q.ambient_dim
+    k = (d + 1) // 2
+    below, above = [], []
+    for n in range(1, k + 1):
+        lows, highs, rows, offsets = _scan_system(q, n)
+        _check_scan_cost(lows, highs, count_cap)
+        above.append(_count_box_satisfying(lows, highs, rows, offsets))
+        strict = [i for i, row in enumerate(rows) if any(row)]
+        interior = _count_box_satisfying(
+            lows, highs, [rows[i] for i in strict], [offsets[i] - 1 for i in strict]
+        )
+        below.append((-1) ** d * interior)
+    values = below[::-1] + [1] + above  # ehr(-k), ..., ehr(k)
+    diffs = []
+    while values:
+        diffs.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    if any(diffs[d + 1 :]):
+        raise ArithmeticError("reciprocity counts do not fit a polynomial of degree d")
+    return [sum(c * math.comb(n + k, j) for j, c in enumerate(diffs)) for n in range(nmax + 1)]
 
 
 def count_profile(p: LatticePolytope | LatticeSimplex, *, count_cap: int = DEFAULT_COUNT_CAP) -> CountProfile:
-    """Counts at n = 0..d+1; n = 0 contributes 1 by the series convention."""
+    """Counts at n = 0..d+1; n = 0 contributes 1 by the series convention.
+
+    Box and pyramid hints use their closed forms; simplices and half-space
+    polytopes scan only the dilates n <= ceil(d/2) (`_reciprocity_counts`).
+    """
     d = p.ambient_dim
     if isinstance(p, LatticePolytope) and p.vertices is not None:
         require_full_dimensional(p)

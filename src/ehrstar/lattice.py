@@ -394,7 +394,7 @@ def _json_list(x, what: str) -> list:
 def polytope_from_json(text: str) -> LatticePolytope:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "ambient_dim" not in obj:
         raise InputError("polytope JSON must be an object with 'ambient_dim'")

@@ -238,7 +238,7 @@ def vectors_from_json(text: str) -> tuple[HStarVector | None, FStarVector | None
     """Parse a vector file; returns (h or None, f or None, provenance)."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "d" not in obj:
         raise InputError("vector JSON must be an object with a 'd' field")

@@ -5,14 +5,19 @@ the facet derivation for simplices lives here: every d-subset of the
 vertex set spans a facet, whose normal comes from cofactors of the edge
 matrix. `fraction_brute_count` is a from-scratch membership counter
 (fresh Gaussian elimination per point, Fractions throughout) used to pin
-the fast kernels on small cases.
+the fast kernels on small cases. `every_dilate_counts` is the counting
+route that scans every dilate n = 1..d+1 and tests every box point
+against every row, kept to pin the reciprocity route and the interval
+kernel.
 """
 
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 from ehrstar.intlinalg import det
-from ehrstar.lattice import HalfSpace, LatticePolytope, make_random_simplex
+from ehrstar.lattice import HalfSpace, LatticePolytope, LatticeSimplex, make_random_simplex
 
 
 def simplex_facets(vertices) -> list[HalfSpace]:
@@ -87,3 +92,65 @@ def bounded_volume_simplices(d, coord_bound, count, *, volume_cap=None, seed0=0)
         if volume_cap is None or s.normalized_volume <= volume_cap:
             out.append(s)
     return out
+
+
+def full_box_count(lows, highs, rows, offsets, *, chunk=1 << 17) -> int:
+    """Points of the box with rows @ x + offsets >= 0, every point tested.
+
+    Chunked like the engine's kernel: a tail block of at most `chunk`
+    points is materialized once and reused for every prefix.
+    """
+    d = len(lows)
+    sizes = [hi - lo + 1 for lo, hi in zip(lows, highs)]
+    if any(s <= 0 for s in sizes):
+        return 0
+    if d == 0:
+        return 1 if all(c >= 0 for c in offsets) else 0
+    maxabs = [max(abs(lo), abs(hi)) for lo, hi in zip(lows, highs)]
+    worst = max(
+        sum(abs(row[j]) * maxabs[j] for j in range(d)) + abs(c) for row, c in zip(rows, offsets)
+    )
+    dtype = np.int64 if worst < 2**62 and max(maxabs) < 2**62 else object
+    split = d
+    tail_count = 1
+    while split > 0 and tail_count * sizes[split - 1] <= chunk:
+        split -= 1
+        tail_count *= sizes[split]
+    tail_pts = np.array(
+        list(product(*(range(lows[j], highs[j] + 1) for j in range(split, d)))), dtype=dtype
+    ).reshape(tail_count, d - split)
+    mat = np.array(rows, dtype=dtype)
+    tail_contrib = tail_pts @ mat[:, split:].T + np.array(offsets, dtype=dtype)
+    count = 0
+    for prefix in product(*(range(lows[j], highs[j] + 1) for j in range(split))):
+        vals = tail_contrib
+        if prefix:
+            vals = vals + mat[:, :split] @ np.array(prefix, dtype=dtype)
+        count += int((vals >= 0).all(axis=1).sum())
+    return count
+
+
+def every_dilate_counts(p) -> tuple[int, ...]:
+    """ehr(0..d+1) of a simplex or a half-space polytope, each dilate scanned.
+
+    A simplex (or a vertex polytope that is one) is scanned with its
+    barycentric membership rows, a half-space polytope with its own rows,
+    each over the box of its vertices.
+    """
+    d = p.ambient_dim
+    if isinstance(p, LatticePolytope) and p.vertices is not None:
+        p = LatticeSimplex.from_vertices(p.vertices)
+    if isinstance(p, LatticeSimplex):
+        a, _scale = p.membership_kernel
+        mins = [min(v[j] for v in p.vertices) for j in range(d)]
+        maxs = [max(v[j] for v in p.vertices) for j in range(d)]
+        rows = [row[:d] for row in a]
+        offsets = [row[d] for row in a]
+    else:
+        mins, maxs = p.halfspace_box
+        rows = [list(h.normal) for h in p.halfspaces]
+        offsets = [h.offset for h in p.halfspaces]
+    return (1,) + tuple(
+        full_box_count([n * m for m in mins], [n * m for m in maxs], rows, [n * c for c in offsets])
+        for n in range(1, d + 2)
+    )

@@ -12,7 +12,7 @@ from math import comb
 
 import pytest
 
-from conftest import as_halfspace_polytope, bounded_volume_simplices
+from conftest import as_halfspace_polytope, bounded_volume_simplices, simplex_facets
 from ehrstar.audit import check_binom_diff_lemma, full_audit
 from ehrstar.cli import main
 from ehrstar.engine import (
@@ -24,13 +24,17 @@ from ehrstar.engine import (
     h_star_of,
 )
 from ehrstar.lattice import (
+    HalfSpace,
+    LatticePolytope,
     make_cube,
     make_higashitani,
+    make_random_simplex,
     make_unimodular_simplex,
     pyramid,
 )
 from ehrstar.starbasis import (
     HStarVector,
+    eval_ehrhart,
     f_from_h,
     h_from_f,
     hstar_poly_identity_check,
@@ -215,3 +219,32 @@ def test_criterion_9_search_recall(capsys):
     assert len(lines) == 1
     assert json.loads(lines[0])["summary"]["candidates"] == 0
     _ok(9, "d=15 search recalls the 131 candidate; d=13 search is empty")
+
+
+def test_criterion_10_h_cube_6_profile():
+    # [-2,2]^6 by its 12 facets, no box hint: the dilates n <= 3 are scanned
+    rows = tuple(
+        HalfSpace(2, tuple(sign * (k == j) for k in range(6))) for j in range(6) for sign in (1, -1)
+    )
+    cube = LatticePolytope(6, halfspaces=rows)
+    start = time.monotonic()
+    counts = count_profile(cube).counts
+    elapsed = time.monotonic() - start
+    assert counts == tuple((4 * n + 1) ** 6 for n in range(8))
+    assert elapsed < 1.0, f"took {elapsed:.2f}s"
+    _ok(10, f"H-cube [-2,2]^6 profile in {elapsed:.2f}s")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_criterion_11_facet_simplex_6(seed):
+    s = make_random_simplex(6, 2, seed)
+    facets = tuple(simplex_facets(s.vertices))
+    start = time.monotonic()
+    p = LatticePolytope(6, halfspaces=facets)
+    p.halfspace_box
+    counts = count_profile(p).counts
+    elapsed = time.monotonic() - start
+    h = HStarVector(box_points_simplex(s).heights)
+    assert counts == tuple(eval_ehrhart(h, n) for n in range(8))
+    assert elapsed < 0.5, f"took {elapsed:.2f}s"
+    _ok(11, f"6-simplex by its 7 facets (seed {seed}): box and profile in {elapsed:.3f}s")

@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ehrstar
 from ehrstar.cli import build_builtin, main
@@ -118,6 +120,14 @@ class TestCompute:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["compute", "audit", "convert", "series"])
+    def test_deeply_nested_json_exit_2(self, capsys, tmp_path, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run(capsys, command, "--input", str(path))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: invalid JSON: ")
+
     @pytest.mark.parametrize("name", [
         "unimodular-101", "pyr-100-unimodular-1", "random-101-1", "higashitani-1-2-99-3",
     ])
@@ -145,6 +155,78 @@ class TestCompute:
             "--volume-cap", "1", "--count-cap", "10",
         )
         assert code == 3
+
+    def test_cap_covers_only_the_scanned_dilates(self, capsys):
+        # d = 3 scans the dilates n <= 2, so a cap that fits the n = 2 box
+        # suffices, although the n = 4 box is over it
+        p = build_builtin("random-3-4", seed=3)
+        widths = [max(v[j] for v in p.vertices) - min(v[j] for v in p.vertices) for j in range(3)]
+        cap = 1
+        for w in widths:
+            cap *= 2 * w + 1
+        argv = ["compute", "--builtin", "random-3-4", "--seed", "3", "--volume-cap", "1"]
+        code, out, err = run(capsys, *argv, "--count-cap", str(cap))
+        assert code == 0 and err == "" and "route: interpolation" in out
+        code, out, err = run(capsys, *argv, "--count-cap", str(cap - 1))
+        assert code == 3 and out == ""
+        assert err == (f"error: bounding-box scan would visit {cap} candidates (cap {cap - 1}); "
+                       "raise the cap or use the parallelepiped route\n")
+
+
+_JSON_KEYS = ("ambient_dim", "vertices", "halfspaces", "d", "h_star", "f_star", "provenance")
+_small_int = st.integers(-4, 4)
+
+
+def _shaped(d: int):
+    """Objects with the right shape for dimension d, so that the guard also
+    reaches the counting, the conversions and the audit."""
+    def rows(length):
+        return st.lists(st.lists(_small_int, min_size=length, max_size=length), max_size=4)
+
+    vector = st.lists(_small_int, min_size=d + 1, max_size=d + 1)
+    return st.one_of(
+        st.fixed_dictionaries({"ambient_dim": st.just(d), "vertices": rows(d)}),
+        st.fixed_dictionaries({"ambient_dim": st.just(d), "halfspaces": rows(d + 1)}),
+        st.fixed_dictionaries({"d": st.just(d)}, optional={
+            "h_star": vector, "f_star": vector,
+            "provenance": st.sampled_from(["raw", "polytope"]),
+        }),
+    )
+
+
+_json_values = st.one_of(
+    st.integers(0, 3).flatmap(_shaped),
+    st.recursive(
+        _small_int | st.text(max_size=6) | st.sampled_from(["raw", "polytope", "3", "-1"]),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.sampled_from(_JSON_KEYS) | st.text(max_size=6), inner, max_size=4),
+        max_leaves=24,
+    ),
+)
+
+
+class TestArbitraryJson:
+    @given(command=st.sampled_from(["compute", "audit", "convert"]), value=_json_values)
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_every_input_ends_in_a_documented_exit(self, capsys, tmp_path, command, value):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(value))
+        code, _out, err = run(capsys, command, "--input", str(path))
+        assert "Traceback" not in err
+        claims_polytope = (
+            isinstance(value, dict) and value.get("provenance") == "polytope"
+            and "vertices" not in value and "halfspaces" not in value
+        )
+        if code == 1:
+            # the bug signal is reserved for a vector file that claims to
+            # come from a polytope and fails a theorem check
+            assert command == "audit" and claims_polytope and err == ""
+        elif code == 0:
+            assert err == ""
+        else:
+            assert code in (2, 3)
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 class TestAudit:

@@ -1,14 +1,24 @@
+import math
+import random
 import time
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ehrstar.engine
 import ehrstar.lattice
-from conftest import as_halfspace_polytope, fraction_brute_count, simplex_facets
+from conftest import (
+    as_halfspace_polytope,
+    every_dilate_counts,
+    fraction_brute_count,
+    simplex_facets,
+)
 from ehrstar.engine import (
     BoxPointTable,
     CountProfile,
+    _count_box_satisfying,
     box_points_simplex,
     compute_vectors,
     count_points,
@@ -275,6 +285,12 @@ class TestGuardsAndErrors:
         with pytest.raises(InputError):
             count_points(p, 1)
 
+    def test_empty_zero_dimensional_halfspaces_rejected(self):
+        # d = 0 scans no dilate, so the box derivation alone must reject -1 >= 0
+        p = LatticePolytope(0, halfspaces=(HalfSpace(-1, ()),))
+        with pytest.raises(InputError, match="no vertices"):
+            count_profile(p)
+
     def test_lower_dimensional_halfspaces_rejected(self):
         p = LatticePolytope(
             2,
@@ -327,6 +343,155 @@ class TestHalfspaceVertexStep:
             LatticePolytope(d, halfspaces=rows).halfspace_box
 
 
+def _axis_rows(lows, highs):
+    """The half-space rows of the box prod [lows[j], highs[j]]."""
+    d = len(lows)
+    rows = []
+    for j, (lo, hi) in enumerate(zip(lows, highs)):
+        unit = tuple(int(k == j) for k in range(d))
+        rows.append(HalfSpace(-lo, unit))
+        rows.append(HalfSpace(hi, tuple(-a for a in unit)))
+    return rows
+
+
+class TestReciprocityRoute:
+    """count_profile scans n <= ceil(d/2) only; the every-dilate scan is the oracle."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_random_simplices_by_vertices_and_by_facets(self, d, seed):
+        s = make_random_simplex(d, {1: 4, 2: 3, 3: 2, 4: 2, 5: 1, 6: 1}[d], seed)
+        expected = every_dilate_counts(s)
+        assert count_profile(s).counts == expected
+        assert count_profile(s.to_polytope()).counts == expected
+        assert count_profile(as_halfspace_polytope(s.vertices)).counts == expected
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_h_boxes(self, seed):
+        rng = random.Random(seed)
+        d = rng.randint(1, 4)
+        lows = [rng.randint(-3, 2) for _ in range(d)]
+        highs = [lo + rng.randint(1, 3) for lo in lows]
+        p = LatticePolytope(d, halfspaces=tuple(_axis_rows(lows, highs)))
+        closed_form = tuple(
+            math.prod(n * (hi - lo) + 1 for lo, hi in zip(lows, highs)) for n in range(d + 2)
+        )
+        assert count_profile(p).counts == every_dilate_counts(p) == closed_form
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("offset", [0, 5])
+    def test_zero_row_counts_only_for_the_closed_dilates(self, d, offset):
+        # 0 + 0.x >= 0 holds everywhere, but 0 > 0 does not: the interior
+        # count must leave the row out
+        rows = _axis_rows([-1] * d, [1] * d) + [HalfSpace(offset, (0,) * d)]
+        p = LatticePolytope(d, halfspaces=tuple(rows))
+        expected = tuple((2 * n + 1) ** d for n in range(d + 2))
+        assert count_profile(p).counts == every_dilate_counts(p) == expected
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_duplicated_facet_rows(self, d):
+        s = make_random_simplex(d, 2, 11)
+        facets = simplex_facets(s.vertices)
+        doubled = HalfSpace(2 * facets[1].offset, tuple(2 * a for a in facets[1].normal))
+        p = LatticePolytope(d, halfspaces=tuple(facets + [facets[0], doubled]))
+        assert count_profile(p).counts == every_dilate_counts(s)
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_corrupted_interior_count_at_odd_d_raises(self, monkeypatch, d):
+        kernel = ehrstar.engine._count_box_satisfying
+        calls = []
+
+        def interior_of_n1_plus_one(*args, **kwargs):
+            calls.append(args)
+            return kernel(*args, **kwargs) + (len(calls) == 2)
+
+        monkeypatch.setattr(ehrstar.engine, "_count_box_satisfying", interior_of_n1_plus_one)
+        with pytest.raises(ArithmeticError, match="degree d"):
+            count_profile(make_random_simplex(d, 2, 5))
+        assert len(calls) == 2 * ((d + 1) // 2)
+
+    def test_count_cap_checks_only_the_scanned_dilates(self):
+        # d = 3: dilates 1 and 2 are scanned; the n = 4 box is far over the cap
+        s = LatticeSimplex.from_vertices(((0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4)))
+        assert count_profile(s, count_cap=9**3).counts == every_dilate_counts(s)
+        with pytest.raises(CostGuardExceeded, match="visit 729 candidates"):
+            count_profile(s, count_cap=9**3 - 1)
+
+
+def _brute_box_count(lows, highs, rows, offsets) -> int:
+    return sum(
+        all(sum(a * x for a, x in zip(row, pt)) + c >= 0 for row, c in zip(rows, offsets))
+        for pt in product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs)))
+    )
+
+
+class TestIntervalKernel:
+    """The last box axis is counted as an interval; every axis is enumerated here."""
+
+    @staticmethod
+    def _system(rng, d):
+        lows = [rng.randint(-3, 2) for _ in range(d)]
+        highs = [lo + rng.randint(-1, 4) for lo in lows]  # now and then an empty box
+        m = rng.randint(1, 5)
+        rows = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(m)]
+        rows[rng.randrange(m)][-1] = 0
+        offsets = [rng.randint(-6, 6) for _ in range(m)]
+        return lows, highs, rows, offsets
+
+    @pytest.mark.parametrize("chunk", [1, 5, 1 << 17])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_brute_force(self, seed, chunk):
+        rng = random.Random(seed)
+        for d in (1, 2, 3, 4):
+            system = self._system(rng, d)
+            assert _count_box_satisfying(*system, chunk=chunk) == _brute_box_count(*system)
+
+    # `worst` bounds the partial values |rows @ x + offsets| over the box;
+    # below 2^62 the kernel runs on int64, from 2^62 on on Python ints
+    @pytest.mark.parametrize("worst", [2**62 - 1, 2**62, 2**62 + 1])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_worst_bound_near_2_62(self, seed, worst):
+        rng = random.Random(seed)
+        d = rng.randint(1, 3)
+        lows, highs, rows, offsets = self._system(rng, d)
+        maxabs = [max(abs(lo), abs(hi)) for lo, hi in zip(lows, highs)]
+        i = rng.randrange(len(rows))
+        if not any(rows[i]):
+            rows[i][0] = 1
+        bound = sum(abs(a) * m for a, m in zip(rows[i], maxabs)) + abs(offsets[i])
+        if bound == 0:
+            offsets[i] = 1
+            bound = 1
+        scale = worst // bound
+        pad = worst - scale * bound
+        rows[i] = [scale * a for a in rows[i]]
+        offsets[i] = scale * offsets[i] + (pad if offsets[i] >= 0 else -pad)
+        assert sum(abs(a) * m for a, m in zip(rows[i], maxabs)) + abs(offsets[i]) == worst
+        assert _count_box_satisfying(lows, highs, rows, offsets) == _brute_box_count(
+            lows, highs, rows, offsets
+        )
+
+    @pytest.mark.parametrize("worst", [2**62 - 1, 2**62, 2**62 + 1, 3 * 2**61])
+    def test_bounds_far_outside_the_box(self, worst):
+        # t >= worst - 2 and t <= -(worst - 2) on the box [-2, 2]^2: the
+        # empty interval has hi - lo + 1 close to -2 * worst
+        rows = [[0, 1], [0, -1], [1, 1]]
+        offsets = [-(worst - 2), -(worst - 2), 0]
+        assert _count_box_satisfying([-2, -2], [2, 2], rows, offsets) == 0
+
+    @pytest.mark.parametrize("chunk", [1, 1 << 17])
+    def test_axis_in_no_row_beyond_int64(self, chunk):
+        # only the box bounds the first coordinate
+        big = 2**63
+        rows, offsets = [[0, 1], [0, -1]], [0, 1]
+        assert _count_box_satisfying([big - 2, 0], [big + 1, 3], rows, offsets, chunk=chunk) == 8
+
+    def test_total_beyond_int64(self):
+        # 16 intervals of 2^60 + 1 points each: the sum passes 2^63
+        rows, offsets = [[0, 1], [0, -1]], [0, 2**60]
+        assert _count_box_satisfying([0, 0], [15, 2**60], rows, offsets) == 16 * (2**60 + 1)
+
+
 class TestBigCoordinates:
     def test_object_dtype_path_is_exact(self):
         # coefficients far beyond int64 force the object-dtype scan;
@@ -334,6 +499,12 @@ class TestBigCoordinates:
         big = 2**70
         p = LatticePolytope(1, halfspaces=(HalfSpace(0, (big,)), HalfSpace(big, (-big,))))
         assert count_points(p, 3) == 4
+
+    def test_box_beyond_int64(self):
+        # [2^70, 2^70 + 1]^2: the enumerated axis itself is past int64
+        big = 2**70
+        p = LatticePolytope(2, halfspaces=tuple(_axis_rows([big, big], [big + 1, big + 1])))
+        assert count_profile(p).counts == (1, 4, 9, 16)
 
     def test_big_volume_parallelepiped(self):
         s = LatticeSimplex.from_vertices(((0, 0), (300, 1), (1, 400)))
