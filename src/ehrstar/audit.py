@@ -20,6 +20,7 @@ from typing import Sequence
 
 from .errors import InputError
 from .starbasis import (
+    VECTOR_DIM_CAP,
     FStarVector,
     HStarVector,
     degree_of,
@@ -367,6 +368,8 @@ def search_nonunimodal(d: int, spikes: Sequence[SpikeRange], budget: int) -> Sea
     """
     if d < 1:
         raise InputError("dimension must be positive")
+    if d > VECTOR_DIM_CAP:
+        raise InputError(f"search dimension {d} exceeds the cap {VECTOR_DIM_CAP}")
     if not 1 <= len(spikes) <= 2:
         raise InputError("pattern must have one or two spikes")
     if budget < 1:

@@ -42,6 +42,7 @@ from .lattice import (
     polytope_from_json,
 )
 from .starbasis import (
+    VECTOR_DIM_CAP,
     FStarVector,
     HStarVector,
     degree_of,
@@ -468,7 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     search = sub.add_parser("search", parents=[common],
                             help="enumerate spiked h*-patterns with nonunimodal f*")
-    search.add_argument("--dim", type=int, help="dimension d of the pattern")
+    search.add_argument("--dim", type=int,
+                        help=f"dimension d of the pattern, at most {VECTOR_DIM_CAP}")
     search.add_argument("--spike-pos-range", help="A:B positions for the spike")
     search.add_argument("--spike-val-range", help="A:B values for the spike")
     search.add_argument("--spike2-pos-range", help="A:B positions for a second spike")

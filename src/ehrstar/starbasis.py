@@ -24,6 +24,13 @@ from math import comb
 
 from .errors import InputError
 
+# The largest d accepted from a vector file or by the pattern search, checked
+# before any conversion. One f_from_h costs O(d^2) binomials of O(d) bits: on
+# a 2-vCPU VM a cold convert or audit takes about 0.3 s at d = 200 and 0.6 s
+# at d = 400, and one search pattern about 20 ms and 0.3 s. Generator outputs
+# (dimension <= lattice.GENERATOR_DIM_CAP = 100) stay valid inputs.
+VECTOR_DIM_CAP = 200
+
 
 def binom(a: int, b: int) -> int:
     """C(a, b) with the vanishing convention: 0 when b < 0 or b > a.
@@ -245,6 +252,8 @@ def vectors_from_json(text: str) -> tuple[HStarVector | None, FStarVector | None
     d = _parse_entry(obj["d"])
     if d < 0:
         raise InputError("d must be nonnegative")
+    if d > VECTOR_DIM_CAP:
+        raise InputError(f"vector dimension {d} exceeds the cap {VECTOR_DIM_CAP}")
     provenance = obj.get("provenance", "raw")
     if provenance not in ("raw", "polytope"):
         raise InputError("provenance must be 'raw' or 'polytope'")

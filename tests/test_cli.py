@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ehrstar
+from ehrstar import starbasis
 from ehrstar.cli import build_builtin, main
+from ehrstar.lattice import GENERATOR_DIM_CAP
+from ehrstar.starbasis import VECTOR_DIM_CAP
 
 SPIKE15_H = ["1"] + ["0"] * 7 + ["131"] + ["0"] * 7
 SPIKE15_F = [16, 120, 560, 1820, 4368, 8008, 11440, 13001,
@@ -319,6 +323,60 @@ class TestConvertAndSeries:
         assert obj == {"numerator": ["1", "0"], "denominator_exponent": 2}
 
 
+class TestVectorDimensionCap:
+    """Vector files and the search stop at VECTOR_DIM_CAP before any conversion."""
+
+    @pytest.fixture
+    def no_binomials(self, monkeypatch):
+        def refuse(a, b):
+            raise AssertionError("a binomial was computed past the dimension cap")
+
+        monkeypatch.setattr(starbasis, "binom", refuse)
+
+    @pytest.mark.parametrize("command", ["convert", "audit", "series"])
+    @pytest.mark.parametrize("key", ["h_star", "f_star"])
+    @pytest.mark.parametrize("d", [VECTOR_DIM_CAP + 1, 3000])
+    def test_vector_file_over_cap_exit_2(self, capsys, tmp_path, no_binomials, command, key, d):
+        path = tmp_path / "vec.json"
+        path.write_text(json.dumps({"d": d, key: [1] + [0] * d}))
+        code, out, err = run(capsys, command, "--input", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: vector dimension {d} exceeds the cap {VECTOR_DIM_CAP}\n"
+
+    @pytest.mark.parametrize("command", ["convert", "audit"])
+    def test_vector_file_at_cap_runs(self, capsys, tmp_path, command):
+        d = VECTOR_DIM_CAP
+        path = tmp_path / "vec.json"
+        path.write_text(json.dumps({"d": d, "h_star": [1] + [0] * d}))
+        obj = run_json(capsys, command, "--input", str(path), "--format", "json")
+        # h* = (1, 0, ..., 0) is the unimodular simplex: f*_k = C(d+1, k+1).
+        assert obj["f_star"] == [str(comb(d + 1, k + 1)) for k in range(d + 1)]
+
+    def test_generator_output_at_its_cap_is_a_vector_input(self, capsys, tmp_path):
+        assert GENERATOR_DIM_CAP <= VECTOR_DIM_CAP
+        _, out, _ = run(capsys, "compute", "--builtin", f"unimodular-{GENERATOR_DIM_CAP}",
+                        "--format", "json")
+        path = tmp_path / "vec.json"
+        path.write_text(out)
+        for command in ("convert", "audit"):
+            obj = run_json(capsys, command, "--input", str(path), "--format", "json")
+            assert obj["f_star"] == json.loads(out)["f_star"]
+
+    @pytest.mark.parametrize("d", [VECTOR_DIM_CAP + 1, 1000])
+    def test_search_over_cap_exit_2(self, capsys, no_binomials, d):
+        code, out, err = run(capsys, "search", "--dim", str(d), "--spike-pos-range", "1:1",
+                             "--spike-val-range", "2:3")
+        assert code == 2 and out == ""
+        assert err == f"error: search dimension {d} exceeds the cap {VECTOR_DIM_CAP}\n"
+
+    def test_search_at_cap_runs(self, capsys):
+        code, out, err = run(capsys, "search", "--dim", str(VECTOR_DIM_CAP), "--spike-pos-range",
+                             "1:1", "--spike-val-range", "2:3", "--format", "json")
+        assert code == 0 and err == ""
+        summary = json.loads(out.splitlines()[-1])["summary"]
+        assert (summary["d"], summary["scanned"], summary["truncated"]) == (VECTOR_DIM_CAP, 2, False)
+
+
 class TestSearch:
     def test_recall_json(self, capsys):
         code, out, _ = run(
@@ -441,3 +499,50 @@ class TestProcess:
         assert proc.returncode == 0, proc.stderr
         assert "unimodal: NO (first dip at 9)" in proc.stdout
         assert proc.stdout.splitlines()[-1] == "sympy loaded: False"
+
+    @staticmethod
+    def numpy_loaded_after(*argv):
+        """Run the CLI with argv (or only `import ehrstar`) in a fresh
+        interpreter; its stdout, and whether numpy ended up in sys.modules."""
+        script = (
+            "import runpy, sys\n"
+            "if len(sys.argv) > 1:\n"
+            "    try:\n"
+            "        runpy.run_module('ehrstar.cli', run_name='__main__')\n"
+            "    except SystemExit as exc:\n"
+            "        assert exc.code == 0, exc.code\n"
+            "else:\n"
+            "    import ehrstar\n"
+            "print('numpy loaded:', 'numpy' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                              text=True, env=TestProcess.env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        *out, last = proc.stdout.splitlines()
+        return out, last == "numpy loaded: True"
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["compute", "--builtin", "higashitani-15"],
+        ["audit", "--builtin", "higashitani-15"],
+        ["series", "--builtin", "higashitani-15"],
+        ["convert", "--input", "{vectors}"],
+    ], ids=["import", "compute", "audit", "series", "convert"])
+    def test_commands_without_a_scan_do_not_import_numpy(self, tmp_path, argv):
+        vectors = tmp_path / "vectors.json"
+        vectors.write_text(json.dumps({"d": 15, "h_star": SPIKE15_H}))
+        argv = [a.format(vectors=vectors) for a in argv]
+        out, numpy_loaded = self.numpy_loaded_after(*argv)
+        assert not numpy_loaded
+        if argv:
+            assert out, "the command printed nothing"
+
+    def test_scan_imports_numpy(self, tmp_path):
+        # 2 * (standard 3-simplex) by its facets: counted by the box scan.
+        poly = tmp_path / "poly.json"
+        poly.write_text(json.dumps({"ambient_dim": 3, "halfspaces": [
+            [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [2, -1, -1, -1]]}))
+        out, numpy_loaded = self.numpy_loaded_after("compute", "--input", str(poly))
+        assert "ehrhart values (n = 0..4): 1 10 35 84 165" in out
+        assert "route: interpolation" in out
+        assert numpy_loaded
