@@ -1,6 +1,9 @@
 """Command-line interface.
 
-Subcommands: compute, convert, audit, series, search, selftest.
+Subcommands: compute, convert, audit, series, search, selftest. The command
+table is the parser itself: each subparser names its `cmd_*` function
+(`set_defaults(run=...)`), and every command runs through `_run`, which
+checks the caps and turns errors into exit codes.
 Exit codes: 0 success, or a reader that closed stdout early; 1 audit/selftest
 failure signal; 2 bad input; 3 no feasible counting strategy (cost or volume
 caps, missing strategy); 4 search budget exhausted (partial output).
@@ -13,11 +16,9 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from . import engine
 from .audit import (
-    AuditReport,
     SpikeRange,
     check_binom_diff_lemma,
     full_audit,
@@ -30,6 +31,7 @@ from .errors import (
     InputError,
     NoCountingStrategy,
     VolumeCapExceeded,
+    decode_json,
 )
 from .lattice import (
     LatticePolytope,
@@ -43,7 +45,6 @@ from .lattice import (
 )
 from .starbasis import (
     VECTOR_DIM_CAP,
-    FStarVector,
     HStarVector,
     degree_of,
     eval_ehrhart,
@@ -62,21 +63,6 @@ EXIT_INFEASIBLE = 3
 EXIT_BUDGET = 4
 
 DEFAULT_SEARCH_BUDGET = 1_000_000
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    command: str
-    input_path: str | None
-    builtin: str | None
-    output_format: str
-    count_cap: int
-    volume_cap: int
-    seed: int
-
-    def __post_init__(self):
-        if self.count_cap < 1 or self.volume_cap < 1:
-            raise InputError("caps must be positive")
 
 
 # -- builtins -----------------------------------------------------------------
@@ -141,28 +127,29 @@ def _read_text(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_polytope(config: CliConfig) -> LatticePolytope | LatticeSimplex:
-    if config.builtin:
-        return build_builtin(config.builtin, config.seed)
-    if not config.input_path:
+def _load(args, *, vectors: bool = False):
+    """The polytope of --builtin or --input; with `vectors`, an --input file
+    that is not a polytope file is read as a vector file: (h, f, provenance)."""
+    if args.builtin:
+        return build_builtin(args.builtin, args.seed)
+    if not args.input_path:
         raise InputError("provide --input FILE or --builtin NAME")
-    return polytope_from_json(_read_text(config.input_path))
+    text = _read_text(args.input_path)
+    if vectors:
+        obj = decode_json(text)
+        if not (isinstance(obj, dict) and ("vertices" in obj or "halfspaces" in obj)):
+            return vectors_from_json(text)
+    return polytope_from_json(text)
 
 
-def _load_vectors_or_polytope(config: CliConfig):
-    """Returns ('polytope', p) or ('vectors', (h, f, provenance))."""
-    if config.builtin:
-        return "polytope", build_builtin(config.builtin, config.seed)
-    if not config.input_path:
-        raise InputError("provide --input FILE or --builtin NAME")
-    text = _read_text(config.input_path)
-    try:
-        obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise InputError(f"invalid JSON: {exc}") from exc
-    if isinstance(obj, dict) and ("vertices" in obj or "halfspaces" in obj):
-        return "polytope", polytope_from_json(text)
-    return "vectors", vectors_from_json(text)
+def _h_star(args) -> tuple[HStarVector, str]:
+    """The h*-vector of a polytope or vector file, and its provenance."""
+    source = _load(args, vectors=True)
+    if isinstance(source, tuple):
+        h, f, provenance = source
+        return (h if h is not None else h_from_f(f)), provenance
+    h = engine.h_star_of(source, count_cap=args.count_cap, volume_cap=args.volume_cap)
+    return h, "polytope"
 
 
 # -- commands -----------------------------------------------------------------
@@ -172,15 +159,14 @@ def _int_list(values) -> str:
     return " ".join(str(x) for x in values)
 
 
-def cmd_compute(config: CliConfig) -> int:
-    p = _load_polytope(config)
+def cmd_compute(args) -> int:
     result = engine.compute_vectors(
-        p, count_cap=config.count_cap, volume_cap=config.volume_cap
+        _load(args), count_cap=args.count_cap, volume_cap=args.volume_cap
     )
     h, f = result.h, result.f
     s = degree_of(h)
     g = gorenstein_index(h)
-    if config.output_format == "json":
+    if args.output_format == "json":
         obj = vectors_to_json_obj(
             h,
             f,
@@ -201,15 +187,15 @@ def cmd_compute(config: CliConfig) -> int:
     return EXIT_OK
 
 
-def cmd_convert(config: CliConfig) -> int:
-    if not config.input_path:
+def cmd_convert(args) -> int:
+    if not args.input_path:
         raise InputError("convert needs --input FILE with a vector JSON")
-    h, f, _prov = vectors_from_json(_read_text(config.input_path))
+    h, f, _prov = vectors_from_json(_read_text(args.input_path))
     if h is None:
         h = h_from_f(f)
     if f is None:
         f = f_from_h(h)
-    if config.output_format == "json":
+    if args.output_format == "json":
         print(json.dumps(vectors_to_json_obj(h, f)))
     else:
         print(f"h*: {_int_list(h.entries)}")
@@ -217,22 +203,10 @@ def cmd_convert(config: CliConfig) -> int:
     return EXIT_OK
 
 
-def _audit_report(config: CliConfig) -> AuditReport:
-    kind, payload = _load_vectors_or_polytope(config)
-    if kind == "polytope":
-        h = engine.h_star_of(
-            payload, count_cap=config.count_cap, volume_cap=config.volume_cap
-        )
-        return full_audit(h, provenance="polytope")
-    h, f, provenance = payload
-    if h is None:
-        h = h_from_f(f)
-    return full_audit(h, provenance=provenance)
-
-
-def cmd_audit(config: CliConfig) -> int:
-    report = _audit_report(config)
-    if config.output_format == "json":
+def cmd_audit(args) -> int:
+    h, provenance = _h_star(args)
+    report = full_audit(h, provenance=provenance)
+    if args.output_format == "json":
         print(json.dumps(report.to_json_obj()))
     else:
         print(f"dimension: {report.dim}   degree: {report.degree}   "
@@ -262,18 +236,10 @@ def cmd_audit(config: CliConfig) -> int:
     return EXIT_OK
 
 
-def cmd_series(config: CliConfig) -> int:
-    kind, payload = _load_vectors_or_polytope(config)
-    if kind == "polytope":
-        h = engine.h_star_of(
-            payload, count_cap=config.count_cap, volume_cap=config.volume_cap
-        )
-    else:
-        h, f, _prov = payload
-        if h is None:
-            h = h_from_f(f)
+def cmd_series(args) -> int:
+    h, _provenance = _h_star(args)
     numerator, exponent = series_numerator(h)
-    if config.output_format == "json":
+    if args.output_format == "json":
         print(json.dumps({
             "numerator": [str(x) for x in numerator],
             "denominator_exponent": exponent,
@@ -304,7 +270,7 @@ def _parse_range(text: str, what: str) -> tuple[int, int]:
         raise InputError(f"bad {what} {text!r}") from exc
 
 
-def cmd_search(config: CliConfig, args) -> int:
+def cmd_search(args) -> int:
     if args.dim is None or args.spike_pos_range is None or args.spike_val_range is None:
         raise InputError("search needs --dim, --spike-pos-range and --spike-val-range")
     spikes = [
@@ -319,7 +285,7 @@ def cmd_search(config: CliConfig, args) -> int:
                        *_parse_range(args.spike2_val_range, "--spike2-val-range"))
         )
     outcome = search_nonunimodal(args.dim, spikes, args.budget)
-    if config.output_format == "json":
+    if args.output_format == "json":
         for line in search_outcome_json_lines(outcome):
             print(line)
     else:
@@ -424,7 +390,7 @@ def _selftest_checks(quick: bool, inject_fault: bool):
     return checks
 
 
-def cmd_selftest(config: CliConfig, args) -> int:
+def cmd_selftest(args) -> int:
     start = time.monotonic()
     failures = 0
     for name, fn in _selftest_checks(args.quick, args.inject_fault):
@@ -460,15 +426,19 @@ def build_parser() -> argparse.ArgumentParser:
                         help="max normalized volume for parallelepiped enumeration")
     common.add_argument("--seed", type=int, default=0, help="seed for random builtins")
 
-    sub.add_parser("compute", parents=[common],
-                   help="counts, h*- and f*-vector of a polytope")
-    sub.add_parser("convert", parents=[common], help="convert between h* and f* vectors")
-    sub.add_parser("audit", parents=[common],
-                   help="run every inequality check on a polytope or vector file")
-    sub.add_parser("series", parents=[common], help="print the rational generating series")
+    commands = {}
+    for name, run, help_text in (
+        ("compute", cmd_compute, "counts, h*- and f*-vector of a polytope"),
+        ("convert", cmd_convert, "convert between h* and f* vectors"),
+        ("audit", cmd_audit, "run every inequality check on a polytope or vector file"),
+        ("series", cmd_series, "print the rational generating series"),
+        ("search", cmd_search, "enumerate spiked h*-patterns with nonunimodal f*"),
+        ("selftest", cmd_selftest, "run the embedded golden checks"),
+    ):
+        commands[name] = sub.add_parser(name, parents=[common], help=help_text)
+        commands[name].set_defaults(run=run)
 
-    search = sub.add_parser("search", parents=[common],
-                            help="enumerate spiked h*-patterns with nonunimodal f*")
+    search = commands["search"]
     search.add_argument("--dim", type=int,
                         help=f"dimension d of the pattern, at most {VECTOR_DIM_CAP}")
     search.add_argument("--spike-pos-range", help="A:B positions for the spike")
@@ -478,8 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET,
                         help="max number of patterns to enumerate")
 
-    selftest = sub.add_parser("selftest", parents=[common],
-                              help="run the embedded golden checks")
+    selftest = commands["selftest"]
     selftest.add_argument("--quick", action="store_true", help="smaller, faster subset")
     selftest.add_argument("--inject-fault", action="store_true",
                           help=argparse.SUPPRESS)  # test hook: corrupt one expectation
@@ -502,31 +471,9 @@ def main(argv=None) -> int:
 
 def _run(args) -> int:
     try:
-        config = CliConfig(
-            command=args.command,
-            input_path=args.input_path,
-            builtin=args.builtin,
-            output_format=args.output_format,
-            count_cap=args.count_cap,
-            volume_cap=args.volume_cap,
-            seed=args.seed,
-        )
-        if args.command == "compute":
-            return cmd_compute(config)
-        if args.command == "convert":
-            return cmd_convert(config)
-        if args.command == "audit":
-            return cmd_audit(config)
-        if args.command == "series":
-            return cmd_series(config)
-        if args.command == "search":
-            return cmd_search(config, args)
-        if args.command == "selftest":
-            return cmd_selftest(config, args)
-        raise InputError(f"unknown command {args.command!r}")
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        if args.count_cap < 1 or args.volume_cap < 1:
+            raise InputError("caps must be positive")
+        return args.run(args)
     except (CostGuardExceeded, VolumeCapExceeded, NoCountingStrategy) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

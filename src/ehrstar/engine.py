@@ -270,6 +270,15 @@ def _counts_through(p: LatticePolytope | LatticeSimplex, nmax: int, count_cap: i
     return _reciprocity_counts(_scanned(p), nmax, count_cap)
 
 
+def _forward_differences(values) -> list[int]:
+    """Newton forward differences at the first node: v_0, (v_1 - v_0), ..."""
+    diffs = []
+    while values:
+        diffs.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    return diffs
+
+
 def _reciprocity_counts(q: LatticePolytope | LatticeSimplex, nmax: int, count_cap: int) -> list[int]:
     """[ehr(0), ..., ehr(nmax)] from the scans of the dilates n <= ceil(d/2).
 
@@ -294,11 +303,7 @@ def _reciprocity_counts(q: LatticePolytope | LatticeSimplex, nmax: int, count_ca
             lows, highs, [rows[i] for i in strict], [offsets[i] - 1 for i in strict]
         )
         below.append((-1) ** d * interior)
-    values = below[::-1] + [1] + above  # ehr(-k), ..., ehr(k)
-    diffs = []
-    while values:
-        diffs.append(values[0])
-        values = [b - a for a, b in zip(values, values[1:])]
+    diffs = _forward_differences(below[::-1] + [1] + above)  # nodes -k..k
     if any(diffs[d + 1 :]):
         raise ArithmeticError("reciprocity counts do not fit a polynomial of degree d")
     return [sum(c * math.comb(n + k, j) for j, c in enumerate(diffs)) for n in range(nmax + 1)]
@@ -322,12 +327,7 @@ def f_star_from_profile(profile: CountProfile) -> FStarVector:
     The basis C(n-1, k) is the Newton forward basis in m = n-1, so the
     coefficients are the iterated differences at m = 0.
     """
-    seq = list(profile.counts[1:])
-    out = []
-    while seq:
-        out.append(seq[0])
-        seq = [b - a for a, b in zip(seq, seq[1:])]
-    return FStarVector(tuple(out), polytope_derived=True)
+    return FStarVector(tuple(_forward_differences(profile.counts[1:])), polytope_derived=True)
 
 
 # -- fundamental parallelepiped -----------------------------------------------

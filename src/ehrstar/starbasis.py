@@ -18,11 +18,10 @@ counterexamples can use the same algebra.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import comb
 
-from .errors import InputError
+from .errors import InputError, decode_json, int_entry, json_list
 
 # The largest d accepted from a vector file or by the pattern search, checked
 # before any conversion. One f_from_h costs O(d^2) binomials of O(d) bits: on
@@ -109,7 +108,7 @@ def h_from_f(f: FStarVector) -> HStarVector:
     and using it keeps the map a true inverse on raw vectors as well.
     """
     d = f.dim
-    ext = (_alternating_sum(f),) + f.entries  # ext[j+1] = f_j
+    ext = (alternating_sum(f),) + f.entries  # ext[j+1] = f_j
     out = []
     for k in range(d + 1):
         out.append(
@@ -135,17 +134,13 @@ def eval_ehrhart_f(f: FStarVector, n: int) -> int:
         raise InputError("dilate must be nonnegative")
     if n == 0:
         # C(-1, k) = (-1)^k formally, outside the vanishing convention.
-        return _alternating_sum(f)
+        return alternating_sum(f)
     return sum(f.entries[k] * binom(n - 1, k) for k in range(f.dim + 1))
-
-
-def _alternating_sum(f: FStarVector) -> int:
-    return sum((-1) ** k * x for k, x in enumerate(f.entries))
 
 
 def alternating_sum(f: FStarVector) -> int:
     """sum_k (-1)^k f_k; equals h_0 for any pair related by the basis change."""
-    return _alternating_sum(f)
+    return sum((-1) ** k * x for k, x in enumerate(f.entries))
 
 
 def hstar_poly_identity_check(h: HStarVector, f: FStarVector) -> bool:
@@ -161,7 +156,7 @@ def hstar_poly_identity_check(h: HStarVector, f: FStarVector) -> bool:
         raise InputError("dimension mismatch between h*- and f*-vectors")
     d = h.dim
     rhs = [0] * (d + 2)
-    ext = (_alternating_sum(f),) + f.entries
+    ext = (alternating_sum(f),) + f.entries
     for k in range(d + 2):
         coeff = ext[k]
         if coeff == 0:
@@ -217,25 +212,10 @@ def is_symmetric_extended_f(f: FStarVector) -> bool:
 # ("polytope" or "raw", default raw) is carried along by the CLI.
 
 
-def _parse_entry(x) -> int:
-    if isinstance(x, bool):
-        raise InputError("vector entries must be integers")
-    if isinstance(x, int):
-        return x
-    if isinstance(x, str):
-        try:
-            return int(x)
-        except ValueError as exc:
-            raise InputError(f"bad integer entry {x!r}") from exc
-    raise InputError(f"bad vector entry {x!r}")
-
-
 def _parse_vector_field(obj: dict, key: str, d: int) -> tuple[int, ...] | None:
     if key not in obj:
         return None
-    if not isinstance(obj[key], list):
-        raise InputError(f"'{key}' must be a JSON list, not {type(obj[key]).__name__}")
-    entries = tuple(_parse_entry(x) for x in obj[key])
+    entries = tuple(int_entry(x) for x in json_list(obj[key], f"'{key}'"))
     if len(entries) != d + 1:
         raise InputError(f"{key} must have d+1 = {d + 1} entries, got {len(entries)}")
     return entries
@@ -243,13 +223,10 @@ def _parse_vector_field(obj: dict, key: str, d: int) -> tuple[int, ...] | None:
 
 def vectors_from_json(text: str) -> tuple[HStarVector | None, FStarVector | None, str]:
     """Parse a vector file; returns (h or None, f or None, provenance)."""
-    try:
-        obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise InputError(f"invalid JSON: {exc}") from exc
+    obj = decode_json(text)
     if not isinstance(obj, dict) or "d" not in obj:
         raise InputError("vector JSON must be an object with a 'd' field")
-    d = _parse_entry(obj["d"])
+    d = int_entry(obj["d"])
     if d < 0:
         raise InputError("d must be nonnegative")
     if d > VECTOR_DIM_CAP:

@@ -8,7 +8,8 @@ matrix. `fraction_brute_count` is a from-scratch membership counter
 the fast kernels on small cases. `every_dilate_counts` is the counting
 route that scans every dilate n = 1..d+1 and tests every box point
 against every row, kept to pin the reciprocity route and the interval
-kernel.
+kernel. `simplex_contains` is the pure-Python point test on a simplex's
+membership kernel, one point at a time.
 """
 
 from fractions import Fraction
@@ -16,6 +17,7 @@ from itertools import product
 
 import numpy as np
 
+from ehrstar.errors import InputError
 from ehrstar.intlinalg import det
 from ehrstar.lattice import HalfSpace, LatticePolytope, LatticeSimplex, make_random_simplex
 
@@ -41,6 +43,25 @@ def simplex_facets(vertices) -> list[HalfSpace]:
             offset = -offset
         out.append(HalfSpace(offset, tuple(normal)))
     return out
+
+
+def simplex_contains(s: LatticeSimplex, q, dilate: int) -> bool:
+    """Exact membership of q in the dilate-th dilate of the simplex.
+
+    Decided by the sign pattern of the precomputed scaled inverse, i.e. by
+    whether q is a nonnegative rational combination of the vertices with
+    coefficient sum equal to `dilate`.
+    """
+    if len(q) != s.ambient_dim:
+        raise InputError("point/simplex dimension mismatch")
+    if dilate <= 0:
+        raise InputError("dilate must be positive")
+    a, _scale = s.membership_kernel
+    vec = list(q) + [dilate]
+    for row in a:
+        if sum(x * y for x, y in zip(row, vec)) < 0:
+            return False
+    return True
 
 
 def as_halfspace_polytope(vertices) -> LatticePolytope:

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ehrstar
-from ehrstar import starbasis
+from ehrstar import intlinalg, lattice, starbasis
 from ehrstar.cli import build_builtin, main
 from ehrstar.lattice import GENERATOR_DIM_CAP
 from ehrstar.starbasis import VECTOR_DIM_CAP
@@ -377,6 +377,46 @@ class TestVectorDimensionCap:
         assert (summary["d"], summary["scanned"], summary["truncated"]) == (VECTOR_DIM_CAP, 2, False)
 
 
+def _unimodular_file(d: int, kind: str) -> dict:
+    """conv{0, e_1, ..., e_d} by its vertices, or by its d + 1 facets."""
+    units = [[int(i == j) for j in range(d)] for i in range(d)]
+    if kind == "vertices":
+        return {"ambient_dim": d, "vertices": [[0] * d] + units}
+    return {"ambient_dim": d, "halfspaces": [[0] + u for u in units] + [[1] + [-1] * d]}
+
+
+class TestPolytopeDimensionCap:
+    """Polytope files stop at GENERATOR_DIM_CAP before any linear algebra."""
+
+    @pytest.fixture
+    def no_linear_algebra(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("exact linear algebra ran past the dimension cap")
+
+        for module in (intlinalg, lattice):
+            monkeypatch.setattr(module, "det", refuse)
+            monkeypatch.setattr(module, "solve_rational", refuse)
+
+    @pytest.mark.parametrize("command", ["compute", "audit", "series"])
+    @pytest.mark.parametrize("kind", ["vertices", "halfspaces"])
+    def test_polytope_file_over_cap_exit_2(self, capsys, tmp_path, no_linear_algebra,
+                                           command, kind):
+        d = GENERATOR_DIM_CAP + 1
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps(_unimodular_file(d, kind)))
+        code, out, err = run(capsys, command, "--input", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: polytope dimension {d} exceeds the cap {GENERATOR_DIM_CAP}\n"
+
+    def test_vertex_file_at_cap_computes(self, capsys, tmp_path):
+        d = GENERATOR_DIM_CAP
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps(_unimodular_file(d, "vertices")))
+        code, out, err = run(capsys, "compute", "--input", str(path))
+        assert code == 0 and err == ""
+        assert f"h*: 1{' 0' * d}" in out.splitlines()
+
+
 class TestSearch:
     def test_recall_json(self, capsys):
         code, out, _ = run(
@@ -454,6 +494,69 @@ class TestConfig:
             capsys, "compute", "--builtin", "cube-1-0-1", "--count-cap", "0"
         )
         assert code == 2
+
+
+_COMMANDS = ("compute", "convert", "audit", "series", "search", "selftest")
+_INPUT_COMMANDS = ("compute", "audit", "series", "convert")
+_ERROR_FILES = {
+    "vectors.json": json.dumps({"d": 15, "h_star": SPIKE15_H}),
+    "polytope.json": '{"ambient_dim": 1, "vertices": [[0], [1]]}',
+    "malformed.json": "{nope",
+    "deep.json": "[" * 100_000,
+    "vertex_bool.json": '{"ambient_dim": 1, "vertices": [[0], [true]]}',
+    "vertex_float.json": '{"ambient_dim": 1, "vertices": [[0], [1.5]]}',
+    "dim_bool.json": '{"ambient_dim": true, "vertices": [[0], [1]]}',
+    "h_bool.json": '{"d": 1, "h_star": [1, true]}',
+    "h_float.json": '{"d": 1, "h_star": [1, 0.5]}',
+    "f_bool.json": '{"d": 1, "f_star": [false, 1]}',
+    "d_float.json": '{"d": 1.0, "h_star": [1, 0]}',
+}
+_ERROR_PATHS = [
+    *[pytest.param([c, "--count-cap", "0"], "caps must be positive", id=f"{c}-count-cap-0")
+      for c in _COMMANDS],
+    *[pytest.param([c, "--volume-cap", "-1", "--builtin", "higashitani-15"],
+                   "caps must be positive", id=f"{c}-volume-cap-negative") for c in _COMMANDS],
+    *[pytest.param([c], "provide --input FILE or --builtin NAME", id=f"{c}-no-input")
+      for c in ("compute", "audit", "series")],
+    pytest.param(["convert", "--builtin", "higashitani-15"],
+                 "convert needs --input FILE with a vector JSON", id="convert-builtin-only"),
+    pytest.param(["convert"], "convert needs --input FILE with a vector JSON",
+                 id="convert-no-input"),
+    pytest.param(["compute", "--input", "vectors.json"],
+                 "polytope JSON must be an object with 'ambient_dim'", id="compute-vector-file"),
+    pytest.param(["convert", "--input", "polytope.json"],
+                 "vector JSON must be an object with a 'd' field", id="convert-polytope-file"),
+    *[pytest.param([c, "--input", "malformed.json"],
+                   "invalid JSON: Expecting property name enclosed in double quotes: "
+                   "line 1 column 2 (char 1)", id=f"{c}-malformed-json")
+      for c in _INPUT_COMMANDS],
+    *[pytest.param([c, "--input", "deep.json"],
+                   "invalid JSON: maximum recursion depth exceeded while decoding a JSON array "
+                   "from a unicode string", id=f"{c}-deep-json") for c in _INPUT_COMMANDS],
+    *[pytest.param([c, "--input", name], message, id=f"{c}-{name[:-5]}")
+      for c in ("compute", "audit")
+      for name, message in (("vertex_bool.json", "bad integer entry True"),
+                            ("vertex_float.json", "bad integer entry 1.5"),
+                            ("dim_bool.json", "bad integer entry True"))],
+    *[pytest.param([c, "--input", name], message, id=f"{c}-{name[:-5]}")
+      for c in ("convert", "audit", "series")
+      for name, message in (("h_bool.json", "bad integer entry True"),
+                            ("h_float.json", "bad integer entry 0.5"),
+                            ("f_bool.json", "bad integer entry False"),
+                            ("d_float.json", "bad integer entry 1.0"))],
+]
+
+
+class TestErrorPaths:
+    """The exact stderr line and exit code of each input error the CLI reports."""
+
+    @pytest.mark.parametrize("argv, message", _ERROR_PATHS)
+    def test_error_line_and_exit_2(self, capsys, tmp_path, monkeypatch, argv, message):
+        for name, text in _ERROR_FILES.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestProcess:

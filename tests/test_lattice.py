@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import simplex_contains
 from ehrstar.errors import DegenerateSimplexError, InputError
 from ehrstar.lattice import (
     GENERATOR_DIM_CAP,
@@ -20,7 +21,6 @@ from ehrstar.lattice import (
     polytope_from_json,
     polytope_to_json_obj,
     pyramid,
-    simplex_contains,
 )
 
 random_simplices = st.builds(
