@@ -41,7 +41,7 @@ from .lattice import (
     make_higashitani,
     make_random_simplex,
     make_unimodular_simplex,
-    polytope_from_json,
+    polytope_from_obj,
 )
 from .starbasis import (
     VECTOR_DIM_CAP,
@@ -53,6 +53,7 @@ from .starbasis import (
     h_from_f,
     series_numerator,
     vectors_from_json,
+    vectors_from_obj,
     vectors_to_json_obj,
 )
 
@@ -134,12 +135,10 @@ def _load(args, *, vectors: bool = False):
         return build_builtin(args.builtin, args.seed)
     if not args.input_path:
         raise InputError("provide --input FILE or --builtin NAME")
-    text = _read_text(args.input_path)
-    if vectors:
-        obj = decode_json(text)
-        if not (isinstance(obj, dict) and ("vertices" in obj or "halfspaces" in obj)):
-            return vectors_from_json(text)
-    return polytope_from_json(text)
+    obj = decode_json(_read_text(args.input_path))
+    if vectors and not (isinstance(obj, dict) and ("vertices" in obj or "halfspaces" in obj)):
+        return vectors_from_obj(obj)
+    return polytope_from_obj(obj)
 
 
 def _h_star(args) -> tuple[HStarVector, str]:

@@ -18,8 +18,10 @@ A profile of a simplex or a half-space polytope scans only the dilates
 n <= ceil(d/2), each for its lattice points and its interior points.
 Ehrhart-Macdonald reciprocity turns the interior counts into ehr(-n), and
 Newton forward differences on the nodes -k..k give the whole polynomial.
-Each scan enumerates all box axes but the last, which it counts as one
-integer interval per point of the others.
+Each scan enumerates all box axes but the last two, s and t. One
+Fourier-Motzkin step eliminates t from the rows, and the projected rows
+give each enumerated point its integer range of s; every surviving
+(point, s) pair then counts its t-values as one integer interval.
 
 The h*-vector of a simplex is computed directly, without any counting,
 by enumerating the lattice points of the half-open parallelepiped
@@ -47,7 +49,7 @@ from .errors import (
     NoCountingStrategy,
     VolumeCapExceeded,
 )
-from .intlinalg import diagonalize_lattice_basis
+from .intlinalg import _reduce_by_gcd, diagonalize_lattice_basis
 from .lattice import (
     BoxHint,
     LatticePolytope,
@@ -106,23 +108,51 @@ class BoxPointTable:
 # -- bounding-box scans -------------------------------------------------------
 
 
+def _interval(vals, n_pos, n_bound, a_pos, a_neg, lo, hi):
+    """(lows, widths): per column, the integers y in [lo, hi] with vals + a * y >= 0.
+
+    The rows of vals are sorted by their coefficient a: > 0 (a_pos, a
+    column), < 0 (magnitudes a_neg), = 0. Rows with a > 0 bound y below by
+    ceil(-c / a), the max of which is minus the min of the floors c // a;
+    rows with a < 0 bound it above by floor(c / -a); rows with a = 0 pass or
+    fail as c >= 0.
+    """
+    import numpy as np
+
+    lo = -(vals[:n_pos] // a_pos).min(axis=0, initial=-lo)
+    hi = (vals[n_pos:n_bound] // a_neg).min(axis=0, initial=hi)
+    width = np.maximum(hi - lo + 1, 0)
+    if n_bound < len(vals):
+        width = width * (vals[n_bound:] >= 0).all(axis=0)
+    return lo, width
+
+
 def _count_box_satisfying(lows, highs, rows, offsets, *, chunk=_SCAN_CHUNK) -> int:
     """Count integer points x with lows <= x <= highs and rows @ x + offsets >= 0.
 
-    Only the first d - 1 axes are enumerated. For each of their points the
-    rows leave c + a * t >= 0 on the last coordinate t, where c is the
-    partial value and a the last coefficient: rows with a > 0 bound t below
-    by ceil(-c / a), rows with a < 0 bound it above by floor(c / -a), and
-    rows with a = 0 pass or fail as c >= 0. The points counted are one
-    integer interval, clipped to the box. The enumerated part is chunked:
-    a tail block of at most `chunk` points is materialized once and reused
-    for every prefix.
+    Only the first d - 2 axes are enumerated; s and t name the last two.
+    Fourier-Motzkin elimination of t, done once per call, pairs every row
+    with a > 0 on t with every row with a < 0 into (-a_j) * row_i +
+    a_i * row_j, reduced by its gcd, and keeps the rows with a = 0. The
+    projection is exact over the reals, so for each enumerated prefix these
+    rows give the range of s (`_interval`, clipped to the box) outside of
+    which the t-interval is empty. The surviving (prefix, s) pairs are
+    expanded with np.repeat, and each counts its t-interval by the same
+    rule. d = 1 runs as d = 2 with a leading axis [0, 0] in no row.
+
+    `chunk` bounds the points materialized at once: the tail block of
+    prefix points, built once and reused for every outer prefix, holds at
+    most chunk * m cells of projected-row values for m input rows, and the
+    pairs are expanded at most `chunk` at a time.
 
     The int64 path runs only when `worst` < 2^62, which bounds every
-    intermediate: the partial values c, the quotients (|c // a| <= |c|), the
+    intermediate: the partial values of the rows and of the projected rows
+    (each row's own bound W, which for a projected row is at most
+    |a_j| * W_i + |a_i| * W_j, and less after the gcd), the quotients (|c // a| <= |c|), the
     box coordinates +- 1, the difference hi - lo + 1 of two of those, and
-    the running total (at most the number of candidates). Otherwise the
-    arrays hold Python ints, on which // is the same exact floor division.
+    the pair and point totals (at most the number of candidates). Otherwise
+    the arrays hold Python ints, on which // is the same exact floor
+    division.
     """
     import numpy as np  # here, not at the top: processes that never scan skip its import
 
@@ -132,59 +162,86 @@ def _count_box_satisfying(lows, highs, rows, offsets, *, chunk=_SCAN_CHUNK) -> i
         return 0
     if d == 0:
         return 1 if all(c >= 0 for c in offsets) else 0
+    if d == 1:
+        lows, highs, sizes, d = [0, *lows], [0, *highs], [1, *sizes], 2
+        rows = [[0, *row] for row in rows]
+
+    # Rows as [coefficients..., offset]. The t-rows are sorted a > 0, then
+    # a < 0; the projected rows, which have no t, by their coefficient on s.
+    full = [[*row, c] for row, c in zip(rows, offsets)]
+    t_rows = sorted((r for r in full if r[-2]), key=lambda r: r[-2] < 0)
+    proj = [r[:-2] + r[-1:] for r in full if not r[-2]]
+    for ri in t_rows:
+        for rj in t_rows:
+            if ri[-2] > 0 > rj[-2]:
+                pair = [-rj[-2] * x + ri[-2] * y for x, y in zip(ri, rj)]
+                proj.append(_reduce_by_gcd(pair[:-2] + pair[-1:]))
+    proj.sort(key=lambda r: (r[-2] <= 0, r[-2] == 0))
 
     maxabs = [max(abs(lo), abs(hi)) for lo, hi in zip(lows, highs)]
     worst = max(
-        max(sum(abs(row[j]) * maxabs[j] for j in range(d)) + abs(c) for row, c in zip(rows, offsets)),
+        max((sum(abs(a) * m for a, m in zip(r[:-1], maxabs)) + abs(r[-1]) for r in full + proj),
+            default=0),
         max(maxabs) + 1,
         math.prod(sizes),
     )
     dtype = np.int64 if worst < 2**62 else object
 
-    # Rows with a last coefficient > 0, then < 0, then = 0, so that each
-    # kind is a column slice of the partial values.
-    order = sorted(range(len(rows)), key=lambda i: (rows[i][-1] <= 0, rows[i][-1] == 0))
-    last = [rows[i][-1] for i in order]
-    n_pos = sum(a > 0 for a in last)
-    n_bound = n_pos + sum(a < 0 for a in last)
-    a_pos = np.array(last[:n_pos], dtype=dtype).reshape(-1, 1)
-    a_neg = np.array([-a for a in last[n_pos:n_bound]], dtype=dtype).reshape(-1, 1)
-    t_lo, t_hi = lows[-1], highs[-1]
+    def signs(lead_col, lead):
+        n_pos = sum(a > 0 for a in lead)
+        n_bound = n_pos + sum(a < 0 for a in lead)
+        return n_pos, n_bound, lead_col[:n_pos], -lead_col[n_pos:n_bound]
 
-    p = d - 1  # enumerated axes
+    p = d - 2  # enumerated axes
+    # Columns: x_0 .. x_{p-1}, s, then t for the t-rows, then the offset.
+    pm = np.array(proj, dtype=dtype).reshape(len(proj), d)
+    tm = np.array(t_rows, dtype=dtype).reshape(len(t_rows), d + 1)
+    s_signs = signs(pm[:, p : p + 1], [r[p] for r in proj])
+    t_signs = signs(tm[:, d - 1 : d], [r[-2] for r in t_rows])
+    block = max(1, chunk * max(len(full), 1) // max(len(proj), 1))
     split = p
     tail_count = 1
-    while split > 0 and tail_count * sizes[split - 1] <= chunk:
+    while split > 0 and tail_count * sizes[split - 1] <= block:
         split -= 1
         tail_count *= sizes[split]
 
-    axes = [np.arange(lows[j], highs[j] + 1, dtype=dtype) for j in range(split, p)]
-    if axes:
-        grid = np.meshgrid(*axes, indexing="ij")
-        tail_pts = np.stack([g.reshape(-1) for g in grid])
-    else:
-        tail_pts = np.zeros((0, 1), dtype=dtype)
-
-    # One row of partial values per inequality, one column per tail point.
-    mat = np.array([rows[i][:p] for i in order], dtype=dtype).reshape(len(rows), p)
-    off = np.array([offsets[i] for i in order], dtype=dtype).reshape(-1, 1)
-    tail_contrib = mat[:, split:] @ tail_pts + off
+    # One row of projected-row values per projected row, one column per
+    # tail point; the last tail axis varies fastest.
+    tail_vals = pm[:, -1:]
+    for j in range(split, p):
+        step = pm[:, j : j + 1] * np.arange(lows[j], highs[j] + 1, dtype=dtype)
+        cells = tail_vals[:, :, None] + step[:, None, :]
+        tail_vals = cells.reshape(len(proj), tail_vals.shape[1] * sizes[j])
 
     count = 0
     for prefix in product(*(range(lows[j], highs[j] + 1) for j in range(split))):
-        vals = tail_contrib
+        vals, base_t = tail_vals, tm[:, -1:]
         if prefix:
-            vals = vals + (mat[:, :split] @ np.array(prefix, dtype=dtype)).reshape(-1, 1)
-        lo = t_lo
-        if n_pos:  # max of the ceilings -(c // a) is minus the min of the floors
-            lo = np.maximum(-(vals[:n_pos] // a_pos).min(axis=0), t_lo)
-        hi = t_hi
-        if n_bound > n_pos:
-            hi = np.minimum((vals[n_pos:n_bound] // a_neg).min(axis=0), t_hi)
-        width = np.maximum(hi - lo + 1, 0)
-        if n_bound < len(rows):
-            width = width * (vals[n_bound:] >= 0).all(axis=0)
-        count += int(np.sum(width))
+            x = np.array(prefix, dtype=dtype)
+            vals = vals + (pm[:, :split] @ x).reshape(-1, 1)
+            base_t = base_t + (tm[:, :split] @ x).reshape(-1, 1)
+        s_first, widths = _interval(vals, *s_signs, lows[p], highs[p])
+        keep = np.flatnonzero(widths)
+        if not keep.size:
+            continue
+        widths = widths[keep].astype(np.int64)
+        ends = np.cumsum(widths)
+        # the s of pair number i, in the run of tail column c, is first[c] + i
+        first = s_first[keep] - (ends - widths).astype(dtype)
+        total = int(ends[-1])
+        for k in range(0, total, chunk):
+            k_end = min(k + chunk, total)
+            c0 = int(np.searchsorted(ends, k, side="right"))
+            c1 = int(np.searchsorted(ends, k_end - 1, side="right")) + 1
+            reps = np.minimum(ends[c0:c1], k_end) - np.maximum(ends[c0:c1] - widths[c0:c1], k)
+            cols = np.repeat(keep[c0:c1], reps)
+            s_vals = np.repeat(first[c0:c1], reps) + np.arange(k, k_end).astype(dtype)
+            pair_vals = base_t + tm[:, p : p + 1] * s_vals
+            coords = np.unravel_index(cols, sizes[split:p]) if split < p else ()
+            for j, x in zip(range(split, p), coords):
+                pair_vals = pair_vals + tm[:, j : j + 1] * (x.astype(dtype) + lows[j])
+            _lo, width = _interval(pair_vals, *t_signs, lows[-1], highs[-1])
+            count += int(width.sum())
     return count
 
 

@@ -24,7 +24,7 @@ from .errors import (
     int_entry,
     json_list,
 )
-from .intlinalg import EchelonBasis, det, scaled_inverse, solve_rational
+from .intlinalg import EchelonBasis, det, kernel_vector, scaled_inverse, solve_scaled
 
 LatticePoint = tuple[int, ...]
 
@@ -35,7 +35,15 @@ CUBE_DIM_CAP = 20  # explicit vertex lists have 2^d vertices
 # `compute` of the unimodular d-simplex given by its vertices takes 0.5 s
 # at d = 100, 1.5 s at d = 200 and 9.3 s at d = 400 on a 2-vCPU Xeon VM.
 GENERATOR_DIM_CAP = 100
-_HALFSPACE_COMBO_CAP = 200_000
+# Work cap of `LatticePolytope.halfspace_box`, checked before any
+# elimination: (C(m, d) + C(m, d - 1)) * d^3 for m rows in R^d, one d^3
+# elimination per subsystem. A unit costs 60-140 ns on a 2-vCPU Xeon VM:
+# the d + 1 facets of the unimodular d-simplex take 0.15 s at d = 20
+# (work 1.9e6), 4.1 s at d = 40 (5.5e7) and 6.5 s at d = 44 (8.8e7), and
+# the 16 facets of [-2, 2]^8 take 0.73 s (1.2e7). So the cap stops a
+# derivation that would run past about 8 s; the unimodular facets pass up
+# to d = 45, and at d = 100 (5.2e9) they exit 3 at once.
+_HALFSPACE_WORK_CAP = 10**8
 
 
 @dataclass(frozen=True)
@@ -110,38 +118,52 @@ class LatticePolytope:
 
         Every vertex of a bounded polyhedron solves some d of its defining
         hyperplanes with equality, so the box over all feasible intersection
-        points is the bounding box of the polytope. Once a vertex exists the
-        normals have rank d, and the cofactor ray test decides boundedness.
-        Empty, unbounded and lower-dimensional inputs are rejected, and so is
-        a vertex that is not a lattice point.
+        points is the bounding box of the polytope. Each d-subset is solved
+        fraction-free as rows @ x = D * rhs (`solve_scaled`), so the point
+        x / D is feasible iff sign(D) * (offset * D + normal . x) >= 0 for
+        every row, and a lattice point iff D divides every entry of x. Once a
+        vertex exists the normals have rank d, and the ray test on the
+        kernel vectors of (d - 1)-subsets decides boundedness. Empty,
+        unbounded and lower-dimensional inputs are rejected, and so is a
+        vertex that is not a lattice point. The work is estimated and capped
+        before any elimination (`_HALFSPACE_WORK_CAP`).
         """
         d = self.ambient_dim
         hs = self.halfspaces
         if hs is None:
             raise InputError("half-space box needs a half-space representation")
-        subsystems = max(math.comb(len(hs), d), math.comb(len(hs), max(d - 1, 0)))
-        if subsystems > _HALFSPACE_COMBO_CAP:
+        subsystems = math.comb(len(hs), d) + math.comb(len(hs), max(d - 1, 0))
+        work = subsystems * d**3
+        if work > _HALFSPACE_WORK_CAP:
             raise CostGuardExceeded(
-                f"half-space box derivation needs {subsystems} subsystems"
+                f"half-space box derivation needs {subsystems} subsystems, "
+                f"about {work} operations (cap {_HALFSPACE_WORK_CAP})"
             )
         points = []
         for subset in combinations(hs, d):
-            sol = solve_rational([list(h.normal) for h in subset], [-h.offset for h in subset])
+            sol = solve_scaled([list(h.normal) for h in subset], [-h.offset for h in subset])
             if sol is None:
                 continue
-            if all(h.offset + sum(a * x for a, x in zip(h.normal, sol)) >= 0 for h in hs):
+            scale, x = sol
+            sign = 1 if scale > 0 else -1
+            if all(
+                sign * (h.offset * scale + sum(a * v for a, v in zip(h.normal, x))) >= 0 for h in hs
+            ):
                 points.append(sol)
         if not points:
             raise InputError("half-space system has no vertices (empty or unbounded)")
         if _has_recession_ray([h.normal for h in hs], d):
             raise InputError("half-space system is unbounded")
-        for pt in points:
-            if any(x.denominator != 1 for x in pt):
+        for scale, x in points:
+            if any(v % scale for v in x):
+                from fractions import Fraction  # only for the message
+
                 raise InputError(
                     f"half-space polytope has the non-lattice vertex "
-                    f"({', '.join(map(str, pt))}); only lattice polytopes are supported"
+                    f"({', '.join(str(Fraction(v, scale)) for v in x)}); "
+                    "only lattice polytopes are supported"
                 )
-        vertices = tuple(tuple(int(x) for x in pt) for pt in points)
+        vertices = tuple(tuple(v // scale for v in x) for scale, x in points)
         rank = LatticePolytope(d, vertices=vertices).dim
         if rank != d:
             raise NotFullDimensionalError(
@@ -155,12 +177,13 @@ def _has_recession_ray(normals: list[LatticePoint], d: int) -> bool:
 
     Needs normals of rank d. The cone is then pointed, so it is nonzero iff
     it has an extreme ray, and an extreme ray spans the kernel of d - 1
-    independent normals: up to sign, the vector of their signed maximal
-    minors (Schrijver, Theory of Linear and Integer Programming, 8.8).
+    independent normals (Schrijver, Theory of Linear and Integer
+    Programming, 8.8). `kernel_vector` gives that line from one elimination;
+    the test below reads only signs, so any nonzero multiple decides alike.
     """
     for subset in combinations(normals, max(d - 1, 0)):
-        ray = [(-1) ** j * det([n[:j] + n[j + 1 :] for n in subset]) for j in range(d)]
-        if not any(ray):
+        ray = kernel_vector([list(n) for n in subset], d)
+        if ray is None:
             continue
         dots = [sum(a * r for a, r in zip(n, ray)) for n in normals]
         if all(v >= 0 for v in dots) or all(v <= 0 for v in dots):
@@ -365,7 +388,11 @@ def make_random_simplex(
 
 
 def polytope_from_json(text: str) -> LatticePolytope:
-    obj = decode_json(text)
+    return polytope_from_obj(decode_json(text))
+
+
+def polytope_from_obj(obj) -> LatticePolytope:
+    """The polytope of a decoded polytope JSON document."""
     if not isinstance(obj, dict) or "ambient_dim" not in obj:
         raise InputError("polytope JSON must be an object with 'ambient_dim'")
     dim = int_entry(obj["ambient_dim"])

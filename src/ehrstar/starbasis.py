@@ -223,7 +223,11 @@ def _parse_vector_field(obj: dict, key: str, d: int) -> tuple[int, ...] | None:
 
 def vectors_from_json(text: str) -> tuple[HStarVector | None, FStarVector | None, str]:
     """Parse a vector file; returns (h or None, f or None, provenance)."""
-    obj = decode_json(text)
+    return vectors_from_obj(decode_json(text))
+
+
+def vectors_from_obj(obj) -> tuple[HStarVector | None, FStarVector | None, str]:
+    """`vectors_from_json` on a decoded document."""
     if not isinstance(obj, dict) or "d" not in obj:
         raise InputError("vector JSON must be an object with a 'd' field")
     d = int_entry(obj["d"])

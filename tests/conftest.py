@@ -9,17 +9,25 @@ the fast kernels on small cases. `every_dilate_counts` is the counting
 route that scans every dilate n = 1..d+1 and tests every box point
 against every row, kept to pin the reciprocity route and the interval
 kernel. `simplex_contains` is the pure-Python point test on a simplex's
-membership kernel, one point at a time.
+membership kernel, one point at a time. `fraction_halfspace_box` is the
+box derivation of half-space polytopes done over Fractions, with cofactor
+rays from d determinants each, kept to pin the fraction-free one.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
-from ehrstar.errors import InputError
+from ehrstar.errors import InputError, NotFullDimensionalError
 from ehrstar.intlinalg import det
-from ehrstar.lattice import HalfSpace, LatticePolytope, LatticeSimplex, make_random_simplex
+from ehrstar.lattice import (
+    HalfSpace,
+    LatticePolytope,
+    LatticeSimplex,
+    affine_dimension,
+    make_random_simplex,
+)
 
 
 def simplex_facets(vertices) -> list[HalfSpace]:
@@ -175,3 +183,44 @@ def every_dilate_counts(p) -> tuple[int, ...]:
         full_box_count([n * m for m in mins], [n * m for m in maxs], rows, [n * c for c in offsets])
         for n in range(1, d + 2)
     )
+
+
+def fraction_halfspace_box(p: LatticePolytope):
+    """`LatticePolytope.halfspace_box` over Fractions, with the same errors.
+
+    Every feasible solution of d of the rows is a vertex candidate, found by
+    a Fraction solve; boundedness is the cofactor ray test, whose ray for
+    d - 1 normals is the vector of their d signed maximal minors.
+    """
+    d = p.ambient_dim
+    hs = p.halfspaces
+    points = []
+    for subset in combinations(hs, d):
+        sol = _solve_gauss([list(h.normal) + [-h.offset] for h in subset])
+        if sol is None:
+            continue
+        if all(h.offset + sum(a * x for a, x in zip(h.normal, sol)) >= 0 for h in hs):
+            points.append(sol)
+    if not points:
+        raise InputError("half-space system has no vertices (empty or unbounded)")
+    normals = [h.normal for h in hs]
+    for subset in combinations(normals, max(d - 1, 0)):
+        ray = [(-1) ** j * det([n[:j] + n[j + 1 :] for n in subset]) for j in range(d)]
+        if not any(ray):
+            continue
+        dots = [sum(a * r for a, r in zip(n, ray)) for n in normals]
+        if all(v >= 0 for v in dots) or all(v <= 0 for v in dots):
+            raise InputError("half-space system is unbounded")
+    for pt in points:
+        if any(x.denominator != 1 for x in pt):
+            raise InputError(
+                f"half-space polytope has the non-lattice vertex "
+                f"({', '.join(map(str, pt))}); only lattice polytopes are supported"
+            )
+    vertices = tuple(tuple(int(x) for x in pt) for pt in points)
+    rank = affine_dimension(LatticePolytope(d, vertices=vertices))
+    if rank != d:
+        raise NotFullDimensionalError(
+            f"half-space polytope has affine dimension {rank} inside R^{d}"
+        )
+    return tuple(map(min, zip(*vertices))), tuple(map(max, zip(*vertices)))

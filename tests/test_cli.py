@@ -394,8 +394,8 @@ class TestPolytopeDimensionCap:
             raise AssertionError("exact linear algebra ran past the dimension cap")
 
         for module in (intlinalg, lattice):
-            monkeypatch.setattr(module, "det", refuse)
-            monkeypatch.setattr(module, "solve_rational", refuse)
+            for name in ("det", "solve_scaled", "kernel_vector"):
+                monkeypatch.setattr(module, name, refuse)
 
     @pytest.mark.parametrize("command", ["compute", "audit", "series"])
     @pytest.mark.parametrize("kind", ["vertices", "halfspaces"])
@@ -407,6 +407,20 @@ class TestPolytopeDimensionCap:
         code, out, err = run(capsys, command, "--input", str(path))
         assert code == 2 and out == ""
         assert err == f"error: polytope dimension {d} exceeds the cap {GENERATOR_DIM_CAP}\n"
+
+    @pytest.mark.parametrize("command", ["compute", "audit", "series"])
+    def test_facet_file_at_cap_exit_3_before_any_elimination(self, capsys, tmp_path,
+                                                             no_linear_algebra, command):
+        # the work estimate (C(101, 100) + C(101, 99)) * 100^3 is over the cap
+        d = GENERATOR_DIM_CAP
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps(_unimodular_file(d, "halfspaces")))
+        code, out, err = run(capsys, command, "--input", str(path))
+        subsystems = comb(d + 1, d) + comb(d + 1, d - 1)
+        assert code == 3 and out == ""
+        cap = lattice._HALFSPACE_WORK_CAP
+        assert err == (f"error: half-space box derivation needs {subsystems} subsystems, "
+                       f"about {subsystems * d**3} operations (cap {cap})\n")
 
     def test_vertex_file_at_cap_computes(self, capsys, tmp_path):
         d = GENERATOR_DIM_CAP
@@ -604,9 +618,10 @@ class TestProcess:
         assert proc.stdout.splitlines()[-1] == "sympy loaded: False"
 
     @staticmethod
-    def numpy_loaded_after(*argv):
+    def loaded_after(*argv):
         """Run the CLI with argv (or only `import ehrstar`) in a fresh
-        interpreter; its stdout, and whether numpy ended up in sys.modules."""
+        interpreter; its stdout, and which of numpy and fractions ended up in
+        sys.modules."""
         script = (
             "import runpy, sys\n"
             "if len(sys.argv) > 1:\n"
@@ -616,13 +631,13 @@ class TestProcess:
             "        assert exc.code == 0, exc.code\n"
             "else:\n"
             "    import ehrstar\n"
-            "print('numpy loaded:', 'numpy' in sys.modules)\n"
+            "print('loaded:', *[m for m in ('numpy', 'fractions') if m in sys.modules])\n"
         )
         proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
                               text=True, env=TestProcess.env(), timeout=60)
         assert proc.returncode == 0, proc.stderr
         *out, last = proc.stdout.splitlines()
-        return out, last == "numpy loaded: True"
+        return out, set(last.split()[1:])
 
     @pytest.mark.parametrize("argv", [
         [],
@@ -635,8 +650,8 @@ class TestProcess:
         vectors = tmp_path / "vectors.json"
         vectors.write_text(json.dumps({"d": 15, "h_star": SPIKE15_H}))
         argv = [a.format(vectors=vectors) for a in argv]
-        out, numpy_loaded = self.numpy_loaded_after(*argv)
-        assert not numpy_loaded
+        out, loaded = self.loaded_after(*argv)
+        assert loaded == set()  # fractions too: only the unused solve_rational imports it
         if argv:
             assert out, "the command printed nothing"
 
@@ -645,7 +660,7 @@ class TestProcess:
         poly = tmp_path / "poly.json"
         poly.write_text(json.dumps({"ambient_dim": 3, "halfspaces": [
             [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [2, -1, -1, -1]]}))
-        out, numpy_loaded = self.numpy_loaded_after("compute", "--input", str(poly))
+        out, loaded = self.loaded_after("compute", "--input", str(poly))
         assert "ehrhart values (n = 0..4): 1 10 35 84 165" in out
         assert "route: interpolation" in out
-        assert numpy_loaded
+        assert "numpy" in loaded

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -13,6 +14,8 @@ from conftest import (
     as_halfspace_polytope,
     every_dilate_counts,
     fraction_brute_count,
+    fraction_halfspace_box,
+    full_box_count,
     simplex_facets,
 )
 from ehrstar.engine import (
@@ -331,16 +334,74 @@ class TestHalfspaceVertexStep:
         with pytest.raises(InputError, match=r"non-lattice vertex \(10/3, 6\)"):
             compute_vectors(p)
 
-    # C(30, 6) is over the cap; C(23, 17) is not, but C(23, 16) is
+    # (C(30, 6) + C(30, 5)) * 6^3 and (C(23, 17) + C(23, 16)) * 17^3 are over the work cap
     @pytest.mark.parametrize("m, d", [(30, 6), (23, 17)])
     def test_subsystem_cap_checked_before_any_solve(self, monkeypatch, m, d):
         def no_solve(*_args):
             raise AssertionError("a subsystem was solved before the cap check")
 
-        monkeypatch.setattr(ehrstar.lattice, "solve_rational", no_solve)
+        monkeypatch.setattr(ehrstar.lattice, "solve_scaled", no_solve)
+        monkeypatch.setattr(ehrstar.lattice, "kernel_vector", no_solve)
         rows = tuple(HalfSpace(1, tuple((i + j) % 3 - 1 for j in range(d))) for i in range(m))
         with pytest.raises(CostGuardExceeded):
             LatticePolytope(d, halfspaces=rows).halfspace_box
+
+
+def _random_h_system(rng) -> LatticePolytope:
+    """A small half-space system: bounded, unbounded, empty, flat or non-lattice.
+
+    Boxes, which have 2d rows, are used up to d = 3 and simplex facets,
+    which have d + 1, beyond, so that the Fraction oracle stays fast.
+    """
+    d = rng.choice((1, 2, 2, 3, 3, 3, 4, 4, 5))
+    kind = rng.choice(("facets", "dropped", "box", "cut", "random"))
+    if d > 3 or kind in ("facets", "dropped"):
+        rows = simplex_facets(make_random_simplex(d, 2, rng.randrange(10**6)).vertices)
+        if kind == "dropped":
+            del rows[rng.randrange(len(rows))]
+        elif kind == "random":
+            rows = rows[1:]
+        elif rng.random() < 0.5:  # a redundant copy of a facet, scaled
+            h = rng.choice(rows)
+            k = rng.randint(1, 3)
+            rows.append(HalfSpace(k * h.offset + rng.randint(0, 2), tuple(k * a for a in h.normal)))
+    else:
+        lows = [rng.randint(-3, 2) for _ in range(d)]
+        rows = _axis_rows(lows, [lo + rng.randint(-1 if kind == "box" else 1, 3) for lo in lows])
+        if kind == "random":
+            rows = rng.sample(rows, rng.randint(1, len(rows)))
+    if kind in ("cut", "random"):
+        for _ in range(rng.randint(1, 2 if d <= 3 else 1)):
+            rows.append(HalfSpace(rng.randint(-4, 6), tuple(rng.randint(-3, 3) for _ in range(d))))
+    rng.shuffle(rows)
+    return LatticePolytope(d, halfspaces=tuple(rows))
+
+
+def _box_outcome(box_of, p):
+    try:
+        return box_of(p)
+    except (InputError, NotFullDimensionalError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestFractionFreeBox:
+    """The integer box derivation against the Fraction and cofactor oracle."""
+
+    KINDS = ("no vertices", "unbounded", "non-lattice", "affine dimension")
+
+    @pytest.mark.parametrize("block", range(20))
+    def test_matches_the_fraction_oracle(self, block):
+        rng = random.Random(block)
+        seen = Counter()
+        for _ in range(100):
+            p = _random_h_system(rng)
+            expected = _box_outcome(fraction_halfspace_box, p)
+            assert _box_outcome(lambda q: q.halfspace_box, p) == expected, p
+            if isinstance(expected[0], str):
+                seen[next(k for k in self.KINDS if k in expected[1])] += 1
+            else:
+                seen["bounded"] += 1
+        assert len(seen) == 5, seen
 
 
 def _axis_rows(lows, highs):
@@ -425,16 +486,32 @@ def _brute_box_count(lows, highs, rows, offsets) -> int:
     )
 
 
+def _needle_simplex(d: int, k: int) -> LatticeSimplex:
+    """conv{0, k * 1, k * 1 + e_1, ..., k * 1 + e_{d-1}}: thin along the diagonal.
+
+    Its box is about k^d, but for most prefixes of the box no s, and for
+    most (prefix, s) no t, lies in it: the projected rows prune the s-range.
+    """
+    top = (k,) * d
+    return LatticeSimplex.from_vertices(
+        [(0,) * d, top] + [tuple(x + (j == i) for j, x in enumerate(top)) for i in range(d - 1)]
+    )
+
+
 class TestIntervalKernel:
-    """The last box axis is counted as an interval; every axis is enumerated here."""
+    """The kernel enumerates d - 2 axes, bounds s by the projected rows and
+    counts t as an interval; the oracles test every point of the box."""
 
     @staticmethod
-    def _system(rng, d):
+    def _system(rng, d, *, t_sign=None):
         lows = [rng.randint(-3, 2) for _ in range(d)]
-        highs = [lo + rng.randint(-1, 4) for lo in lows]  # now and then an empty box
+        highs = [lo + rng.randint(-1, 4 if d < 5 else 3) for lo in lows]  # now and then empty
         m = rng.randint(1, 5)
         rows = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(m)]
         rows[rng.randrange(m)][-1] = 0
+        if t_sign is not None:  # no row with a on t of the other sign
+            for row in rows:
+                row[-1] = t_sign * abs(row[-1])
         offsets = [rng.randint(-6, 6) for _ in range(m)]
         return lows, highs, rows, offsets
 
@@ -442,9 +519,82 @@ class TestIntervalKernel:
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_brute_force(self, seed, chunk):
         rng = random.Random(seed)
-        for d in (1, 2, 3, 4):
+        for d in (1, 2, 3, 4, 5):
             system = self._system(rng, d)
             assert _count_box_satisfying(*system, chunk=chunk) == _brute_box_count(*system)
+
+    @pytest.mark.parametrize("chunk", [1, 5, 1 << 17])
+    @pytest.mark.parametrize("t_sign", [1, -1])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rows_of_one_sign_on_t(self, seed, t_sign, chunk):
+        # no row with a > 0 (or a < 0): no pairs, the projection is the a = 0 rows
+        rng = random.Random(seed)
+        for d in (1, 2, 3, 4, 5):
+            system = self._system(rng, d, t_sign=t_sign)
+            assert _count_box_satisfying(*system, chunk=chunk) == _brute_box_count(*system)
+
+    @pytest.mark.parametrize("chunk", [1, 5, 1 << 17])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_two_dimensional_enumerates_no_axis(self, seed, chunk):
+        # d = 2: s is the first axis; wide boxes spread the pairs over many chunks
+        rng = random.Random(seed)
+        lows = [rng.randint(-20, 5), rng.randint(-20, 5)]
+        highs = [lo + rng.randint(0, 30) for lo in lows]
+        m = rng.randint(1, 6)
+        rows = [[rng.randint(-4, 4), rng.randint(-4, 4)] for _ in range(m)]
+        offsets = [rng.randint(-40, 40) for _ in range(m)]
+        system = lows, highs, rows, offsets
+        assert _count_box_satisfying(*system, chunk=chunk) == _brute_box_count(*system)
+
+    @pytest.mark.parametrize("chunk", [1, 5, 1 << 17])
+    @pytest.mark.parametrize("d, k", [(3, 4), (4, 3), (5, 2)])
+    def test_thin_simplices(self, d, k, chunk):
+        s = _needle_simplex(d, k)
+        for n in (1, 2, 3):
+            lows, highs, rows, offsets = ehrstar.engine._scan_system(s, n)
+            expected = full_box_count(lows, highs, rows, offsets)
+            assert _count_box_satisfying(lows, highs, rows, offsets, chunk=chunk) == expected
+        assert count_profile(s).counts == every_dilate_counts(s)
+
+    @staticmethod
+    def _projected_system(worst, min_sum):
+        """Rows B x + a t + c_i >= 0 and B x - b t + c_j >= 0 on [-w, w] x [-3, 3].
+
+        Their one projected row is (a + b) B x + (b c_i + a c_j) >= 0, in
+        lowest terms; a + b >= min_sum, w and B are chosen to make its
+        bound equal `worst`.
+        """
+        for a, b, w, r in product(range(1, 5), range(1, 5), (2, 3), range(1, 100)):
+            if a + b < min_sum or math.gcd(a, b) > 1 or (worst - r) % (w * (a + b)):
+                continue
+            big = (worst - r) // (w * (a + b))
+            for ci, cj in product(range(-6, 7), repeat=2):
+                if abs(b * ci + a * cj) == r and math.gcd((a + b) * big, r) == 1:
+                    return a, b, [-w, -3], [w, 3], [[big, a], [big, -b]], [ci, cj]
+        raise AssertionError("no system with that bound")
+
+    # The input rows stay below 2^62, so the projected row alone decides the
+    # dtype; at 2^64 + 1 its values on the enumerated axis (d = 3) would wrap
+    # around on int64.
+    @pytest.mark.parametrize("worst, min_sum", [
+        (2**62 - 1, 2), (2**62, 2), (2**62 + 1, 2), (2**64 + 1, 5),
+    ])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_projected_bound_near_2_62(self, d, worst, min_sum):
+        a, b, lows, highs, rows, offsets = self._projected_system(worst, min_sum)
+        maxabs = [max(-lo, hi) for lo, hi in zip(lows, highs)]
+        row_bounds = [sum(abs(x) * m for x, m in zip(row, maxabs)) + abs(c)
+                      for row, c in zip(rows, offsets)]
+        assert max(row_bounds) < 2**62
+        coef, off = (a + b) * rows[0][0], b * offsets[0] + a * offsets[1]
+        assert math.gcd(coef, off) == 1 and abs(coef) * maxabs[0] + abs(off) == worst
+        if d == 3:  # x becomes the enumerated axis, so the projected row is summed on it
+            lows, highs = [lows[0], -1, lows[1]], [highs[0], 1, highs[1]]
+            rows = [[row[0], 0, row[1]] for row in rows]
+        expected = _brute_box_count(lows, highs, rows, offsets)
+        assert 0 < expected < math.prod(hi - lo + 1 for lo, hi in zip(lows, highs))
+        for chunk in (1, 5, 1 << 17):
+            assert _count_box_satisfying(lows, highs, rows, offsets, chunk=chunk) == expected
 
     # `worst` bounds the partial values |rows @ x + offsets| over the box;
     # below 2^62 the kernel runs on int64, from 2^62 on on Python ints
