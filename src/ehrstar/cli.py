@@ -2,8 +2,9 @@
 
 Subcommands: compute, convert, audit, series, search, selftest. The command
 table is the parser itself: each subparser names its `cmd_*` function
-(`set_defaults(run=...)`), and every command runs through `_run`, which
-checks the caps and turns errors into exit codes.
+(`set_defaults(run=...)`) and the option groups it reads, so an option
+that a command would ignore exits 2. Every command runs through `_run`,
+which turns errors into exit codes.
 Exit codes: 0 success, or a reader that closed stdout early; 1 audit/selftest
 failure signal; 2 bad input; 3 no feasible counting strategy (cost or volume
 caps, missing strategy); 4 search budget exhausted (partial output).
@@ -130,7 +131,10 @@ def _read_text(path: str) -> str:
 
 def _load(args, *, vectors: bool = False):
     """The polytope of --builtin or --input; with `vectors`, an --input file
-    that is not a polytope file is read as a vector file: (h, f, provenance)."""
+    that is not a polytope file is read as a vector file: (h, f, provenance).
+    The caps are checked first, before any input is read."""
+    if args.count_cap < 1 or args.volume_cap < 1:
+        raise InputError("caps must be positive")
     if args.builtin:
         return build_builtin(args.builtin, args.seed)
     if not args.input_path:
@@ -305,14 +309,12 @@ _SPIKE15_F = (16, 120, 560, 1820, 4368, 8008, 11440, 13001,
               12488, 11676, 11704, 10990, 7896, 3788, 1064, 132)
 
 
-def _selftest_checks(quick: bool, inject_fault: bool):
+def _selftest_checks():
     from math import comb
-
-    expected_cube_counts = (1, 9, 25, 49) if not inject_fault else (1, 9, 25, 48)
 
     def square_pipeline():
         r = engine.compute_vectors(make_cube(2, -1, 1))
-        return (r.counts == expected_cube_counts
+        return (r.counts == (1, 9, 25, 49)
                 and r.h.entries == (1, 6, 1) and r.f.entries == (9, 16, 8))
 
     def segment_pipeline():
@@ -320,8 +322,7 @@ def _selftest_checks(quick: bool, inject_fault: bool):
         return r.h.entries == (1, 0) and r.f.entries == (2, 1) and r.counts == (1, 2, 3)
 
     def unimodular_rows():
-        top = 4 if quick else 6
-        for d in range(1, top + 1):
+        for d in range(1, 7):
             s = make_unimodular_simplex(d)
             expected = tuple(comb(d + 1, k + 1) for k in range(d + 1))
             via_box = f_from_h(engine.h_star_of(s)).entries
@@ -339,8 +340,7 @@ def _selftest_checks(quick: bool, inject_fault: bool):
                 and report.first_dip == 9 and report.all_applicable_hold)
 
     def binomial_lemma():
-        top = 20 if quick else 40
-        for n in range(1, top + 1):
+        for n in range(1, 41):
             for k in range(1, n + 1):
                 for j in range(1, n + 2 - k):
                     if n == 2 * k - 1:
@@ -353,10 +353,9 @@ def _selftest_checks(quick: bool, inject_fault: bool):
         import random as _random
 
         rng = _random.Random(20221019)
-        trials = 50 if quick else 200
         from .starbasis import hstar_poly_identity_check
 
-        for _ in range(trials):
+        for _ in range(200):
             d = rng.randint(0, 12)
             h = HStarVector(tuple(rng.randint(-30, 30) for _ in range(d + 1)))
             f = f_from_h(h)
@@ -392,7 +391,7 @@ def _selftest_checks(quick: bool, inject_fault: bool):
 def cmd_selftest(args) -> int:
     start = time.monotonic()
     failures = 0
-    for name, fn in _selftest_checks(args.quick, args.inject_fault):
+    for name, fn in _selftest_checks():
         ok = fn()
         print(f"  [{'ok  ' if ok else 'FAIL'}] {name}")
         failures += 0 if ok else 1
@@ -413,31 +412,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", dest="input_path", help="input JSON file")
-    common.add_argument("--builtin", help="builtin generator, e.g. cube-2--1-1, "
-                                          "unimodular-4, higashitani-15, pyr-2-cube-2-0-1")
-    common.add_argument("--format", dest="output_format", choices=("text", "json"),
+    input_file = argparse.ArgumentParser(add_help=False)
+    input_file.add_argument("--input", dest="input_path", help="input JSON file")
+    polytope = argparse.ArgumentParser(add_help=False, parents=[input_file])
+    polytope.add_argument("--builtin", help="builtin generator, e.g. cube-2--1-1, "
+                                            "unimodular-4, higashitani-15, pyr-2-cube-2-0-1")
+    polytope.add_argument("--seed", type=int, default=0, help="seed for random builtins")
+    polytope.add_argument("--count-cap", type=int, default=engine.DEFAULT_COUNT_CAP,
+                          help="max candidate points per bounding-box scan")
+    polytope.add_argument("--volume-cap", type=int, default=engine.DEFAULT_VOLUME_CAP,
+                          help="max normalized volume for parallelepiped enumeration")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", dest="output_format", choices=("text", "json"),
                         default="text")
-    common.add_argument("--count-cap", type=int, default=engine.DEFAULT_COUNT_CAP,
-                        help="max candidate points per bounding-box scan")
-    common.add_argument("--volume-cap", type=int, default=engine.DEFAULT_VOLUME_CAP,
-                        help="max normalized volume for parallelepiped enumeration")
-    common.add_argument("--seed", type=int, default=0, help="seed for random builtins")
 
-    commands = {}
-    for name, run, help_text in (
-        ("compute", cmd_compute, "counts, h*- and f*-vector of a polytope"),
-        ("convert", cmd_convert, "convert between h* and f* vectors"),
-        ("audit", cmd_audit, "run every inequality check on a polytope or vector file"),
-        ("series", cmd_series, "print the rational generating series"),
-        ("search", cmd_search, "enumerate spiked h*-patterns with nonunimodal f*"),
-        ("selftest", cmd_selftest, "run the embedded golden checks"),
+    for name, run, groups, help_text in (
+        ("compute", cmd_compute, [polytope, output], "counts, h*- and f*-vector of a polytope"),
+        ("convert", cmd_convert, [input_file, output], "convert between h* and f* vectors"),
+        ("audit", cmd_audit, [polytope, output],
+         "run every inequality check on a polytope or vector file"),
+        ("series", cmd_series, [polytope, output], "print the rational generating series"),
+        ("search", cmd_search, [output], "enumerate spiked h*-patterns with nonunimodal f*"),
+        ("selftest", cmd_selftest, [], "run the embedded golden checks"),
     ):
-        commands[name] = sub.add_parser(name, parents=[common], help=help_text)
-        commands[name].set_defaults(run=run)
+        sub.add_parser(name, parents=groups, help=help_text).set_defaults(run=run)
 
-    search = commands["search"]
+    search = sub.choices["search"]
     search.add_argument("--dim", type=int,
                         help=f"dimension d of the pattern, at most {VECTOR_DIM_CAP}")
     search.add_argument("--spike-pos-range", help="A:B positions for the spike")
@@ -446,11 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--spike2-val-range", help="A:B values for a second spike")
     search.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET,
                         help="max number of patterns to enumerate")
-
-    selftest = commands["selftest"]
-    selftest.add_argument("--quick", action="store_true", help="smaller, faster subset")
-    selftest.add_argument("--inject-fault", action="store_true",
-                          help=argparse.SUPPRESS)  # test hook: corrupt one expectation
 
     return parser
 
@@ -470,8 +465,6 @@ def main(argv=None) -> int:
 
 def _run(args) -> int:
     try:
-        if args.count_cap < 1 or args.volume_cap < 1:
-            raise InputError("caps must be positive")
         return args.run(args)
     except (CostGuardExceeded, VolumeCapExceeded, NoCountingStrategy) as exc:
         print(f"error: {exc}", file=sys.stderr)

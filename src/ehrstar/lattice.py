@@ -29,6 +29,7 @@ from .intlinalg import EchelonBasis, det, kernel_vector, scaled_inverse, solve_s
 LatticePoint = tuple[int, ...]
 
 CUBE_DIM_CAP = 20  # explicit vertex lists have 2^d vertices
+RANDOM_SIMPLEX_DRAWS = 1000  # degenerate draws before make_random_simplex gives up
 # The largest dimension built by a generator or read from a polytope file,
 # checked before any entry is built. The exact linear algebra on d x d
 # integer matrices that every route starts with grows steeply: a cold
@@ -309,14 +310,14 @@ def iterated_pyramid(p: LatticePolytope, times: int) -> LatticePolytope:
     return p
 
 
-def make_cube(d: int, low: int, high: int, *, max_dim: int = CUBE_DIM_CAP) -> LatticePolytope:
+def make_cube(d: int, low: int, high: int) -> LatticePolytope:
     """[low, high]^d with its 2^d vertices and a product hint."""
     if d < 1:
         raise InputError("cube dimension must be positive")
     if low >= high:
         raise InputError("cube needs low < high")
-    if d > max_dim:
-        raise InputError(f"cube dimension {d} exceeds the vertex-list cap {max_dim}")
+    if d > CUBE_DIM_CAP:
+        raise InputError(f"cube dimension {d} exceeds the vertex-list cap {CUBE_DIM_CAP}")
     vertices = tuple(product((low, high), repeat=d))
     hint = BoxHint((low,) * d, (high,) * d)
     return LatticePolytope(d, vertices=vertices, hint=hint)
@@ -353,19 +354,17 @@ def make_higashitani(
     return LatticeSimplex.from_vertices((origin,) + units + (w,))
 
 
-def make_random_simplex(
-    d: int, coord_bound: int, seed: int, *, max_attempts: int = 1000
-) -> LatticeSimplex:
+def make_random_simplex(d: int, coord_bound: int, seed: int) -> LatticeSimplex:
     """Random nondegenerate simplex; deterministic for a fixed seed.
 
     Vertices are uniform in [-coord_bound, coord_bound]^d, resampled until
-    the volume is nonzero. Raises after `max_attempts` degenerate draws.
+    the volume is nonzero. Raises after `RANDOM_SIMPLEX_DRAWS` degenerate draws.
     """
     if d < 1 or coord_bound < 1:
         raise InputError("dimension and coordinate bound must be positive")
     _require_dim_cap(d)
     rng = random.Random(seed)
-    for _ in range(max_attempts):
+    for _ in range(RANDOM_SIMPLEX_DRAWS):
         vertices = tuple(
             tuple(rng.randint(-coord_bound, coord_bound) for _ in range(d))
             for _ in range(d + 1)
@@ -375,7 +374,7 @@ def make_random_simplex(
         except DegenerateSimplexError:
             continue
     raise DegenerateSimplexError(
-        f"no nondegenerate simplex in {max_attempts} draws; coordinate bound too small"
+        f"no nondegenerate simplex in {RANDOM_SIMPLEX_DRAWS} draws; coordinate bound too small"
     )
 
 
@@ -412,18 +411,3 @@ def polytope_from_obj(obj) -> LatticePolytope:
             rows.append(HalfSpace(entries[0], tuple(entries[1:])))
         return LatticePolytope(dim, halfspaces=tuple(rows))
     raise InputError("polytope JSON needs 'vertices' or 'halfspaces'")
-
-
-def _json_int(x: int):
-    return x if abs(x) < 2**53 else str(x)
-
-
-def polytope_to_json_obj(p: LatticePolytope) -> dict:
-    obj: dict = {"ambient_dim": p.ambient_dim}
-    if p.vertices is not None:
-        obj["vertices"] = [[_json_int(x) for x in v] for v in p.vertices]
-    else:
-        obj["halfspaces"] = [
-            [_json_int(hs.offset)] + [_json_int(x) for x in hs.normal] for hs in p.halfspaces
-        ]
-    return obj

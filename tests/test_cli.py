@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -10,8 +11,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ehrstar
-from ehrstar import intlinalg, lattice, starbasis
-from ehrstar.cli import build_builtin, main
+from ehrstar import cli, intlinalg, lattice, starbasis
+from ehrstar.cli import build_builtin, build_parser, main
 from ehrstar.lattice import GENERATOR_DIM_CAP
 from ehrstar.starbasis import VECTOR_DIM_CAP
 
@@ -486,31 +487,25 @@ class TestSearch:
 
 
 class TestSelftest:
-    def test_quick_passes_under_five_seconds(self, capsys):
+    def test_passes_under_five_seconds(self, capsys):
         import time
 
         start = time.monotonic()
-        code, out, _ = run(capsys, "selftest", "--quick")
+        code, out, _ = run(capsys, "selftest")
         elapsed = time.monotonic() - start
         assert code == 0
         assert "all checks passed" in out
         assert elapsed < 5.0
 
-    def test_injected_fault_fails(self, capsys):
-        code, out, _ = run(capsys, "selftest", "--quick", "--inject-fault")
+    def test_injected_fault_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_SPIKE15_F", cli._SPIKE15_F[:-1] + (133,))
+        code, out, _ = run(capsys, "selftest")
         assert code == 1
-        assert "FAIL" in out
+        assert "  [FAIL] spiked 15-simplex" in out.splitlines()
+        assert out.splitlines()[-1].startswith("1 check(s) FAILED")
 
 
-class TestConfig:
-    def test_bad_caps_exit_2(self, capsys):
-        code, _out, _err = run(
-            capsys, "compute", "--builtin", "cube-1-0-1", "--count-cap", "0"
-        )
-        assert code == 2
-
-
-_COMMANDS = ("compute", "convert", "audit", "series", "search", "selftest")
+_POLYTOPE_COMMANDS = ("compute", "audit", "series")
 _INPUT_COMMANDS = ("compute", "audit", "series", "convert")
 _ERROR_FILES = {
     "vectors.json": json.dumps({"d": 15, "h_star": SPIKE15_H}),
@@ -527,13 +522,12 @@ _ERROR_FILES = {
 }
 _ERROR_PATHS = [
     *[pytest.param([c, "--count-cap", "0"], "caps must be positive", id=f"{c}-count-cap-0")
-      for c in _COMMANDS],
+      for c in _POLYTOPE_COMMANDS],
     *[pytest.param([c, "--volume-cap", "-1", "--builtin", "higashitani-15"],
-                   "caps must be positive", id=f"{c}-volume-cap-negative") for c in _COMMANDS],
+                   "caps must be positive", id=f"{c}-volume-cap-negative")
+      for c in _POLYTOPE_COMMANDS],
     *[pytest.param([c], "provide --input FILE or --builtin NAME", id=f"{c}-no-input")
-      for c in ("compute", "audit", "series")],
-    pytest.param(["convert", "--builtin", "higashitani-15"],
-                 "convert needs --input FILE with a vector JSON", id="convert-builtin-only"),
+      for c in _POLYTOPE_COMMANDS],
     pytest.param(["convert"], "convert needs --input FILE with a vector JSON",
                  id="convert-no-input"),
     pytest.param(["compute", "--input", "vectors.json"],
@@ -571,6 +565,52 @@ class TestErrorPaths:
         monkeypatch.chdir(tmp_path)
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+_POLYTOPE_OPTIONS = {"--input", "--builtin", "--seed", "--count-cap", "--volume-cap", "--format"}
+_OPTIONS = {
+    "compute": _POLYTOPE_OPTIONS,
+    "convert": {"--input", "--format"},
+    "audit": _POLYTOPE_OPTIONS,
+    "series": _POLYTOPE_OPTIONS,
+    "search": {"--format", "--dim", "--spike-pos-range", "--spike-val-range",
+               "--spike2-pos-range", "--spike2-val-range", "--budget"},
+    "selftest": set(),
+}
+# Options that a command once accepted without reading them, each with a
+# value of the kind it took.
+_REMOVED_OPTIONS = [
+    *[(c, option, value) for c in ("convert", "search", "selftest")
+      for option, value in (("--builtin", "higashitani-15"), ("--seed", "3"),
+                            ("--count-cap", "0"), ("--volume-cap", "-1"))],
+    ("search", "--input", "vectors.json"),
+    ("selftest", "--input", "vectors.json"),
+    ("selftest", "--format", "json"),
+    ("selftest", "--quick", None),
+    ("selftest", "--inject-fault", None),
+]
+
+
+class TestOptionTable:
+    """Each subcommand accepts exactly the options it reads."""
+
+    def test_option_sets(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        options = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+                   for name, p in sub.choices.items()}
+        assert options == _OPTIONS
+        assert sum(len(o) for o in options.values()) == 27
+
+    @pytest.mark.parametrize("command, option, value", [
+        pytest.param(*row, id=f"{row[0]}-{row[1][2:]}") for row in _REMOVED_OPTIONS])
+    def test_removed_option_exits_2(self, command, option, value):
+        argv = [option] if value is None else [option, value]
+        proc = subprocess.run([sys.executable, "-m", "ehrstar.cli", command, *argv],
+                              capture_output=True, text=True, env=TestProcess.env(), timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert f"error: unrecognized arguments: {' '.join(argv)}\n" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestProcess:
