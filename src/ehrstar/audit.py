@@ -268,8 +268,8 @@ class AuditReport:
         }
 
 
-def full_audit(h: HStarVector, *, provenance: str | None = None) -> AuditReport:
-    """Run every check on h and its associated f*-vector."""
+def full_audit(h: HStarVector) -> AuditReport:
+    """Run every check on h and its f*-vector; the provenance is h's own flag."""
     f = f_from_h(h)
     s = degree_of(h)
     g = gorenstein_index(h)
@@ -294,7 +294,7 @@ def full_audit(h: HStarVector, *, provenance: str | None = None) -> AuditReport:
         unimodal=uni,
         peak_index=peak,
         first_dip=dip,
-        provenance=provenance or ("polytope" if h.polytope_derived else "raw"),
+        provenance="polytope" if h.polytope_derived else "raw",
         symmetric_f_star=is_symmetric_extended_f(f),
         h=h,
         f=f,

@@ -89,11 +89,11 @@ def _parse_signed_ints(text: str) -> list[int]:
     return values
 
 
-def build_builtin(name: str, seed: int = 0) -> LatticePolytope | LatticeSimplex:
+def build_builtin(name: str) -> LatticePolytope | LatticeSimplex:
     """Instantiate a generator by name.
 
     Names: cube-d-a-b, unimodular-d, higashitani-15, higashitani-a-v-b-m,
-    random-d-b (seeded), and pyr-n-<name> wrappers.
+    random-d-b-s (seed s; random-d-b is seed 0), and pyr-n-<name> wrappers.
     """
     if name.startswith("pyr-"):
         times_text, _, rest = name[len("pyr-") :].partition("-")
@@ -101,7 +101,7 @@ def build_builtin(name: str, seed: int = 0) -> LatticePolytope | LatticeSimplex:
             times = int(times_text)
         except ValueError as exc:
             raise InputError(f"bad pyramid count in builtin {name!r}") from exc
-        base = build_builtin(rest, seed)
+        base = build_builtin(rest)
         if isinstance(base, LatticeSimplex):
             base = base.to_polytope()
         return iterated_pyramid(base, times)
@@ -115,8 +115,9 @@ def build_builtin(name: str, seed: int = 0) -> LatticePolytope | LatticeSimplex:
         return make_unimodular_simplex(values[0])
     if kind == "higashitani" and len(values) == 4:
         return make_higashitani(*values)
-    if kind == "random" and len(values) == 2:
-        return make_random_simplex(values[0], values[1], seed)
+    if kind == "random" and len(values) in (2, 3):
+        d, bound, seed = (*values, 0)[:3]
+        return make_random_simplex(d, bound, seed)
     raise InputError(f"unknown builtin {name!r}")
 
 
@@ -131,12 +132,12 @@ def _read_text(path: str) -> str:
 
 def _load(args, *, vectors: bool = False):
     """The polytope of --builtin or --input; with `vectors`, an --input file
-    that is not a polytope file is read as a vector file: (h, f, provenance).
+    that is not a polytope file is read as a vector file: (h, f).
     The caps are checked first, before any input is read."""
     if args.count_cap < 1 or args.volume_cap < 1:
         raise InputError("caps must be positive")
     if args.builtin:
-        return build_builtin(args.builtin, args.seed)
+        return build_builtin(args.builtin)
     if not args.input_path:
         raise InputError("provide --input FILE or --builtin NAME")
     obj = decode_json(_read_text(args.input_path))
@@ -145,14 +146,13 @@ def _load(args, *, vectors: bool = False):
     return polytope_from_obj(obj)
 
 
-def _h_star(args) -> tuple[HStarVector, str]:
-    """The h*-vector of a polytope or vector file, and its provenance."""
+def _h_star(args) -> HStarVector:
+    """The h*-vector of a polytope or vector file."""
     source = _load(args, vectors=True)
     if isinstance(source, tuple):
-        h, f, provenance = source
-        return (h if h is not None else h_from_f(f)), provenance
-    h = engine.h_star_of(source, count_cap=args.count_cap, volume_cap=args.volume_cap)
-    return h, "polytope"
+        h, f = source
+        return h if h is not None else h_from_f(f)
+    return engine.h_star_of(source, count_cap=args.count_cap, volume_cap=args.volume_cap)
 
 
 # -- commands -----------------------------------------------------------------
@@ -193,7 +193,7 @@ def cmd_compute(args) -> int:
 def cmd_convert(args) -> int:
     if not args.input_path:
         raise InputError("convert needs --input FILE with a vector JSON")
-    h, f, _prov = vectors_from_json(_read_text(args.input_path))
+    h, f = vectors_from_json(_read_text(args.input_path))
     if h is None:
         h = h_from_f(f)
     if f is None:
@@ -207,8 +207,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    h, provenance = _h_star(args)
-    report = full_audit(h, provenance=provenance)
+    report = full_audit(_h_star(args))
     if args.output_format == "json":
         print(json.dumps(report.to_json_obj()))
     else:
@@ -240,8 +239,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_series(args) -> int:
-    h, _provenance = _h_star(args)
-    numerator, exponent = series_numerator(h)
+    numerator, exponent = series_numerator(_h_star(args))
     if args.output_format == "json":
         print(json.dumps({
             "numerator": [str(x) for x in numerator],
@@ -415,9 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     input_file = argparse.ArgumentParser(add_help=False)
     input_file.add_argument("--input", dest="input_path", help="input JSON file")
     polytope = argparse.ArgumentParser(add_help=False, parents=[input_file])
-    polytope.add_argument("--builtin", help="builtin generator, e.g. cube-2--1-1, "
-                                            "unimodular-4, higashitani-15, pyr-2-cube-2-0-1")
-    polytope.add_argument("--seed", type=int, default=0, help="seed for random builtins")
+    polytope.add_argument("--builtin", help="builtin generator, e.g. cube-2--1-1, unimodular-4, "
+                                            "higashitani-15, random-3-4-7, pyr-2-cube-2-0-1")
     polytope.add_argument("--count-cap", type=int, default=engine.DEFAULT_COUNT_CAP,
                           help="max candidate points per bounding-box scan")
     polytope.add_argument("--volume-cap", type=int, default=engine.DEFAULT_VOLUME_CAP,

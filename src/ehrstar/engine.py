@@ -1,6 +1,7 @@
 """Exact lattice-point counting and h*/f*-vector extraction.
 
-Counting strategies, in dispatch order:
+Each input is resolved once, by `_counted`, into how it is counted; the
+entry points then work on that alone. The strategies, in that order:
 
   * box hints (products of segments): closed-form per-axis counts;
   * pyramid hints: cross-sections of the n-th dilate of a pyramid at
@@ -13,6 +14,11 @@ Counting strategies, in dispatch order:
     hyperplanes (`LatticePolytope.halfspace_box`). Every vertex must be a
     lattice point; boundedness is decided by a cofactor ray test on the
     facet normals.
+
+Hints are trusted to be full-dimensional (a pyramid's base is resolved,
+and checked, when its counts are taken), and d + 1 vertices with a nonzero
+determinant are a simplex. So the rank of a vertex list is computed only
+when it is neither, to tell a flat input from one with no strategy.
 
 A profile of a simplex or a half-space polytope scans only the dilates
 n <= ceil(d/2), each for its lattice points and its interior points.
@@ -47,6 +53,7 @@ from .errors import (
     CostGuardExceeded,
     InputError,
     NoCountingStrategy,
+    NotFullDimensionalError,
     VolumeCapExceeded,
 )
 from .intlinalg import _reduce_by_gcd, diagonalize_lattice_basis
@@ -56,7 +63,6 @@ from .lattice import (
     LatticeSimplex,
     PyramidHint,
     _homogenized_columns,
-    require_full_dimensional,
 )
 from .starbasis import FStarVector, HStarVector, eval_ehrhart, f_from_h, h_from_f
 
@@ -64,6 +70,9 @@ DEFAULT_COUNT_CAP = 10**9
 DEFAULT_VOLUME_CAP = 10**7
 
 _SCAN_CHUNK = 1 << 17
+# `_count_box_satisfying` counts (prefix, s) pairs and interval widths in
+# int64, and a box of fewer candidates keeps both below 2^62.
+_SCAN_KERNEL_LIMIT = 2**62
 
 
 @dataclass(frozen=True)
@@ -245,26 +254,6 @@ def _count_box_satisfying(lows, highs, rows, offsets, *, chunk=_SCAN_CHUNK) -> i
     return count
 
 
-def _scan_system(q: LatticePolytope | LatticeSimplex, n: int):
-    """(lows, highs, rows, offsets): the box scan of the n-th dilate of q.
-
-    A simplex scans its vertex box with the barycentric membership kernel
-    (`LatticeSimplex.membership_kernel`); a half-space polytope scans the
-    box of its vertices (`LatticePolytope.halfspace_box`) with its own rows.
-    """
-    if isinstance(q, LatticeSimplex):
-        d = q.ambient_dim
-        a, _scale = q.membership_kernel
-        lows = [n * min(v[j] for v in q.vertices) for j in range(d)]
-        highs = [n * max(v[j] for v in q.vertices) for j in range(d)]
-        return lows, highs, [row[:d] for row in a], [n * row[d] for row in a]
-    mins, maxs = q.halfspace_box
-    lows = [n * m for m in mins]
-    highs = [n * m for m in maxs]
-    rows = [list(h.normal) for h in q.halfspaces]
-    return lows, highs, rows, [n * h.offset for h in q.halfspaces]
-
-
 def _check_scan_cost(lows, highs, count_cap: int) -> None:
     total = 1
     for lo, hi in zip(lows, highs):
@@ -274,57 +263,80 @@ def _check_scan_cost(lows, highs, count_cap: int) -> None:
             f"bounding-box scan would visit {total} candidates (cap {count_cap}); "
             "raise the cap or use the parallelepiped route"
         )
+    if total >= _SCAN_KERNEL_LIMIT:
+        raise CostGuardExceeded(
+            f"bounding-box scan would visit {total} candidates; "
+            "the scan kernel takes fewer than 2^62"
+        )
+
+
+def _dilate(system, n: int):
+    """The scan system of the n-th dilate: the box and the offsets times n."""
+    mins, maxs, rows, offsets = system
+    return [n * m for m in mins], [n * m for m in maxs], rows, [n * c for c in offsets]
 
 
 # -- strategy dispatch --------------------------------------------------------
 
 
-def _scanned(p: LatticePolytope | LatticeSimplex) -> LatticePolytope | LatticeSimplex:
-    """The object whose box is scanned: a simplex or a half-space polytope.
+def _counted(p: LatticePolytope | LatticeSimplex):
+    """p's BoxHint or PyramidHint, else its scan system (mins, maxs, rows, offsets).
 
-    A half-space polytope must pass its box derivation here, since at d = 0
-    no dilate is scanned.
+    A half-space polytope scans its own rows over `halfspace_box`, which
+    rejects empty, unbounded, flat and non-lattice input even at d = 0; a
+    simplex scans its membership kernel over its vertex box.
     """
-    if isinstance(p, LatticeSimplex):
-        return p
-    require_full_dimensional(p)
-    if p.vertices is None:
-        p.halfspace_box  # raises on empty, unbounded or non-lattice input
-        return p
-    s = p.simplex
-    if s is None:
-        raise NoCountingStrategy(
-            "vertex polytope is not a simplex and carries no structure hint; "
-            "provide a half-space description to count it"
-        )
-    return s
+    s = p
+    if isinstance(p, LatticePolytope):
+        if p.hint is not None:
+            return p.hint
+        if p.vertices is None:
+            mins, maxs = p.halfspace_box
+            rows = [list(h.normal) for h in p.halfspaces]
+            return mins, maxs, rows, [h.offset for h in p.halfspaces]
+        s = p.simplex
+        if s is None:
+            if p.dim != p.ambient_dim:
+                raise NotFullDimensionalError(
+                    f"polytope has affine dimension {p.dim} inside R^{p.ambient_dim}; "
+                    "Ehrhart operations need a full-dimensional polytope"
+                )
+            raise NoCountingStrategy(
+                "vertex polytope is not a simplex and carries no structure hint; "
+                "provide a half-space description to count it"
+            )
+    d = s.ambient_dim
+    a, _scale = s.membership_kernel
+    mins = [min(v[j] for v in s.vertices) for j in range(d)]
+    maxs = [max(v[j] for v in s.vertices) for j in range(d)]
+    return mins, maxs, [row[:d] for row in a], [row[d] for row in a]
 
 
 def count_points(p: LatticePolytope | LatticeSimplex, n: int, *, count_cap: int = DEFAULT_COUNT_CAP) -> int:
     """Exact number of lattice points in the n-th dilate, n >= 1."""
     if n < 1:
         raise InputError("dilate must be positive")
-    if isinstance(p, LatticePolytope) and isinstance(p.hint, (BoxHint, PyramidHint)):
-        return _counts_through(p, n, count_cap)[n]
-    lows, highs, rows, offsets = _scan_system(_scanned(p), n)
+    counted = _counted(p)
+    if not isinstance(counted, tuple):
+        return _counts_through(counted, n, count_cap)[n]
+    lows, highs, rows, offsets = _dilate(counted, n)
     _check_scan_cost(lows, highs, count_cap)
     return _count_box_satisfying(lows, highs, rows, offsets)
 
 
-def _counts_through(p: LatticePolytope | LatticeSimplex, nmax: int, count_cap: int) -> list[int]:
-    """[ehr(0), ..., ehr(nmax)], sharing work across dilates where possible."""
-    if isinstance(p, LatticePolytope) and isinstance(p.hint, BoxHint):
-        lows, highs = p.hint.lows, p.hint.highs
+def _counts_through(counted, nmax: int, count_cap: int) -> list[int]:
+    """[ehr(0), ..., ehr(nmax)] of what `_counted` returned."""
+    if isinstance(counted, BoxHint):
         return [
-            math.prod(n * (hi - lo) + 1 for lo, hi in zip(lows, highs))
+            math.prod(n * (hi - lo) + 1 for lo, hi in zip(counted.lows, counted.highs))
             for n in range(nmax + 1)
         ]
-    if isinstance(p, LatticePolytope) and isinstance(p.hint, PyramidHint):
-        counts = _counts_through(p.hint.base, nmax, count_cap)
-        for _ in range(p.hint.times):
+    if isinstance(counted, PyramidHint):
+        counts = _counts_through(_counted(counted.base), nmax, count_cap)
+        for _ in range(counted.times):
             counts = list(accumulate(counts))
         return counts
-    return _reciprocity_counts(_scanned(p), nmax, count_cap)
+    return _reciprocity_counts(counted, nmax, count_cap)
 
 
 def _forward_differences(values) -> list[int]:
@@ -336,8 +348,8 @@ def _forward_differences(values) -> list[int]:
     return diffs
 
 
-def _reciprocity_counts(q: LatticePolytope | LatticeSimplex, nmax: int, count_cap: int) -> list[int]:
-    """[ehr(0), ..., ehr(nmax)] from the scans of the dilates n <= ceil(d/2).
+def _reciprocity_counts(system, nmax: int, count_cap: int) -> list[int]:
+    """[ehr(0), ..., ehr(nmax)] of a scan system, from its dilates n <= ceil(d/2).
 
     Each scanned dilate gives ehr(n) and, by Ehrhart-Macdonald reciprocity,
     ehr(-n) = (-1)^d * #interior(nP). For integer x, row . x + off > 0 is
@@ -348,11 +360,11 @@ def _reciprocity_counts(q: LatticePolytope | LatticeSimplex, nmax: int, count_ca
     differences determine the polynomial of degree d exactly. For odd d
     there is one node more than needed: its difference must vanish.
     """
-    d = q.ambient_dim
+    d = len(system[0])
     k = (d + 1) // 2
     below, above = [], []
     for n in range(1, k + 1):
-        lows, highs, rows, offsets = _scan_system(q, n)
+        lows, highs, rows, offsets = _dilate(system, n)
         _check_scan_cost(lows, highs, count_cap)
         above.append(_count_box_satisfying(lows, highs, rows, offsets))
         strict = [i for i, row in enumerate(rows) if any(row)]
@@ -373,9 +385,7 @@ def count_profile(p: LatticePolytope | LatticeSimplex, *, count_cap: int = DEFAU
     polytopes scan only the dilates n <= ceil(d/2) (`_reciprocity_counts`).
     """
     d = p.ambient_dim
-    if isinstance(p, LatticePolytope) and p.vertices is not None:
-        require_full_dimensional(p)
-    return CountProfile(d, tuple(_counts_through(p, d + 1, count_cap)))
+    return CountProfile(d, tuple(_counts_through(_counted(p), d + 1, count_cap)))
 
 
 def f_star_from_profile(profile: CountProfile) -> FStarVector:
@@ -487,10 +497,7 @@ def compute_vectors(
     count_cap: int = DEFAULT_COUNT_CAP,
     volume_cap: int = DEFAULT_VOLUME_CAP,
 ) -> ComputeResult:
-    s = p if isinstance(p, LatticeSimplex) else None
-    if s is None and isinstance(p, LatticePolytope) and p.vertices is not None:
-        require_full_dimensional(p)
-        s = p.simplex
+    s = p if isinstance(p, LatticeSimplex) else p.simplex
     if s is not None and s.normalized_volume <= volume_cap:
         table = box_points_simplex(s, volume_cap=volume_cap)
         h = HStarVector(table.heights, polytope_derived=True)

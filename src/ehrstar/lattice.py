@@ -105,13 +105,15 @@ class LatticePolytope:
     def dim(self) -> int:
         return affine_dimension(self)
 
-    def is_full_dimensional(self) -> bool:
-        return self.dim == self.ambient_dim
-
     @cached_property
     def simplex(self) -> "LatticeSimplex | None":
-        """The vertex list as a simplex, or None when it is not one."""
-        return as_simplex(self)
+        """The vertex list as a simplex (d + 1 vertices, det != 0), or None."""
+        if self.vertices is None or len(self.vertices) != self.ambient_dim + 1:
+            return None
+        try:
+            return LatticeSimplex.from_vertices(self.vertices)
+        except DegenerateSimplexError:
+            return None
 
     @cached_property
     def halfspace_box(self) -> tuple[LatticePoint, LatticePoint]:
@@ -260,24 +262,6 @@ def affine_dimension(p: LatticePolytope) -> int:
         if basis.rank == p.ambient_dim:
             break
     return basis.rank
-
-
-def require_full_dimensional(p: LatticePolytope) -> None:
-    if p.vertices is not None and not p.is_full_dimensional():
-        raise NotFullDimensionalError(
-            f"polytope has affine dimension {p.dim} inside R^{p.ambient_dim}; "
-            "Ehrhart operations need a full-dimensional polytope"
-        )
-
-
-def as_simplex(p: LatticePolytope) -> LatticeSimplex | None:
-    """Structural simplex detection: d+1 vertices spanning dimension d."""
-    if p.vertices is None or len(p.vertices) != p.ambient_dim + 1:
-        return None
-    try:
-        return LatticeSimplex.from_vertices(p.vertices)
-    except DegenerateSimplexError:
-        return None
 
 
 # -- constructions -----------------------------------------------------------

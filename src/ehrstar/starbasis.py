@@ -209,7 +209,7 @@ def is_symmetric_extended_f(f: FStarVector) -> bool:
 # Vector files look like {"d": 15, "h_star": ["1", "0", ..., "131", ...]} and
 # analogously "f_star"; entries are strings so arbitrary precision survives
 # consumers with 64-bit JSON numbers. An optional "provenance" field
-# ("polytope" or "raw", default raw) is carried along by the CLI.
+# ("polytope" or "raw", default raw) sets the vectors' polytope_derived flag.
 
 
 def _parse_vector_field(obj: dict, key: str, d: int) -> tuple[int, ...] | None:
@@ -221,12 +221,12 @@ def _parse_vector_field(obj: dict, key: str, d: int) -> tuple[int, ...] | None:
     return entries
 
 
-def vectors_from_json(text: str) -> tuple[HStarVector | None, FStarVector | None, str]:
-    """Parse a vector file; returns (h or None, f or None, provenance)."""
+def vectors_from_json(text: str) -> tuple[HStarVector | None, FStarVector | None]:
+    """Parse a vector file; returns (h or None, f or None)."""
     return vectors_from_obj(decode_json(text))
 
 
-def vectors_from_obj(obj) -> tuple[HStarVector | None, FStarVector | None, str]:
+def vectors_from_obj(obj) -> tuple[HStarVector | None, FStarVector | None]:
     """`vectors_from_json` on a decoded document."""
     if not isinstance(obj, dict) or "d" not in obj:
         raise InputError("vector JSON must be an object with a 'd' field")
@@ -247,7 +247,7 @@ def vectors_from_obj(obj) -> tuple[HStarVector | None, FStarVector | None, str]:
     f = FStarVector(f_entries, polytope_derived=derived) if f_entries is not None else None
     if h is not None and f is not None and f_from_h(h).entries != f.entries:
         raise InputError("h_star and f_star in the input do not correspond")
-    return h, f, provenance
+    return h, f
 
 
 def vectors_to_json_obj(

@@ -49,12 +49,9 @@ class TestBuiltins:
         assert len(p.vertices) == 6
 
     def test_random_uses_seed(self):
-        assert build_builtin("random-3-2", seed=5).vertices == build_builtin(
-            "random-3-2", seed=5
-        ).vertices
-        assert build_builtin("random-3-2", seed=5).vertices != build_builtin(
-            "random-3-2", seed=6
-        ).vertices
+        assert build_builtin("random-3-2-5").vertices == build_builtin("random-3-2-5").vertices
+        assert build_builtin("random-3-2-5").vertices != build_builtin("random-3-2-6").vertices
+        assert build_builtin("random-3-2").vertices == build_builtin("random-3-2-0").vertices
 
     def test_unknown_rejected(self):
         code = main(["compute", "--builtin", "dodecahedron-12"])
@@ -156,7 +153,7 @@ class TestCompute:
         # force the scan route with a wider simplex instead
         assert code == 0
         code, _out, err = run(
-            capsys, "compute", "--builtin", "random-3-4", "--seed", "3",
+            capsys, "compute", "--builtin", "random-3-4-3",
             "--volume-cap", "1", "--count-cap", "10",
         )
         assert code == 3
@@ -164,18 +161,29 @@ class TestCompute:
     def test_cap_covers_only_the_scanned_dilates(self, capsys):
         # d = 3 scans the dilates n <= 2, so a cap that fits the n = 2 box
         # suffices, although the n = 4 box is over it
-        p = build_builtin("random-3-4", seed=3)
+        p = build_builtin("random-3-4-3")
         widths = [max(v[j] for v in p.vertices) - min(v[j] for v in p.vertices) for j in range(3)]
         cap = 1
         for w in widths:
             cap *= 2 * w + 1
-        argv = ["compute", "--builtin", "random-3-4", "--seed", "3", "--volume-cap", "1"]
+        argv = ["compute", "--builtin", "random-3-4-3", "--volume-cap", "1"]
         code, out, err = run(capsys, *argv, "--count-cap", str(cap))
         assert code == 0 and err == "" and "route: interpolation" in out
         code, out, err = run(capsys, *argv, "--count-cap", str(cap - 1))
         assert code == 3 and out == ""
         assert err == (f"error: bounding-box scan would visit {cap} candidates (cap {cap - 1}); "
                        "raise the cap or use the parallelepiped route\n")
+
+    @pytest.mark.parametrize("command", ["compute", "audit", "series"])
+    def test_scan_past_the_kernel_limit_exit_3(self, capsys, tmp_path, command):
+        # the box [0, 2^64] x [0, 1] is under this cap but past the 2^62 the kernel takes
+        path = tmp_path / "wide.json"
+        path.write_text('{"ambient_dim": 2, "halfspaces": '
+                        '[[0,1,0],["18446744073709551616",-1,0],[0,0,1],[1,0,-1]]}')
+        code, out, err = run(capsys, command, "--input", str(path), "--count-cap", str(10**30))
+        assert (code, out) == (3, "")
+        assert err == (f"error: bounding-box scan would visit {(2**64 + 1) * 2} candidates; "
+                       "the scan kernel takes fewer than 2^62\n")
 
 
 _JSON_KEYS = ("ambient_dim", "vertices", "halfspaces", "d", "h_star", "f_star", "provenance")
@@ -567,7 +575,7 @@ class TestErrorPaths:
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-_POLYTOPE_OPTIONS = {"--input", "--builtin", "--seed", "--count-cap", "--volume-cap", "--format"}
+_POLYTOPE_OPTIONS = {"--input", "--builtin", "--count-cap", "--volume-cap", "--format"}
 _OPTIONS = {
     "compute": _POLYTOPE_OPTIONS,
     "convert": {"--input", "--format"},
@@ -588,6 +596,8 @@ _REMOVED_OPTIONS = [
     ("selftest", "--format", "json"),
     ("selftest", "--quick", None),
     ("selftest", "--inject-fault", None),
+    # read only by random builtins, which now take the seed in their name
+    *[(c, "--seed", "3") for c in ("compute", "audit", "series")],
 ]
 
 
@@ -600,7 +610,7 @@ class TestOptionTable:
         options = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
                    for name, p in sub.choices.items()}
         assert options == _OPTIONS
-        assert sum(len(o) for o in options.values()) == 27
+        assert sum(len(o) for o in options.values()) == 24
 
     @pytest.mark.parametrize("command, option, value", [
         pytest.param(*row, id=f"{row[0]}-{row[1][2:]}") for row in _REMOVED_OPTIONS])

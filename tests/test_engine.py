@@ -308,6 +308,70 @@ class TestGuardsAndErrors:
             count_points(p, 1)
 
 
+class _RankComputed(Exception):
+    pass
+
+
+_FLAT = "polytope has affine dimension 1 inside R^2; Ehrhart operations need a full-dimensional polytope"
+# each entry point's ehr(1)
+_ENTRY_POINTS = {
+    "compute_vectors": lambda p: compute_vectors(p).counts[1],
+    "count_profile": lambda p: count_profile(p).counts[1],
+    "count_points": lambda p: count_points(p, 1),
+}
+
+
+class TestCountingDispatch:
+    """`_counted` resolves each input once; hints and (d+1)-vertex simplices need no rank."""
+
+    @pytest.fixture
+    def no_rank(self, monkeypatch):
+        def refuse(p):
+            raise _RankComputed
+
+        monkeypatch.setattr(ehrstar.lattice, "affine_dimension", refuse)
+
+    @pytest.mark.parametrize("entry", _ENTRY_POINTS)
+    def test_hinted_polytopes_skip_the_rank(self, no_rank, entry):
+        assert _ENTRY_POINTS[entry](make_cube(12, 0, 1)) == 2**12
+        tower = ehrstar.lattice.iterated_pyramid(make_cube(3, -1, 1), 2)
+        assert _ENTRY_POINTS[entry](tower) == 27 + 2
+
+    def test_simplex_vertex_list_skips_the_rank(self, no_rank):
+        # d + 1 vertices: the nonzero determinant proves full dimension
+        assert compute_vectors(make_higashitani(7, 131, 7, 132).to_polytope()).h.entries == SPIKE15_H
+        # its vertex box is far over the count cap, which is checked after the dispatch
+        for entry in ("count_profile", "count_points"):
+            with pytest.raises(CostGuardExceeded):
+                _ENTRY_POINTS[entry](make_higashitani(7, 131, 7, 132).to_polytope())
+
+    @pytest.mark.parametrize("entry", _ENTRY_POINTS)
+    @pytest.mark.parametrize("vertices, error, message", [
+        pytest.param(((0, 0), (2, 2)), NotFullDimensionalError, _FLAT, id="segment"),
+        pytest.param(((0, 0), (1, 1), (3, 3)), NotFullDimensionalError, _FLAT, id="collinear"),
+        pytest.param(((0, 0), (1, 0), (0, 1), (1, 1)), NoCountingStrategy,
+                     "vertex polytope is not a simplex and carries no structure hint; "
+                     "provide a half-space description to count it", id="square"),
+    ])
+    def test_unhinted_vertex_inputs(self, entry, vertices, error, message):
+        with pytest.raises(error) as info:
+            _ENTRY_POINTS[entry](LatticePolytope(2, vertices=vertices))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("entry", _ENTRY_POINTS)
+    def test_pyramid_over_a_flat_base_reports_the_base(self, entry):
+        p = pyramid(LatticePolytope(2, vertices=((0, 0), (2, 2))))
+        with pytest.raises(NotFullDimensionalError) as info:
+            _ENTRY_POINTS[entry](p)
+        assert str(info.value) == _FLAT
+
+    def test_kernel_limit_whatever_the_cap(self):
+        ehrstar.engine._check_scan_cost([0, 0], [2**61 - 1, 0], 10**30)
+        with pytest.raises(CostGuardExceeded, match=r"^bounding-box scan would visit 4611686018427387904 "
+                           r"candidates; the scan kernel takes fewer than 2\^62$"):
+            ehrstar.engine._check_scan_cost([0, 0], [2**61 - 1, 1], 10**30)
+
+
 class TestHalfspaceVertexStep:
     """Box derivation of H-polytopes, pinned by simplices known by their vertices."""
 
@@ -551,7 +615,7 @@ class TestIntervalKernel:
     def test_thin_simplices(self, d, k, chunk):
         s = _needle_simplex(d, k)
         for n in (1, 2, 3):
-            lows, highs, rows, offsets = ehrstar.engine._scan_system(s, n)
+            lows, highs, rows, offsets = ehrstar.engine._dilate(ehrstar.engine._counted(s), n)
             expected = full_box_count(lows, highs, rows, offsets)
             assert _count_box_satisfying(lows, highs, rows, offsets, chunk=chunk) == expected
         assert count_profile(s).counts == every_dilate_counts(s)

@@ -193,17 +193,17 @@ class TestVectorValidation:
 class TestJson:
     def test_round_trip(self):
         obj = vectors_to_json_obj(H(*SPIKE15_H), F(*SPIKE15_F))
-        h, f, provenance = vectors_from_json(json.dumps(obj))
+        h, f = vectors_from_json(json.dumps(obj))
         assert h.entries == SPIKE15_H
         assert f.entries == SPIKE15_F
-        assert provenance == "raw"
+        assert not h.polytope_derived and not f.polytope_derived
 
     def test_entries_serialized_as_strings(self):
         obj = vectors_to_json_obj(HStarVector((1, 10**40)))
         assert obj["h_star"] == ["1", str(10**40)]
 
     def test_accepts_plain_ints_and_strings(self):
-        h, f, _ = vectors_from_json('{"d": 1, "h_star": [1, "1"]}')
+        h, f = vectors_from_json('{"d": 1, "h_star": [1, "1"]}')
         assert h.entries == (1, 1)
         assert f is None
 
