@@ -12,8 +12,9 @@ entry points then work on that alone. The strategies, in that order:
   * half-space lists: inequality scan over the bounding box of the
     vertices, which are the feasible intersection points of the defining
     hyperplanes (`LatticePolytope.halfspace_box`). Every vertex must be a
-    lattice point; boundedness is decided by a cofactor ray test on the
-    facet normals.
+    lattice point. One fraction-free walk over row subsets finds the
+    vertices and decides boundedness by a ray test on the kernel lines of
+    d - 1 facet normals.
 
 Hints are trusted to be full-dimensional (a pyramid's base is resolved,
 and checked, when its counts are taken), and d + 1 vertices with a nonzero

@@ -1,10 +1,12 @@
 """Exact linear algebra over the integers and rationals.
 
 Matrices are plain lists of rows of Python ints; no floating point.
-`det`, `solve_scaled`, `scaled_inverse` and `kernel_vector` share one
-fraction-free (Bareiss) Gauss-Jordan elimination, whose entries stay minors
-of the input. Only `solve_rational` builds Fractions, and it imports
-`fractions` itself, so a process that never calls it skips that import.
+`det`, `solve_scaled` and `scaled_inverse` share one fraction-free
+(Bareiss) Gauss-Jordan elimination, whose entries stay minors of the input;
+its pivot step, `_pivot`, also drives the vertex walk of half-space
+polytopes in `lattice`. Only `solve_rational` builds Fractions, and it
+imports `fractions` itself, so a process that never calls it skips that
+import.
 """
 
 from __future__ import annotations
@@ -14,56 +16,47 @@ from math import gcd
 IntMatrix = list[list[int]]
 
 
-def _gauss_jordan(a: IntMatrix, width: int, slack: int) -> tuple[int, int, list[int]] | None:
-    """Fraction-free Gauss-Jordan on the first `width` columns of a, in place.
+def _pivot(a: IntMatrix, r: int, k: int, prev: int) -> IntMatrix:
+    """One Bareiss step, as new rows: row r clears column k of the others.
 
-    Columns are taken left to right; a column with no nonzero entry below
-    the rows already pivoted is skipped, and None is returned as soon as
-    more than `slack` columns were skipped. Each pivot step scales every
-    other row by the pivot and clears the column, dividing exactly by the
-    previous pivot (Bareiss). Skipping a column acts as a column
-    permutation, so the entries stay minors of the input, and every pivot
-    entry ends equal to the last pivot p. Returns (sign of the row
-    permutation, p, pivot columns).
+    Each other row is scaled by the pivot a[r][k], loses its column-k
+    multiple of row r and is divided exactly by the previous pivot `prev`.
     """
-    sign, prev, pivots = 1, 1, []
-    for k in range(width):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(a)) if a[i][k]), None)
-        if piv is None:
-            if k + 1 - r > slack:
-                return None
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-            sign = -sign
-        pr = a[r]
-        p = pr[k]
-        for i in range(len(a)):
-            if i != r:
-                f = a[i][k]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pr)]
-        prev = p
-        pivots.append(k)
-    return sign, prev, pivots
+    pr = a[r]
+    p = pr[k]
+    out = []
+    for i, row in enumerate(a):
+        if i == r:
+            out.append(row)
+        else:
+            f = row[k]
+            out.append([(p * x - f * y) // prev for x, y in zip(row, pr)])
+    return out
 
 
 def _eliminate(rows: IntMatrix, rhs: IntMatrix) -> tuple[int, IntMatrix | None]:
     """(det, X) with rows @ X == det * rhs; (0, None) for singular rows.
 
-    Gauss-Jordan on [rows | rhs] (`_gauss_jordan`): the left block ends as
-    p * I, where p is the determinant of the row-permuted matrix, so the
-    right block is p * rows^-1 @ rhs.
+    Fraction-free Gauss-Jordan on [rows | rhs]: column k is cleared
+    (`_pivot`) by the first row at or below k that is nonzero there, swapped
+    up to row k. The left block ends as p * I, where p is the determinant
+    of the row-permuted matrix, so the right block is p * rows^-1 @ rhs.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
     a = [list(r) + list(b) for r, b in zip(rows, rhs)]
-    done = _gauss_jordan(a, n, 0)
-    if done is None:
-        return 0, None
-    sign, p, _pivots = done
-    return sign * p, [[sign * x for x in row[n:]] for row in a]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0, None
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        a = _pivot(a, k, k, prev)
+        prev = a[k][k]
+    return sign * prev, [[sign * x for x in row[n:]] for row in a]
 
 
 def det(rows: IntMatrix) -> int:
@@ -125,29 +118,6 @@ def solve_rational(rows: IntMatrix, rhs: list[int]):
 
     sol = solve_scaled(rows, rhs)
     return None if sol is None else [Fraction(x, sol[0]) for x in sol[1]]
-
-
-def kernel_vector(rows: IntMatrix, n: int) -> list[int] | None:
-    """A nonzero integer vector spanning the kernel of n - 1 rows of length n.
-
-    None when the rows have rank below n - 1 (the kernel is then wider than
-    a line) and for n = 0. One elimination leaves a single non-pivot column
-    f: the vector is p at f and minus column f at the pivot columns, a
-    nonzero multiple of the signed maximal minors of the rows.
-    """
-    if n == 0:
-        return None
-    a = [list(r) for r in rows]
-    done = _gauss_jordan(a, n, 1)
-    if done is None:
-        return None
-    _sign, p, pivots = done
-    free = next(k for k in range(n) if k not in pivots)
-    v = [0] * n
-    v[free] = p
-    for row, k in zip(a, pivots):
-        v[k] = -row[free]
-    return v
 
 
 def scaled_inverse(rows: IntMatrix) -> tuple[IntMatrix, int] | None:

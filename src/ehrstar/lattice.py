@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, product
+from itertools import product
 
 from .errors import (
     CostGuardExceeded,
@@ -24,7 +24,7 @@ from .errors import (
     int_entry,
     json_list,
 )
-from .intlinalg import EchelonBasis, det, kernel_vector, scaled_inverse, solve_scaled
+from .intlinalg import EchelonBasis, _pivot, det, scaled_inverse
 
 LatticePoint = tuple[int, ...]
 
@@ -36,14 +36,16 @@ RANDOM_SIMPLEX_DRAWS = 1000  # degenerate draws before make_random_simplex gives
 # `compute` of the unimodular d-simplex given by its vertices takes 0.5 s
 # at d = 100, 1.5 s at d = 200 and 9.3 s at d = 400 on a 2-vCPU Xeon VM.
 GENERATOR_DIM_CAP = 100
-# Work cap of `LatticePolytope.halfspace_box`, checked before any
-# elimination: (C(m, d) + C(m, d - 1)) * d^3 for m rows in R^d, one d^3
-# elimination per subsystem. A unit costs 60-140 ns on a 2-vCPU Xeon VM:
-# the d + 1 facets of the unimodular d-simplex take 0.15 s at d = 20
-# (work 1.9e6), 4.1 s at d = 40 (5.5e7) and 6.5 s at d = 44 (8.8e7), and
-# the 16 facets of [-2, 2]^8 take 0.73 s (1.2e7). So the cap stops a
-# derivation that would run past about 8 s; the unimodular facets pass up
-# to d = 45, and at d = 100 (5.2e9) they exit 3 at once.
+# Work cap of `LatticePolytope.halfspace_box`, checked before the vertex
+# walk: (C(m, d) + C(m, d - 1)) * d^3 for m rows in R^d, one d^3 elimination
+# per subsystem. On a 2-vCPU Xeon VM the d + 1 facets of the unimodular
+# d-simplex take 0.08 s at d = 20 (work 1.8e6) and 4.3 s at d = 44 (8.8e7;
+# they pass up to d = 45 and exit 3 at once at d = 100), the 16 facets of
+# [-2, 2]^8 0.13 s (1.2e7) and the 32 of the 5-dimensional cross-polytope
+# 2.2 s (3.0e7). The estimate leaves out the walk's pass over all m rows at
+# each node and feasible subset, so many rows in a low dimension run longer:
+# the square [-1, 1]^2 with 1996 redundant cuts, a third of them through its
+# corners (work 1.6e7), takes 30 s.
 _HALFSPACE_WORK_CAP = 10**8
 
 
@@ -121,15 +123,13 @@ class LatticePolytope:
 
         Every vertex of a bounded polyhedron solves some d of its defining
         hyperplanes with equality, so the box over all feasible intersection
-        points is the bounding box of the polytope. Each d-subset is solved
-        fraction-free as rows @ x = D * rhs (`solve_scaled`), so the point
-        x / D is feasible iff sign(D) * (offset * D + normal . x) >= 0 for
-        every row, and a lattice point iff D divides every entry of x. Once a
-        vertex exists the normals have rank d, and the ray test on the
-        kernel vectors of (d - 1)-subsets decides boundedness. Empty,
-        unbounded and lower-dimensional inputs are rejected, and so is a
-        vertex that is not a lattice point. The work is estimated and capped
-        before any elimination (`_HALFSPACE_WORK_CAP`).
+        points is the bounding box of the polytope. One fraction-free walk
+        over row subsets (`_vertex_walk`) gives each feasible point as x / q,
+        a lattice point iff q divides every entry of x, and the ray test on
+        the kernel lines of (d - 1)-subsets, which decides boundedness once
+        a vertex exists. Empty, unbounded and lower-dimensional inputs are
+        rejected, and so is a vertex that is not a lattice point. The work is
+        estimated and capped before the walk (`_HALFSPACE_WORK_CAP`).
         """
         d = self.ambient_dim
         hs = self.halfspaces
@@ -142,20 +142,10 @@ class LatticePolytope:
                 f"half-space box derivation needs {subsystems} subsystems, "
                 f"about {work} operations (cap {_HALFSPACE_WORK_CAP})"
             )
-        points = []
-        for subset in combinations(hs, d):
-            sol = solve_scaled([list(h.normal) for h in subset], [-h.offset for h in subset])
-            if sol is None:
-                continue
-            scale, x = sol
-            sign = 1 if scale > 0 else -1
-            if all(
-                sign * (h.offset * scale + sum(a * v for a, v in zip(h.normal, x))) >= 0 for h in hs
-            ):
-                points.append(sol)
+        points, ray = _vertex_walk(hs, d)
         if not points:
             raise InputError("half-space system has no vertices (empty or unbounded)")
-        if _has_recession_ray([h.normal for h in hs], d):
+        if ray:
             raise InputError("half-space system is unbounded")
         for scale, x in points:
             if any(v % scale for v in x):
@@ -175,23 +165,62 @@ class LatticePolytope:
         return tuple(map(min, zip(*vertices))), tuple(map(max, zip(*vertices)))
 
 
-def _has_recession_ray(normals: list[LatticePoint], d: int) -> bool:
-    """Whether {r : n . r >= 0 for every normal n} holds some r != 0.
+def _vertex_walk(hs: tuple[HalfSpace, ...], d: int) -> tuple[list[tuple[int, list[int]]], bool]:
+    """(points, ray) of the rows offset + normal . x >= 0 in R^d.
 
-    Needs normals of rank d. The cone is then pointed, so it is nonzero iff
-    it has an extreme ray, and an extreme ray spans the kernel of d - 1
-    independent normals (Schrijver, Theory of Linear and Integer
-    Programming, 8.8). `kernel_vector` gives that line from one elimination;
-    the test below reads only signs, so any nonzero multiple decides alike.
+    points holds (q, x) for every d-subset of rows, in lexicographic order,
+    whose hyperplanes meet in one point x / q that satisfies every row. ray
+    tells whether some d - 1 rows of rank d - 1 have a kernel line on which
+    every normal has one sign; once the normals have rank d, that holds iff
+    the cone {r : n . r >= 0} is nonzero, as a pointed cone has an extreme
+    ray (Schrijver, Theory of Linear and Integer Programming, 8.8).
+
+    The depth-first walk carries a fraction-free Gauss-Jordan tableau of
+    all rows [normal, -offset] (Bareiss, Math. Comp. 22, 1968): adding a
+    row is one `_pivot` step, and a row that is zero on the free columns is
+    dependent, so its subtree is skipped. Each unchosen row h is then p * h
+    plus a combination of the chosen rows, p the last pivot. At depth d - 1
+    one column f is free, and the h[f] are the dots of the normals with the
+    kernel line, scaled alike. A leaf row r with q = r[f] != 0 fixes
+    x_f = r[d] / q, where row h has the value (h[f] * r[d] - q * h[d]) /
+    (p * q), and one more step, on the last column only, turns each chosen
+    row into its pivot coordinate. So a leaf is one pass over the rows.
     """
-    for subset in combinations(normals, max(d - 1, 0)):
-        ray = kernel_vector([list(n) for n in subset], d)
-        if ray is None:
-            continue
-        dots = [sum(a * r for a, r in zip(n, ray)) for n in normals]
-        if all(v >= 0 for v in dots) or all(v <= 0 for v in dots):
-            return True
-    return False
+    if d == 0:  # the one empty subset meets in the origin of R^0
+        return ([(1, [])] if all(h.offset >= 0 for h in hs) else []), False
+    m = len(hs)
+    points = []
+    ray = False
+
+    def visit(tab, chosen, free, prev):
+        nonlocal ray
+        start = chosen[-1][0] + 1 if chosen else 0
+        if len(chosen) < d - 1:
+            for j in range(start, m - (d - 2 - len(chosen))):
+                c = next((c for c in free if tab[j][c]), None)
+                if c is not None:
+                    rest = [k for k in free if k != c]
+                    visit(_pivot(tab, j, c, prev), chosen + [(j, c)], rest, tab[j][c])
+            return
+        (f,) = free
+        taken = {i for i, _ in chosen}
+        others = [tab[h] for h in range(m) if h not in taken]
+        if not ray:
+            ray = all(h[f] >= 0 for h in others) or all(h[f] <= 0 for h in others)
+        for r in tab[start:]:
+            q, rd = r[f], r[d]
+            if not q:
+                continue
+            sign = 1 if q * prev > 0 else -1
+            if all(sign * (h[f] * rd - q * h[d]) >= 0 for h in others):
+                x = [0] * d
+                x[f] = rd
+                for i, c in chosen:
+                    x[c] = (q * tab[i][d] - tab[i][f] * rd) // prev
+                points.append((q, x))
+
+    visit([list(h.normal) + [-h.offset] for h in hs], [], list(range(d)), 1)
+    return points, ray
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ against every row, kept to pin the reciprocity route and the interval
 kernel. `simplex_contains` is the pure-Python point test on a simplex's
 membership kernel, one point at a time. `fraction_halfspace_box` is the
 box derivation of half-space polytopes done over Fractions, with cofactor
-rays from d determinants each, kept to pin the fraction-free one.
+rays from d determinants each, kept to pin the fraction-free one; its
+first half, `fraction_vertex_walk`, pins the ordered vertex list and the
+ray verdict of the vertex walk itself.
 """
 
 from fractions import Fraction
@@ -185,24 +187,21 @@ def every_dilate_counts(p) -> tuple[int, ...]:
     )
 
 
-def fraction_halfspace_box(p: LatticePolytope):
-    """`LatticePolytope.halfspace_box` over Fractions, with the same errors.
+def fraction_vertex_walk(hs, d: int):
+    """(points, ray) of `lattice._vertex_walk`, one subset at a time over Fractions.
 
-    Every feasible solution of d of the rows is a vertex candidate, found by
-    a Fraction solve; boundedness is the cofactor ray test, whose ray for
-    d - 1 normals is the vector of their d signed maximal minors.
+    points: the feasible solution of every nonsingular d-subset of rows, in
+    the order of `combinations`; ray: whether the cofactor ray of some d - 1
+    normals, the vector of their d signed maximal minors, is nonzero and
+    has a dot product of one sign with every normal.
     """
-    d = p.ambient_dim
-    hs = p.halfspaces
     points = []
     for subset in combinations(hs, d):
         sol = _solve_gauss([list(h.normal) + [-h.offset] for h in subset])
         if sol is None:
             continue
         if all(h.offset + sum(a * x for a, x in zip(h.normal, sol)) >= 0 for h in hs):
-            points.append(sol)
-    if not points:
-        raise InputError("half-space system has no vertices (empty or unbounded)")
+            points.append(tuple(sol))
     normals = [h.normal for h in hs]
     for subset in combinations(normals, max(d - 1, 0)):
         ray = [(-1) ** j * det([n[:j] + n[j + 1 :] for n in subset]) for j in range(d)]
@@ -210,7 +209,18 @@ def fraction_halfspace_box(p: LatticePolytope):
             continue
         dots = [sum(a * r for a, r in zip(n, ray)) for n in normals]
         if all(v >= 0 for v in dots) or all(v <= 0 for v in dots):
-            raise InputError("half-space system is unbounded")
+            return points, True
+    return points, False
+
+
+def fraction_halfspace_box(p: LatticePolytope):
+    """`LatticePolytope.halfspace_box` over Fractions, with the same errors."""
+    d = p.ambient_dim
+    points, ray = fraction_vertex_walk(p.halfspaces, d)
+    if not points:
+        raise InputError("half-space system has no vertices (empty or unbounded)")
+    if ray:
+        raise InputError("half-space system is unbounded")
     for pt in points:
         if any(x.denominator != 1 for x in pt):
             raise InputError(

@@ -2,7 +2,8 @@ import math
 import random
 import time
 from collections import Counter
-from itertools import product
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from conftest import (
     every_dilate_counts,
     fraction_brute_count,
     fraction_halfspace_box,
+    fraction_vertex_walk,
     full_box_count,
     simplex_facets,
 )
@@ -36,10 +38,12 @@ from ehrstar.errors import (
     NotFullDimensionalError,
     VolumeCapExceeded,
 )
+from ehrstar.intlinalg import det
 from ehrstar.lattice import (
     HalfSpace,
     LatticePolytope,
     LatticeSimplex,
+    _vertex_walk,
     make_cube,
     make_higashitani,
     make_random_simplex,
@@ -401,11 +405,10 @@ class TestHalfspaceVertexStep:
     # (C(30, 6) + C(30, 5)) * 6^3 and (C(23, 17) + C(23, 16)) * 17^3 are over the work cap
     @pytest.mark.parametrize("m, d", [(30, 6), (23, 17)])
     def test_subsystem_cap_checked_before_any_solve(self, monkeypatch, m, d):
-        def no_solve(*_args):
-            raise AssertionError("a subsystem was solved before the cap check")
+        def no_walk(*_args):
+            raise AssertionError("the vertex walk ran before the cap check")
 
-        monkeypatch.setattr(ehrstar.lattice, "solve_scaled", no_solve)
-        monkeypatch.setattr(ehrstar.lattice, "kernel_vector", no_solve)
+        monkeypatch.setattr(ehrstar.lattice, "_vertex_walk", no_walk)
         rows = tuple(HalfSpace(1, tuple((i + j) % 3 - 1 for j in range(d))) for i in range(m))
         with pytest.raises(CostGuardExceeded):
             LatticePolytope(d, halfspaces=rows).halfspace_box
@@ -466,6 +469,71 @@ class TestFractionFreeBox:
             else:
                 seen["bounded"] += 1
         assert len(seen) == 5, seen
+
+
+def _random_rows(rng) -> tuple[int, tuple[HalfSpace, ...]]:
+    """Up to 9 rows with small entries in R^1..R^5.
+
+    Some rows are shifted multiples of earlier ones, and some are their
+    reverses, which make the two rows an equation.
+    """
+    d = rng.randint(1, 5)
+    rows = []
+    for _ in range(rng.randint(d - 1, 9)):
+        if rows and rng.random() < 0.3:
+            h, k = rng.choice(rows), rng.choice((-1, 1, 2, 3))
+            shift = 0 if k < 0 else rng.randint(-1, 1)
+            rows.append(HalfSpace(k * h.offset + shift, tuple(k * a for a in h.normal)))
+        else:
+            rows.append(HalfSpace(rng.randint(-3, 4), tuple(rng.randint(-3, 3) for _ in range(d))))
+    return d, tuple(rows)
+
+
+class TestVertexWalk:
+    """The walk over row subsets against the subset-by-subset oracle."""
+
+    @pytest.mark.parametrize("block", range(4))
+    def test_matches_the_subset_oracle(self, block):
+        rng = random.Random(7000 + block)
+        seen = Counter()
+        for i in range(100):
+            if i % 2:
+                d, hs = _random_rows(rng)
+                p = LatticePolytope(d, halfspaces=hs)
+            else:
+                p = _random_h_system(rng)
+                d, hs = p.ambient_dim, p.halfspaces
+            points, ray = _vertex_walk(hs, d)
+            walked = [tuple(Fraction(v, q) for v in x) for q, x in points]
+            assert (walked, ray) == fraction_vertex_walk(hs, d), p
+            outcome = _box_outcome(lambda poly: poly.halfspace_box, p)
+            if isinstance(outcome[0], str):
+                seen[next(k for k in TestFractionFreeBox.KINDS if k in outcome[1])] += 1
+            else:
+                seen["bounded"] += 1
+            seen["negative pivot"] += any(q < 0 for q, _x in points)
+            singular = any(det([list(h.normal) for h in s]) == 0 for s in combinations(hs, d))
+            seen["dependent rows"] += bool(points) and singular
+        kinds = ("bounded", *TestFractionFreeBox.KINDS, "negative pivot", "dependent rows")
+        assert all(seen[k] for k in kinds), seen
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_cross_polytopes(self, d):
+        # conv(+-e_i) has the 2^d facets 1 + s . x >= 0, s in {-1, 1}^d, and h* = binom(d, .)
+        rows = tuple(HalfSpace(1, s) for s in product((-1, 1), repeat=d))
+        p = LatticePolytope(d, halfspaces=rows)
+        assert p.halfspace_box == ((-1,) * d, (1,) * d)
+        assert compute_vectors(p).h.entries == tuple(math.comb(d, i) for i in range(d + 1))
+
+    def test_cube_with_redundant_and_scaled_cuts(self):
+        rows = _axis_rows([-1] * 3, [1] * 3)
+        rows += [HalfSpace(3 * h.offset, tuple(3 * a for a in h.normal)) for h in rows[:3]]
+        rows += [HalfSpace(2 * h.offset + 1, tuple(2 * a for a in h.normal)) for h in rows[3:6]]
+        rows += [HalfSpace(sum(map(abs, s)), s) for s in product((-1, 0, 1), repeat=3) if any(s)]
+        rows += [HalfSpace(5, (1, 2, 1)), HalfSpace(7, (-2, -2, 3))]
+        p = LatticePolytope(3, halfspaces=tuple(rows))
+        assert p.halfspace_box == ((-1,) * 3, (1,) * 3)
+        assert compute_vectors(p).h.entries == compute_vectors(make_cube(3, -1, 1)).h.entries
 
 
 def _axis_rows(lows, highs):
