@@ -6,8 +6,8 @@ table is the parser itself: each subparser names its `cmd_*` function
 that a command would ignore exits 2. Every command runs through `_run`,
 which turns errors into exit codes.
 Exit codes: 0 success, or a reader that closed stdout early; 1 audit/selftest
-failure signal; 2 bad input; 3 no feasible counting strategy (cost or volume
-caps, missing strategy); 4 search budget exhausted (partial output).
+failure signal; 2 bad input; 3 work over a cap (count, volume or
+box-derivation work); 4 search budget exhausted (partial output).
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from .errors import (
     CostGuardExceeded,
     EhrstarError,
     InputError,
-    NoCountingStrategy,
     VolumeCapExceeded,
     decode_json,
+    int_text,
 )
 from .lattice import (
     LatticePolytope,
@@ -80,7 +80,7 @@ def _parse_signed_ints(text: str) -> list[int]:
             sign = -sign
             continue
         try:
-            values.append(sign * int(token))
+            values.append(sign * int_text(token))
         except ValueError as exc:
             raise InputError(f"bad builtin parameter {token!r}") from exc
         sign = 1
@@ -98,7 +98,7 @@ def build_builtin(name: str) -> LatticePolytope | LatticeSimplex:
     if name.startswith("pyr-"):
         times_text, _, rest = name[len("pyr-") :].partition("-")
         try:
-            times = int(times_text)
+            times = int_text(times_text)
         except ValueError as exc:
             raise InputError(f"bad pyramid count in builtin {name!r}") from exc
         base = build_builtin(rest)
@@ -463,7 +463,7 @@ def main(argv=None) -> int:
 def _run(args) -> int:
     try:
         return args.run(args)
-    except (CostGuardExceeded, VolumeCapExceeded, NoCountingStrategy) as exc:
+    except (CostGuardExceeded, VolumeCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except EhrstarError as exc:

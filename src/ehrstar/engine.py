@@ -9,26 +9,22 @@ entry points then work on that alone. The strategies, in that order:
     are iterated partial sums of the base counts;
   * simplices: membership scan over the bounding box of the dilate,
     decided by the sign pattern of a precomputed scaled inverse;
-  * half-space lists: inequality scan over the bounding box of the
-    vertices, which are the feasible intersection points of the defining
-    hyperplanes (`LatticePolytope.halfspace_box`). Every vertex must be a
-    lattice point. One fraction-free walk over row subsets finds the
-    vertices and decides boundedness by a ray test on the kernel lines of
-    d - 1 facet normals.
+  * any other polytope: inequality scan over the box of its vertices,
+    which one double-description routine (`lattice._extreme_rays`) derives
+    from a half-space list, with the rows given; a vertex list that is not
+    a simplex is scanned with the facets that the same routine derives.
 
-Hints are trusted to be full-dimensional (a pyramid's base is resolved,
-and checked, when its counts are taken), and d + 1 vertices with a nonzero
-determinant are a simplex. So the rank of a vertex list is computed only
-when it is neither, to tell a flat input from one with no strategy.
-
-A profile of a simplex or a half-space polytope scans only the dilates
-n <= ceil(d/2), each for its lattice points and its interior points.
-Ehrhart-Macdonald reciprocity turns the interior counts into ehr(-n), and
-Newton forward differences on the nodes -k..k give the whole polynomial.
-Each scan enumerates all box axes but the last two, s and t. One
-Fourier-Motzkin step eliminates t from the rows, and the projected rows
-give each enumerated point its integer range of s; every surviving
-(point, s) pair then counts its t-values as one integer interval.
+Hints are trusted to be full-dimensional (a pyramid's base is checked when
+its counts are taken), and the facet cone of a vertex list holds a line
+iff the list is flat, so a rank is computed only to word that error. A
+profile of a scanned polytope scans only the dilates n <= ceil(d/2), each
+for its lattice points and its interior points. Ehrhart-Macdonald
+reciprocity turns the interior counts into ehr(-n), and Newton forward
+differences on the nodes -k..k give the whole polynomial. Each scan
+enumerates all box axes but the last two, s and t. One Fourier-Motzkin
+step eliminates t from the rows, and the projected rows give each
+enumerated point its integer range of s; every surviving (point, s) pair
+then counts its t-values as one integer interval.
 
 The h*-vector of a simplex is computed directly, without any counting,
 by enumerating the lattice points of the half-open parallelepiped
@@ -53,9 +49,9 @@ from itertools import accumulate, product
 from .errors import (
     CostGuardExceeded,
     InputError,
-    NoCountingStrategy,
     NotFullDimensionalError,
     VolumeCapExceeded,
+    shown,
 )
 from .intlinalg import _reduce_by_gcd, diagonalize_lattice_basis
 from .lattice import (
@@ -63,6 +59,7 @@ from .lattice import (
     LatticePolytope,
     LatticeSimplex,
     PyramidHint,
+    _extreme_rays,
     _homogenized_columns,
 )
 from .starbasis import FStarVector, HStarVector, eval_ehrhart, f_from_h, h_from_f
@@ -261,12 +258,12 @@ def _check_scan_cost(lows, highs, count_cap: int) -> None:
         total *= max(hi - lo + 1, 0)
     if total > count_cap:
         raise CostGuardExceeded(
-            f"bounding-box scan would visit {total} candidates (cap {count_cap}); "
+            f"bounding-box scan would visit {shown(total)} candidates (cap {count_cap}); "
             "raise the cap or use the parallelepiped route"
         )
     if total >= _SCAN_KERNEL_LIMIT:
         raise CostGuardExceeded(
-            f"bounding-box scan would visit {total} candidates; "
+            f"bounding-box scan would visit {shown(total)} candidates; "
             "the scan kernel takes fewer than 2^62"
         )
 
@@ -284,10 +281,11 @@ def _counted(p: LatticePolytope | LatticeSimplex):
     """p's BoxHint or PyramidHint, else its scan system (mins, maxs, rows, offsets).
 
     A half-space polytope scans its own rows over `halfspace_box`, which
-    rejects empty, unbounded, flat and non-lattice input even at d = 0; a
-    simplex scans its membership kernel over its vertex box.
+    rejects empty, unbounded, flat and non-lattice input even at d = 0. A
+    vertex list scans over its vertex box: a simplex with its membership
+    kernel, anything else with its facets (b, a), the extreme rays of the
+    cone {(b, a) : b + a . v >= 0 for every vertex v}.
     """
-    s = p
     if isinstance(p, LatticePolytope):
         if p.hint is not None:
             return p.hint
@@ -295,22 +293,21 @@ def _counted(p: LatticePolytope | LatticeSimplex):
             mins, maxs = p.halfspace_box
             rows = [list(h.normal) for h in p.halfspaces]
             return mins, maxs, rows, [h.offset for h in p.halfspaces]
-        s = p.simplex
-        if s is None:
-            if p.dim != p.ambient_dim:
-                raise NotFullDimensionalError(
-                    f"polytope has affine dimension {p.dim} inside R^{p.ambient_dim}; "
-                    "Ehrhart operations need a full-dimensional polytope"
-                )
-            raise NoCountingStrategy(
-                "vertex polytope is not a simplex and carries no structure hint; "
-                "provide a half-space description to count it"
+    d = p.ambient_dim
+    s = p if isinstance(p, LatticeSimplex) else p.simplex
+    if s is not None:
+        a, _scale = s.membership_kernel
+        facets = [[row[d], *row[:d]] for row in a]
+    else:
+        facets = _extreme_rays([[1, *v] for v in p.vertices], d + 1)
+        if facets is None:
+            raise NotFullDimensionalError(
+                f"polytope has affine dimension {p.dim} inside R^{d}; "
+                "Ehrhart operations need a full-dimensional polytope"
             )
-    d = s.ambient_dim
-    a, _scale = s.membership_kernel
-    mins = [min(v[j] for v in s.vertices) for j in range(d)]
-    maxs = [max(v[j] for v in s.vertices) for j in range(d)]
-    return mins, maxs, [row[:d] for row in a], [row[d] for row in a]
+    mins = [min(c) for c in zip(*p.vertices)]
+    maxs = [max(c) for c in zip(*p.vertices)]
+    return mins, maxs, [f[1:] for f in facets], [f[0] for f in facets]
 
 
 def count_points(p: LatticePolytope | LatticeSimplex, n: int, *, count_cap: int = DEFAULT_COUNT_CAP) -> int:

@@ -2,11 +2,9 @@
 
 Matrices are plain lists of rows of Python ints; no floating point.
 `det`, `solve_scaled` and `scaled_inverse` share one fraction-free
-(Bareiss) Gauss-Jordan elimination, whose entries stay minors of the input;
-its pivot step, `_pivot`, also drives the vertex walk of half-space
-polytopes in `lattice`. Only `solve_rational` builds Fractions, and it
-imports `fractions` itself, so a process that never calls it skips that
-import.
+(Bareiss) Gauss-Jordan elimination, whose entries stay minors of the input.
+Only `solve_rational` builds Fractions, and it imports `fractions` itself,
+so a process that never calls it skips that import.
 """
 
 from __future__ import annotations
@@ -16,31 +14,15 @@ from math import gcd
 IntMatrix = list[list[int]]
 
 
-def _pivot(a: IntMatrix, r: int, k: int, prev: int) -> IntMatrix:
-    """One Bareiss step, as new rows: row r clears column k of the others.
-
-    Each other row is scaled by the pivot a[r][k], loses its column-k
-    multiple of row r and is divided exactly by the previous pivot `prev`.
-    """
-    pr = a[r]
-    p = pr[k]
-    out = []
-    for i, row in enumerate(a):
-        if i == r:
-            out.append(row)
-        else:
-            f = row[k]
-            out.append([(p * x - f * y) // prev for x, y in zip(row, pr)])
-    return out
-
-
 def _eliminate(rows: IntMatrix, rhs: IntMatrix) -> tuple[int, IntMatrix | None]:
     """(det, X) with rows @ X == det * rhs; (0, None) for singular rows.
 
-    Fraction-free Gauss-Jordan on [rows | rhs]: column k is cleared
-    (`_pivot`) by the first row at or below k that is nonzero there, swapped
-    up to row k. The left block ends as p * I, where p is the determinant
-    of the row-permuted matrix, so the right block is p * rows^-1 @ rhs.
+    Fraction-free Gauss-Jordan on [rows | rhs]: column k is cleared by the
+    first row at or below k that is nonzero there, swapped up to row k.
+    Each other row is scaled by that pivot, loses its column-k multiple of
+    the pivot row and is divided exactly by the previous pivot. The left
+    block ends as p * I, where p is the determinant of the row-permuted
+    matrix, so the right block is p * rows^-1 @ rhs.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
@@ -54,8 +36,11 @@ def _eliminate(rows: IntMatrix, rhs: IntMatrix) -> tuple[int, IntMatrix | None]:
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
-        a = _pivot(a, k, k, prev)
-        prev = a[k][k]
+        pr = a[k]
+        p = pr[k]
+        a = [row if i == k else [(p * x - row[k] * y) // prev for x, y in zip(row, pr)]
+             for i, row in enumerate(a)]
+        prev = p
     return sign * prev, [[sign * x for x in row[n:]] for row in a]
 
 

@@ -1,19 +1,19 @@
 """Lattice polytopes with exact integer data, plus the generator zoo.
 
 A lattice point is a plain tuple of ints. Polytopes are immutable; they
-carry either a vertex list or a half-space list (never both derived from
-each other: no convex-hull computation happens anywhere in this package).
+carry either a vertex list or a half-space list. One double-description
+routine, `_extreme_rays`, converts between the two where counting needs
+it: it finds the vertices of a half-space list (`halfspace_box`) and the
+facets of a vertex list that is not a simplex (`engine._counted`).
 Generators may attach a structure hint (box product, pyramid tower) that
 the counting engine exploits; hints never change the mathematical object.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
 
 from .errors import (
     CostGuardExceeded,
@@ -24,11 +24,10 @@ from .errors import (
     int_entry,
     json_list,
 )
-from .intlinalg import EchelonBasis, _pivot, det, scaled_inverse
+from .intlinalg import EchelonBasis, _reduce_by_gcd, det, scaled_inverse
 
 LatticePoint = tuple[int, ...]
 
-CUBE_DIM_CAP = 20  # explicit vertex lists have 2^d vertices
 RANDOM_SIMPLEX_DRAWS = 1000  # degenerate draws before make_random_simplex gives up
 # The largest dimension built by a generator or read from a polytope file,
 # checked before any entry is built. The exact linear algebra on d x d
@@ -36,17 +35,16 @@ RANDOM_SIMPLEX_DRAWS = 1000  # degenerate draws before make_random_simplex gives
 # `compute` of the unimodular d-simplex given by its vertices takes 0.5 s
 # at d = 100, 1.5 s at d = 200 and 9.3 s at d = 400 on a 2-vCPU Xeon VM.
 GENERATOR_DIM_CAP = 100
-# Work cap of `LatticePolytope.halfspace_box`, checked before the vertex
-# walk: (C(m, d) + C(m, d - 1)) * d^3 for m rows in R^d, one d^3 elimination
-# per subsystem. On a 2-vCPU Xeon VM the d + 1 facets of the unimodular
-# d-simplex take 0.08 s at d = 20 (work 1.8e6) and 4.3 s at d = 44 (8.8e7;
-# they pass up to d = 45 and exit 3 at once at d = 100), the 16 facets of
-# [-2, 2]^8 0.13 s (1.2e7) and the 32 of the 5-dimensional cross-polytope
-# 2.2 s (3.0e7). The estimate leaves out the walk's pass over all m rows at
-# each node and feasible subset, so many rows in a low dimension run longer:
-# the square [-1, 1]^2 with 1996 redundant cuts, a third of them through its
-# corners (work 1.6e7), takes 30 s.
-_HALFSPACE_WORK_CAP = 10**8
+# Work cap of `_extreme_rays`, checked before each step against the running
+# sum of |positive rays| * |negative rays| * |rays|, at most one bit-set
+# comparison each. On a 2-vCPU Xeon VM the slowest units seen, 0.4 us, are
+# those of the 8,192 facets of the 13-dimensional cross-polytope (2.7e6
+# units, 1.1 s), so a run stops at about 4 s. The 5-dimensional one takes
+# 1,023 units (0.7 ms), the facets of the unimodular 100-simplex 10,100
+# (0.18 s, mostly its scaled inverse), the square with 1,996 corner cuts 9
+# (10 ms). Most pairs of a random vertex list fail at once: 40 vertices in
+# R^5 take 4.0e7 units, 0.06 s, and exit 3.
+_HALFSPACE_WORK_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -121,42 +119,30 @@ class LatticePolytope:
     def halfspace_box(self) -> tuple[LatticePoint, LatticePoint]:
         """(mins, maxs): the integral bounding box of a half-space polytope.
 
-        Every vertex of a bounded polyhedron solves some d of its defining
-        hyperplanes with equality, so the box over all feasible intersection
-        points is the bounding box of the polytope. One fraction-free walk
-        over row subsets (`_vertex_walk`) gives each feasible point as x / q,
-        a lattice point iff q divides every entry of x, and the ray test on
-        the kernel lines of (d - 1)-subsets, which decides boundedness once
-        a vertex exists. Empty, unbounded and lower-dimensional inputs are
-        rejected, and so is a vertex that is not a lattice point. The work is
-        estimated and capped before the walk (`_HALFSPACE_WORK_CAP`).
+        The cone over it, y0 >= 0 and offset * y0 + normal . x >= 0, has the
+        primitive extreme rays (q, q * v) for its vertices v and (0, r) for
+        the extreme rays r of its recession cone: so no q > 0 means empty,
+        a q = 0 unbounded, and each v is a lattice point iff q = 1. Empty,
+        unbounded, flat and non-lattice input is rejected; the message names
+        the lexicographically least non-lattice vertex.
         """
         d = self.ambient_dim
         hs = self.halfspaces
         if hs is None:
             raise InputError("half-space box needs a half-space representation")
-        subsystems = math.comb(len(hs), d) + math.comb(len(hs), max(d - 1, 0))
-        work = subsystems * d**3
-        if work > _HALFSPACE_WORK_CAP:
-            raise CostGuardExceeded(
-                f"half-space box derivation needs {subsystems} subsystems, "
-                f"about {work} operations (cap {_HALFSPACE_WORK_CAP})"
-            )
-        points, ray = _vertex_walk(hs, d)
-        if not points:
+        rays = _extreme_rays([[1] + [0] * d] + [[h.offset, *h.normal] for h in hs], d + 1)
+        if rays is None or all(r[0] == 0 for r in rays):
             raise InputError("half-space system has no vertices (empty or unbounded)")
-        if ray:
+        if any(r[0] == 0 for r in rays):
             raise InputError("half-space system is unbounded")
-        for scale, x in points:
-            if any(v % scale for v in x):
-                from fractions import Fraction  # only for the message
+        fractional = [r for r in rays if r[0] > 1]
+        if fractional:
+            from fractions import Fraction  # only for the message
 
-                raise InputError(
-                    f"half-space polytope has the non-lattice vertex "
-                    f"({', '.join(str(Fraction(v, scale)) for v in x)}); "
-                    "only lattice polytopes are supported"
-                )
-        vertices = tuple(tuple(v // scale for v in x) for scale, x in points)
+            least = ", ".join(map(str, min([Fraction(v, r[0]) for v in r[1:]] for r in fractional)))
+            raise InputError(f"half-space polytope has the non-lattice vertex ({least}); "
+                             "only lattice polytopes are supported")
+        vertices = tuple(tuple(r[1:]) for r in rays)
         rank = LatticePolytope(d, vertices=vertices).dim
         if rank != d:
             raise NotFullDimensionalError(
@@ -165,62 +151,53 @@ class LatticePolytope:
         return tuple(map(min, zip(*vertices))), tuple(map(max, zip(*vertices)))
 
 
-def _vertex_walk(hs: tuple[HalfSpace, ...], d: int) -> tuple[list[tuple[int, list[int]]], bool]:
-    """(points, ray) of the rows offset + normal . x >= 0 in R^d.
+def _extreme_rays(rows: list[list[int]], n: int) -> list[list[int]] | None:
+    """The primitive extreme rays of {y in R^n : row . y >= 0 for every row},
+    or None when the rows have rank below n and the cone holds a line.
 
-    points holds (q, x) for every d-subset of rows, in lexicographic order,
-    whose hyperplanes meet in one point x / q that satisfies every row. ray
-    tells whether some d - 1 rows of rank d - 1 have a kernel line on which
-    every normal has one sign; once the normals have rank d, that holds iff
-    the cone {r : n . r >= 0} is nonzero, as a pointed cone has an extreme
-    ray (Schrijver, Theory of Linear and Integer Programming, 8.8).
-
-    The depth-first walk carries a fraction-free Gauss-Jordan tableau of
-    all rows [normal, -offset] (Bareiss, Math. Comp. 22, 1968): adding a
-    row is one `_pivot` step, and a row that is zero on the free columns is
-    dependent, so its subtree is skipped. Each unchosen row h is then p * h
-    plus a combination of the chosen rows, p the last pivot. At depth d - 1
-    one column f is free, and the h[f] are the dots of the normals with the
-    kernel line, scaled alike. A leaf row r with q = r[f] != 0 fixes
-    x_f = r[d] / q, where row h has the value (h[f] * r[d] - q * h[d]) /
-    (p * q), and one more step, on the last column only, turns each chosen
-    row into its pivot coordinate. So a leaf is one pass over the rows.
+    Double description (Motzkin, Raiffa, Thompson and Thrall, 1953): n
+    independent rows cut out a simplicial cone, whose rays are the columns
+    of their scaled inverse. Each other row in turn keeps the rays on its
+    side and adds its crossing with the edge of each adjacent pair that it
+    separates. Two rays are adjacent iff no third ray is tight on every row
+    on which both are (Fukuda and Prodon, 1996); tight rows are bit sets.
+    Every ray solves n - 1 rows, so its entries are bounded by their minors.
     """
-    if d == 0:  # the one empty subset meets in the origin of R^0
-        return ([(1, [])] if all(h.offset >= 0 for h in hs) else []), False
-    m = len(hs)
-    points = []
-    ray = False
-
-    def visit(tab, chosen, free, prev):
-        nonlocal ray
-        start = chosen[-1][0] + 1 if chosen else 0
-        if len(chosen) < d - 1:
-            for j in range(start, m - (d - 2 - len(chosen))):
-                c = next((c for c in free if tab[j][c]), None)
-                if c is not None:
-                    rest = [k for k in free if k != c]
-                    visit(_pivot(tab, j, c, prev), chosen + [(j, c)], rest, tab[j][c])
-            return
-        (f,) = free
-        taken = {i for i, _ in chosen}
-        others = [tab[h] for h in range(m) if h not in taken]
-        if not ray:
-            ray = all(h[f] >= 0 for h in others) or all(h[f] <= 0 for h in others)
-        for r in tab[start:]:
-            q, rd = r[f], r[d]
-            if not q:
-                continue
-            sign = 1 if q * prev > 0 else -1
-            if all(sign * (h[f] * rd - q * h[d]) >= 0 for h in others):
-                x = [0] * d
-                x[f] = rd
-                for i, c in chosen:
-                    x[c] = (q * tab[i][d] - tab[i][f] * rd) // prev
-                points.append((q, x))
-
-    visit([list(h.normal) + [-h.offset] for h in hs], [], list(range(d)), 1)
-    return points, ray
+    basis, chosen = EchelonBasis(), []
+    for i, row in enumerate(rows):
+        if basis.rank < n and basis.insert(row):
+            chosen.append(i)
+    if basis.rank < n:
+        return None
+    inverse, _scale = scaled_inverse([rows[i] for i in chosen])
+    initial = sum(1 << i for i in chosen)
+    rays = [(_reduce_by_gcd(list(col)), initial ^ (1 << i)) for i, col in zip(chosen, zip(*inverse))]
+    work = 0
+    for k, row in enumerate(rows):
+        if initial >> k & 1:
+            continue
+        vals = [sum(a * b for a, b in zip(row, ray)) for ray, _ in rays]
+        pos = [i for i, v in enumerate(vals) if v > 0]
+        neg = [i for i, v in enumerate(vals) if v < 0]
+        work += len(pos) * len(neg) * len(rays)
+        if work > _HALFSPACE_WORK_CAP:
+            raise CostGuardExceeded(f"vertex enumeration would pass {_HALFSPACE_WORK_CAP} "
+                                    f"adjacency tests at row {k + 1} of {len(rows)}")
+        bit = 1 << k
+        crossed = []
+        for i in pos:
+            ri, zi = rays[i]
+            for j in neg:
+                rj, zj = rays[j]
+                common = zi & zj
+                if common.bit_count() < n - 2:
+                    continue
+                if any(common & z == common for t, (_, z) in enumerate(rays) if t not in (i, j)):
+                    continue
+                vi, vj = vals[i], -vals[j]
+                crossed.append((_reduce_by_gcd([vi * b + vj * a for a, b in zip(ri, rj)]), common | bit))
+        rays = [(ray, z | bit if not v else z) for (ray, z), v in zip(rays, vals) if v >= 0] + crossed
+    return [ray for ray, _ in rays]
 
 
 @dataclass(frozen=True)
@@ -297,16 +274,23 @@ def affine_dimension(p: LatticePolytope) -> int:
 
 
 def pyramid(p: LatticePolytope) -> LatticePolytope:
-    """Convex hull of p (embedded at height 0) and the new unit vector."""
-    if p.vertices is None:
-        raise InputError("pyramid needs a vertex representation")
-    apex = (0,) * p.ambient_dim + (1,)
-    vertices = tuple(v + (0,) for v in p.vertices) + (apex,)
+    """Convex hull of p (embedded at height 0) and the new unit vector.
+
+    Over a half-space polytope {x : b + a . x >= 0} the pyramid is cut out
+    by t >= 0 and the rows b + a . x - b * t >= 0, its section at height t
+    being (1 - t) times p.
+    """
+    d = p.ambient_dim
     if isinstance(p.hint, PyramidHint):
         hint = PyramidHint(p.hint.base, p.hint.times + 1)
     else:
         hint = PyramidHint(p, 1)
-    return LatticePolytope(p.ambient_dim + 1, vertices=vertices, hint=hint)
+    if p.vertices is not None:
+        apex = (0,) * d + (1,)
+        vertices = tuple(v + (0,) for v in p.vertices) + (apex,)
+        return LatticePolytope(d + 1, vertices=vertices, hint=hint)
+    rows = tuple(HalfSpace(h.offset, h.normal + (-h.offset,)) for h in p.halfspaces)
+    return LatticePolytope(d + 1, halfspaces=rows + (HalfSpace(0, (0,) * d + (1,)),), hint=hint)
 
 
 def _require_dim_cap(d: int, what: str = "generator") -> None:
@@ -324,16 +308,19 @@ def iterated_pyramid(p: LatticePolytope, times: int) -> LatticePolytope:
 
 
 def make_cube(d: int, low: int, high: int) -> LatticePolytope:
-    """[low, high]^d with its 2^d vertices and a product hint."""
+    """[low, high]^d by its 2d facets, with a product hint; for d = 1 by its
+    two vertices, which make the segment a simplex."""
     if d < 1:
         raise InputError("cube dimension must be positive")
     if low >= high:
         raise InputError("cube needs low < high")
-    if d > CUBE_DIM_CAP:
-        raise InputError(f"cube dimension {d} exceeds the vertex-list cap {CUBE_DIM_CAP}")
-    vertices = tuple(product((low, high), repeat=d))
+    _require_dim_cap(d)
     hint = BoxHint((low,) * d, (high,) * d)
-    return LatticePolytope(d, vertices=vertices, hint=hint)
+    if d == 1:
+        return LatticePolytope(1, vertices=((low,), (high,)), hint=hint)
+    units = [tuple(int(k == j) for k in range(d)) for j in range(d)]
+    rows = [HalfSpace(c, tuple(s * x for x in u)) for u in units for c, s in ((-low, 1), (high, -1))]
+    return LatticePolytope(d, halfspaces=tuple(rows), hint=hint)
 
 
 def make_unimodular_simplex(d: int) -> LatticeSimplex:

@@ -10,10 +10,10 @@ route that scans every dilate n = 1..d+1 and tests every box point
 against every row, kept to pin the reciprocity route and the interval
 kernel. `simplex_contains` is the pure-Python point test on a simplex's
 membership kernel, one point at a time. `fraction_halfspace_box` is the
-box derivation of half-space polytopes done over Fractions, with cofactor
-rays from d determinants each, kept to pin the fraction-free one; its
-first half, `fraction_vertex_walk`, pins the ordered vertex list and the
-ray verdict of the vertex walk itself.
+box derivation of half-space polytopes done over Fractions, one d-row
+subset at a time, with cofactor rays from d determinants each, kept to pin
+the double-description one; its first half, `fraction_vertex_walk`, pins
+the vertex set and the ray verdict of `lattice._extreme_rays` itself.
 """
 
 from fractions import Fraction
@@ -188,12 +188,12 @@ def every_dilate_counts(p) -> tuple[int, ...]:
 
 
 def fraction_vertex_walk(hs, d: int):
-    """(points, ray) of `lattice._vertex_walk`, one subset at a time over Fractions.
+    """(points, ray) of a half-space system, one row subset at a time over Fractions.
 
     points: the feasible solution of every nonsingular d-subset of rows, in
-    the order of `combinations`; ray: whether the cofactor ray of some d - 1
-    normals, the vector of their d signed maximal minors, is nonzero and
-    has a dot product of one sign with every normal.
+    the order of `combinations`, so a vertex may repeat; ray: whether the
+    cofactor ray of some d - 1 normals, the vector of their d signed maximal
+    minors, is nonzero and has a dot product of one sign with every normal.
     """
     points = []
     for subset in combinations(hs, d):
@@ -221,12 +221,12 @@ def fraction_halfspace_box(p: LatticePolytope):
         raise InputError("half-space system has no vertices (empty or unbounded)")
     if ray:
         raise InputError("half-space system is unbounded")
-    for pt in points:
-        if any(x.denominator != 1 for x in pt):
-            raise InputError(
-                f"half-space polytope has the non-lattice vertex "
-                f"({', '.join(map(str, pt))}); only lattice polytopes are supported"
-            )
+    fractional = [pt for pt in points if any(x.denominator != 1 for x in pt)]
+    if fractional:
+        raise InputError(
+            f"half-space polytope has the non-lattice vertex "
+            f"({', '.join(map(str, min(fractional)))}); only lattice polytopes are supported"
+        )
     vertices = tuple(tuple(int(x) for x in pt) for pt in points)
     rank = affine_dimension(LatticePolytope(d, vertices=vertices))
     if rank != d:

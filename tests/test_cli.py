@@ -1,9 +1,12 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
-from math import comb
+import time
+from itertools import product
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -36,7 +39,9 @@ def run_json(capsys, *argv):
 class TestBuiltins:
     def test_cube_with_negative_bound(self):
         p = build_builtin("cube-2--1-1")
-        assert set(p.vertices) == {(-1, -1), (-1, 1), (1, -1), (1, 1)}
+        assert p.hint == lattice.BoxHint((-1, -1), (1, 1))
+        assert {(h.offset, h.normal) for h in p.halfspaces} == {
+            (1, (1, 0)), (1, (-1, 0)), (1, (0, 1)), (1, (0, -1))}
 
     def test_named_instance_matches_parameterized(self):
         assert build_builtin("higashitani-15").vertices == build_builtin(
@@ -46,7 +51,7 @@ class TestBuiltins:
     def test_pyramid_wrapper(self):
         p = build_builtin("pyr-2-cube-2-0-1")
         assert p.ambient_dim == 4
-        assert len(p.vertices) == 6
+        assert len(p.halfspaces) == 4 + 2
 
     def test_random_uses_seed(self):
         assert build_builtin("random-3-2-5").vertices == build_builtin("random-3-2-5").vertices
@@ -138,11 +143,11 @@ class TestCompute:
         assert code == 2 and out == ""
         assert err == "error: generator dimension 101 exceeds the cap 100\n"
 
-    def test_no_strategy_exit_3(self, capsys, tmp_path):
+    def test_vertex_square_is_counted(self, capsys, tmp_path):
         path = tmp_path / "square.json"
         path.write_text('{"ambient_dim": 2, "vertices": [[0,0],[1,0],[0,1],[1,1]]}')
-        code, _out, err = run(capsys, "compute", "--input", str(path))
-        assert code == 3
+        assert run(capsys, "compute", "--input", str(path)) == run(
+            capsys, "compute", "--builtin", "cube-2-0-1")
 
     def test_cap_exceeded_exit_3(self, capsys):
         code, _out, err = run(
@@ -188,15 +193,25 @@ class TestCompute:
 
 _JSON_KEYS = ("ambient_dim", "vertices", "halfspaces", "d", "h_star", "f_star", "provenance")
 _small_int = st.integers(-4, 4)
+# Integers of up to 6,000 digits, past the interpreter's 4,300-digit limit
+# on int/str conversion: as JSON strings, and as JSON number literals,
+# which json.dumps cannot write, so `_json_text` puts them in place of
+# their "\x00<digits>" stand-ins.
+_huge_digits = st.integers(1, 6000)
+_entry = _small_int | _huge_digits.map(lambda n: "9" * n) | _huge_digits.map(lambda n: f"\x00{n}")
+
+
+def _json_text(value) -> str:
+    return re.sub(r'"\\u0000(\d+)"', lambda m: "9" * int(m[1]), json.dumps(value))
 
 
 def _shaped(d: int):
     """Objects with the right shape for dimension d, so that the guard also
     reaches the counting, the conversions and the audit."""
     def rows(length):
-        return st.lists(st.lists(_small_int, min_size=length, max_size=length), max_size=4)
+        return st.lists(st.lists(_entry, min_size=length, max_size=length), max_size=4)
 
-    vector = st.lists(_small_int, min_size=d + 1, max_size=d + 1)
+    vector = st.lists(_entry, min_size=d + 1, max_size=d + 1)
     return st.one_of(
         st.fixed_dictionaries({"ambient_dim": st.just(d), "vertices": rows(d)}),
         st.fixed_dictionaries({"ambient_dim": st.just(d), "halfspaces": rows(d + 1)}),
@@ -210,7 +225,7 @@ def _shaped(d: int):
 _json_values = st.one_of(
     st.integers(0, 3).flatmap(_shaped),
     st.recursive(
-        _small_int | st.text(max_size=6) | st.sampled_from(["raw", "polytope", "3", "-1"]),
+        _entry | st.text(max_size=6) | st.sampled_from(["raw", "polytope", "3", "-1"]),
         lambda inner: st.lists(inner, max_size=4)
         | st.dictionaries(st.sampled_from(_JSON_KEYS) | st.text(max_size=6), inner, max_size=4),
         max_leaves=24,
@@ -224,7 +239,7 @@ class TestArbitraryJson:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_every_input_ends_in_a_documented_exit(self, capsys, tmp_path, command, value):
         path = tmp_path / "input.json"
-        path.write_text(json.dumps(value))
+        path.write_text(_json_text(value))
         code, _out, err = run(capsys, command, "--input", str(path))
         assert "Traceback" not in err
         claims_polytope = (
@@ -402,8 +417,8 @@ class TestPolytopeDimensionCap:
         def refuse(*args):
             raise AssertionError("exact linear algebra ran past the dimension cap")
 
-        for module, name in ((intlinalg, "det"), (intlinalg, "solve_scaled"), (lattice, "det"),
-                             (lattice, "_vertex_walk")):
+        for module, name in ((intlinalg, "det"), (intlinalg, "scaled_inverse"), (lattice, "det"),
+                             (lattice, "scaled_inverse"), (lattice, "_extreme_rays")):
             monkeypatch.setattr(module, name, refuse)
 
     @pytest.mark.parametrize("command", ["compute", "audit", "series"])
@@ -418,18 +433,15 @@ class TestPolytopeDimensionCap:
         assert err == f"error: polytope dimension {d} exceeds the cap {GENERATOR_DIM_CAP}\n"
 
     @pytest.mark.parametrize("command", ["compute", "audit", "series"])
-    def test_facet_file_at_cap_exit_3_before_any_elimination(self, capsys, tmp_path,
-                                                             no_linear_algebra, command):
-        # the work estimate (C(101, 100) + C(101, 99)) * 100^3 is over the cap
+    def test_facet_file_at_cap_exit_3_on_the_scan_cost(self, capsys, tmp_path, command):
+        # the box [0, 1]^100 of the unimodular 100-simplex, from its facets
         d = GENERATOR_DIM_CAP
         path = tmp_path / "poly.json"
         path.write_text(json.dumps(_unimodular_file(d, "halfspaces")))
         code, out, err = run(capsys, command, "--input", str(path))
-        subsystems = comb(d + 1, d) + comb(d + 1, d - 1)
         assert code == 3 and out == ""
-        cap = lattice._HALFSPACE_WORK_CAP
-        assert err == (f"error: half-space box derivation needs {subsystems} subsystems, "
-                       f"about {subsystems * d**3} operations (cap {cap})\n")
+        assert err == (f"error: bounding-box scan would visit {2**d} candidates "
+                       "(cap 1000000000); raise the cap or use the parallelepiped route\n")
 
     def test_vertex_file_at_cap_computes(self, capsys, tmp_path):
         d = GENERATOR_DIM_CAP
@@ -438,6 +450,96 @@ class TestPolytopeDimensionCap:
         code, out, err = run(capsys, "compute", "--input", str(path))
         assert code == 0 and err == ""
         assert f"h*: 1{' 0' * d}" in out.splitlines()
+
+
+def _write(tmp_path, obj) -> str:
+    path = tmp_path / "input.json"
+    path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
+    return str(path)
+
+
+class TestCountedByDoubleDescription:
+    """A vertex list that is not a simplex, many-row H-files and a cube past 20 dimensions."""
+
+    def test_octahedron_vertex_file(self, capsys, tmp_path):
+        units = [[s * (k == j) for k in range(3)] for j in range(3) for s in (1, -1)]
+        code, out, err = run(capsys, "compute", "--input",
+                             _write(tmp_path, {"ambient_dim": 3, "vertices": units}))
+        assert (code, err) == (0, "") and "h*: 1 3 3 1" in out.splitlines()
+
+    def test_six_dimensional_cross_polytope(self, capsys, tmp_path):
+        rows = [[1, *s] for s in product((-1, 1), repeat=6)]
+        code, out, err = run(capsys, "compute", "--input",
+                             _write(tmp_path, {"ambient_dim": 6, "halfspaces": rows}))
+        assert (code, err) == (0, "") and "h*: 1 6 15 20 15 6 1" in out.splitlines()
+
+    def test_cube_in_21_dimensions(self, capsys):
+        code, out, err = run(capsys, "compute", "--builtin", "cube-21-0-1", "--format", "json")
+        assert (code, err) == (0, "")
+        h = [int(x) for x in json.loads(out)["h_star"]]
+        assert len(h) == 22 and h[:2] == [1, 2**21 - 22] and sum(h) == factorial(21)
+
+    @pytest.mark.parametrize("cuts", [196, 1996])
+    def test_square_with_corner_cuts(self, capsys, tmp_path, cuts):
+        # [-1, 1]^2 and redundant cuts, a third of them through a corner
+        rows = [[1, 1, 0], [1, -1, 0], [1, 0, 1], [1, 0, -1]]
+        for i in range(cuts):
+            a = [(7 * i) % 11 - 5, (3 * i) % 13 - 6]
+            rows.append([abs(a[0]) + abs(a[1]) + (i % 3) * (1 + i % 2), *a])
+        path = _write(tmp_path, {"ambient_dim": 2, "halfspaces": rows})
+        p = lattice.polytope_from_json(Path(path).read_text())
+        start = time.perf_counter()
+        assert p.halfspace_box == ((-1, -1), (1, 1))
+        assert time.perf_counter() - start < 1.0
+        if cuts < 1000:  # the scan pairs every row with every other on the last axis
+            code, out, err = run(capsys, "compute", "--input", path)
+            assert (code, err) == (0, "") and "h*: 1 6 1" in out.splitlines()
+
+
+class TestHugeIntegers:
+    """Integers past the interpreter's 4,300-digit limit end in exit 2, not a traceback."""
+
+    NINES = "9" * 5000
+    CAP_LINE = "error: integer of {} digits exceeds the cap of 40 digits\n"
+
+    @pytest.mark.parametrize("entry", ["literal", "string"])
+    def test_vertex_file_with_a_5000_digit_entry(self, capsys, tmp_path, entry):
+        big = self.NINES if entry == "literal" else f'"{self.NINES}"'
+        path = _write(tmp_path, f'{{"ambient_dim": 1, "vertices": [[0], [{big}]]}}')
+        assert run(capsys, "compute", "--input", path) == (2, "", self.CAP_LINE.format(5000))
+
+    @pytest.mark.parametrize("argv", [
+        ["compute"], ["audit"], ["series"], ["compute", "--volume-cap", "1"]])
+    def test_triangle_with_4000_digit_coordinates(self, capsys, tmp_path, argv):
+        n = "9" * 4000
+        path = _write(tmp_path, f'{{"ambient_dim": 2, "vertices": [[0, 0], [{n}, 0], [0, {n}]]}}')
+        assert run(capsys, *argv, "--input", path) == (2, "", self.CAP_LINE.format(4000))
+
+    def test_convert_of_a_4290_digit_vector_entry(self, capsys, tmp_path):
+        entries = ["1", "9" * 4290] + ["0"] * 199
+        path = _write(tmp_path, {"d": 200, "h_star": entries})
+        assert run(capsys, "convert", "--input", path) == (2, "", self.CAP_LINE.format(4290))
+
+    @pytest.mark.parametrize("name, digits", [
+        pytest.param(f"cube-20-0-{'9' * 1000}", 1000, id="cube-bound"),
+        pytest.param(f"pyr-{'9' * 4300}-unimodular-2", 4300, id="pyramid-count"),
+    ])
+    def test_builtin_parameters(self, capsys, name, digits):
+        assert run(capsys, "compute", "--builtin", name) == (2, "", self.CAP_LINE.format(digits))
+
+    def test_forty_digits_pass(self, capsys, tmp_path):
+        shift = 10**39
+        path = _write(tmp_path, {"ambient_dim": 1, "vertices": [[shift], [shift + 1]]})
+        code, out, err = run(capsys, "compute", "--input", path)
+        assert (code, err) == (0, "") and "h*: 1 0" in out.splitlines()
+        path = _write(tmp_path, {"ambient_dim": 1, "vertices": [[10 * shift], [0]]})
+        assert run(capsys, "compute", "--input", path) == (2, "", self.CAP_LINE.format(41))
+
+    def test_unprintable_scan_total_is_named_by_its_digit_count(self):
+        with pytest.raises(ehrstar.CostGuardExceeded) as info:
+            ehrstar.engine._check_scan_cost([0, 0], [10**3000, 10**3000], 10**9)
+        assert str(info.value) == ("bounding-box scan would visit <6001-digit number> candidates "
+                                   "(cap 1000000000); raise the cap or use the parallelepiped route")
 
 
 class TestSearch:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -34,7 +35,6 @@ from ehrstar.engine import (
 from ehrstar.errors import (
     CostGuardExceeded,
     InputError,
-    NoCountingStrategy,
     NotFullDimensionalError,
     VolumeCapExceeded,
 )
@@ -43,7 +43,8 @@ from ehrstar.lattice import (
     HalfSpace,
     LatticePolytope,
     LatticeSimplex,
-    _vertex_walk,
+    _extreme_rays,
+    iterated_pyramid,
     make_cube,
     make_higashitani,
     make_random_simplex,
@@ -218,6 +219,17 @@ class TestPyramids:
         for n in range(1, 5):
             assert count_points(pyr, n) == count_points(by_facets, n)
 
+    @pytest.mark.parametrize("times", [1, 2, 3])
+    @pytest.mark.parametrize("low, high", [(0, 1), (-1, 2)])
+    def test_pyramid_rows_without_the_hint(self, times, low, high):
+        # the rows that `pyramid` writes over a half-space base cut out the
+        # pyramid itself: counted as a plain H-polytope, they give the
+        # hinted cross-section sums
+        for d in (2, 3):  # make_cube gives d = 1 its vertices
+            tower = iterated_pyramid(make_cube(d, low, high), times)
+            rows = LatticePolytope(d + times, halfspaces=tower.halfspaces)
+            assert count_profile(rows).counts == count_profile(tower).counts
+
     def test_pyramid_invariant_cube(self):
         base = h_star_of(make_cube(2, -1, 1))
         lifted = h_star_of(pyramid(make_cube(2, -1, 1)))
@@ -241,6 +253,11 @@ class TestHStarDispatch:
         assert result.h.entries == (1, 6, 1)
         assert result.f.entries == (9, 16, 8)
         assert result.counts == (1, 9, 25, 49)
+
+    def test_segment_cube_and_its_pyramids_stay_simplices(self):
+        # make_cube gives d = 1 its two vertices, so the route does not change
+        for p in (make_cube(1, -2, 3), iterated_pyramid(make_cube(1, 0, 2), 2)):
+            assert compute_vectors(p).route == "parallelepiped"
 
     def test_simplex_parallelepiped_route(self):
         result = compute_vectors(make_higashitani(7, 131, 7, 132))
@@ -272,10 +289,9 @@ class TestGuardsAndErrors:
         with pytest.raises(CostGuardExceeded):
             count_points(make_unimodular_simplex(3), 5, count_cap=10)
 
-    def test_no_strategy_for_plain_vertex_polytope(self):
+    def test_plain_vertex_polytope_is_counted(self):
         square = LatticePolytope(2, vertices=((0, 0), (1, 0), (0, 1), (1, 1)))
-        with pytest.raises(NoCountingStrategy):
-            count_points(square, 1)
+        assert [count_points(square, n) for n in (1, 2, 3)] == [4, 9, 16]
 
     def test_lower_dimensional_rejected(self):
         seg = LatticePolytope(2, vertices=((0, 0), (2, 2)))
@@ -350,17 +366,26 @@ class TestCountingDispatch:
                 _ENTRY_POINTS[entry](make_higashitani(7, 131, 7, 132).to_polytope())
 
     @pytest.mark.parametrize("entry", _ENTRY_POINTS)
-    @pytest.mark.parametrize("vertices, error, message", [
-        pytest.param(((0, 0), (2, 2)), NotFullDimensionalError, _FLAT, id="segment"),
-        pytest.param(((0, 0), (1, 1), (3, 3)), NotFullDimensionalError, _FLAT, id="collinear"),
-        pytest.param(((0, 0), (1, 0), (0, 1), (1, 1)), NoCountingStrategy,
-                     "vertex polytope is not a simplex and carries no structure hint; "
-                     "provide a half-space description to count it", id="square"),
+    @pytest.mark.parametrize("vertices, outcome", [
+        pytest.param(((0, 0), (2, 2)), _FLAT, id="segment"),
+        pytest.param(((0, 0), (1, 1), (3, 3)), _FLAT, id="collinear"),
+        pytest.param(((0, 0), (1, 0), (0, 1), (1, 1)), 4, id="square"),
     ])
-    def test_unhinted_vertex_inputs(self, entry, vertices, error, message):
-        with pytest.raises(error) as info:
-            _ENTRY_POINTS[entry](LatticePolytope(2, vertices=vertices))
-        assert str(info.value) == message
+    def test_unhinted_vertex_inputs(self, entry, vertices, outcome):
+        # a flat list is refused with its rank; anything else is counted by its facets
+        p = LatticePolytope(2, vertices=vertices)
+        if isinstance(outcome, int):
+            assert _ENTRY_POINTS[entry](p) == outcome
+            return
+        with pytest.raises(NotFullDimensionalError) as info:
+            _ENTRY_POINTS[entry](p)
+        assert str(info.value) == outcome
+
+    @pytest.mark.parametrize("entry", _ENTRY_POINTS)
+    def test_facet_route_skips_the_rank(self, no_rank, entry):
+        octahedron = LatticePolytope(3, vertices=tuple(
+            tuple(s * (k == j) for k in range(3)) for j in range(3) for s in (1, -1)))
+        assert _ENTRY_POINTS[entry](octahedron) == 7
 
     @pytest.mark.parametrize("entry", _ENTRY_POINTS)
     def test_pyramid_over_a_flat_base_reports_the_base(self, entry):
@@ -402,16 +427,31 @@ class TestHalfspaceVertexStep:
         with pytest.raises(InputError, match=r"non-lattice vertex \(10/3, 6\)"):
             compute_vectors(p)
 
-    # (C(30, 6) + C(30, 5)) * 6^3 and (C(23, 17) + C(23, 16)) * 17^3 are over the work cap
-    @pytest.mark.parametrize("m, d", [(30, 6), (23, 17)])
-    def test_subsystem_cap_checked_before_any_solve(self, monkeypatch, m, d):
-        def no_walk(*_args):
-            raise AssertionError("the vertex walk ran before the cap check")
-
-        monkeypatch.setattr(ehrstar.lattice, "_vertex_walk", no_walk)
-        rows = tuple(HalfSpace(1, tuple((i + j) % 3 - 1 for j in range(d))) for i in range(m))
-        with pytest.raises(CostGuardExceeded):
-            LatticePolytope(d, halfspaces=rows).halfspace_box
+    def test_work_cap_checked_before_each_step(self, monkeypatch):
+        # conv(+-e_i) in R^4 by its 16 facets, under every cap up to the
+        # run's total work. Each new ray is reduced by its gcd once, so the
+        # reductions count the rays that a run has built.
+        rows = tuple(HalfSpace(1, s) for s in product((-1, 1), repeat=4))
+        built = []
+        reduce = ehrstar.lattice._reduce_by_gcd
+        monkeypatch.setattr(ehrstar.lattice, "_reduce_by_gcd", lambda r: built.append(1) or reduce(r))
+        refused = {}  # row of the refused step -> rays built before the refusal
+        for cap in range(10**4):
+            monkeypatch.setattr(ehrstar.lattice, "_HALFSPACE_WORK_CAP", cap)
+            built.clear()
+            try:
+                box = LatticePolytope(4, halfspaces=rows).halfspace_box
+                break
+            except CostGuardExceeded as exc:
+                match = re.fullmatch(rf"vertex enumeration would pass {cap} adjacency tests "
+                                     r"at row (\d+) of 17", str(exc))
+                assert match, str(exc)
+                row = int(match[1])
+                assert row >= max(refused, default=0)
+                # a larger cap that still refuses at this row built nothing more
+                assert refused.setdefault(row, len(built)) == len(built)
+        assert box == ((-1,) * 4, (1,) * 4)
+        assert len(refused) >= 3 and min(refused.values()) < len(built)
 
 
 def _random_h_system(rng) -> LatticePolytope:
@@ -489,8 +529,22 @@ def _random_rows(rng) -> tuple[int, tuple[HalfSpace, ...]]:
     return d, tuple(rows)
 
 
+def _cone_rays(hs, d):
+    """`_extreme_rays` of the cone over the rows, as `halfspace_box` runs it."""
+    return _extreme_rays([[1] + [0] * d] + [[h.offset, *h.normal] for h in hs], d + 1)
+
+
+def _dd_vertices(hs, d):
+    """(vertex set, verdict) read off `_cone_rays`."""
+    rays = _cone_rays(hs, d)
+    if rays is None or all(r[0] == 0 for r in rays):
+        return set(), "no vertices"
+    points = {tuple(Fraction(v, r[0]) for v in r[1:]) for r in rays if r[0]}
+    return points, "unbounded" if any(r[0] == 0 for r in rays) else "bounded"
+
+
 class TestVertexWalk:
-    """The walk over row subsets against the subset-by-subset oracle."""
+    """The double-description vertex enumeration against the subset-by-subset oracle."""
 
     @pytest.mark.parametrize("block", range(4))
     def test_matches_the_subset_oracle(self, block):
@@ -503,18 +557,20 @@ class TestVertexWalk:
             else:
                 p = _random_h_system(rng)
                 d, hs = p.ambient_dim, p.halfspaces
-            points, ray = _vertex_walk(hs, d)
-            walked = [tuple(Fraction(v, q) for v in x) for q, x in points]
-            assert (walked, ray) == fraction_vertex_walk(hs, d), p
+            points, ray = fraction_vertex_walk(hs, d)
+            verdict = "no vertices" if not points else "unbounded" if ray else "bounded"
+            assert _dd_vertices(hs, d) == (set(points), verdict), p
             outcome = _box_outcome(lambda poly: poly.halfspace_box, p)
             if isinstance(outcome[0], str):
                 seen[next(k for k in TestFractionFreeBox.KINDS if k in outcome[1])] += 1
             else:
                 seen["bounded"] += 1
-            seen["negative pivot"] += any(q < 0 for q, _x in points)
+            seen["lineality"] += _cone_rays(hs, d) is None
+            seen["repeated vertex"] += len(set(points)) < len(points)
             singular = any(det([list(h.normal) for h in s]) == 0 for s in combinations(hs, d))
             seen["dependent rows"] += bool(points) and singular
-        kinds = ("bounded", *TestFractionFreeBox.KINDS, "negative pivot", "dependent rows")
+        kinds = ("bounded", *TestFractionFreeBox.KINDS, "lineality", "repeated vertex",
+                 "dependent rows")
         assert all(seen[k] for k in kinds), seen
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -534,6 +590,52 @@ class TestVertexWalk:
         p = LatticePolytope(3, halfspaces=tuple(rows))
         assert p.halfspace_box == ((-1,) * 3, (1,) * 3)
         assert compute_vectors(p).h.entries == compute_vectors(make_cube(3, -1, 1)).h.entries
+
+
+class TestVertexLists:
+    """Vertex lists that are not simplices are counted through their facets."""
+
+    def test_octahedron(self):
+        p = LatticePolytope(3, vertices=tuple(
+            tuple(s * (k == j) for k in range(3)) for j in range(3) for s in (1, -1)))
+        result = compute_vectors(p)
+        assert (result.h.entries, result.route) == ((1, 3, 3, 1), "interpolation")
+        assert result.counts == every_dilate_counts(
+            LatticePolytope(3, halfspaces=tuple(HalfSpace(1, s) for s in product((-1, 1), repeat=3))))
+
+    @pytest.mark.parametrize("d", range(2, 6))
+    @pytest.mark.parametrize("low, high", [(0, 1), (-1, 1), (-1, 2)])
+    def test_cubes_by_their_vertices(self, d, low, high):
+        p = LatticePolytope(d, vertices=tuple(product((low, high), repeat=d)))
+        assert count_profile(p).counts == tuple((n * (high - low) + 1) ** d for n in range(d + 2))
+        assert h_star_of(p) == h_star_of(make_cube(d, low, high))
+
+    @pytest.mark.parametrize("d", range(2, 6))
+    def test_cross_polytopes_by_their_vertices(self, d):
+        units = [tuple(s * (k == j) for k in range(d)) for j in range(d) for s in (1, -1)]
+        p = LatticePolytope(d, vertices=tuple(units))
+        assert h_star_of(p).entries == tuple(math.comb(d, i) for i in range(d + 1))
+
+    @pytest.mark.parametrize("d", range(2, 5))
+    def test_simplex_plus_an_interior_point(self, d):
+        # conv(S + one lattice point inside S) is S, so the h* is S's own
+        rng = random.Random(d)
+        checked = 0
+        while checked < 4:
+            s = make_random_simplex(d, 3, rng.randrange(10**6))
+            a, _scale = s.membership_kernel
+            box = product(*(range(min(c), max(c) + 1) for c in zip(*s.vertices)))
+            inside = [q for q in box if all(sum(x * y for x, y in zip(row, (*q, 1))) > 0 for row in a)]
+            if not inside:
+                continue
+            vertices = list(s.vertices)
+            vertices.insert(rng.randrange(d + 2), rng.choice(inside))
+            p = LatticePolytope(d, vertices=tuple(vertices))
+            assert p.simplex is None
+            result = compute_vectors(p)
+            assert result.route == "interpolation"
+            assert result.h == h_star_of(s)
+            checked += 1
 
 
 def _axis_rows(lows, highs):

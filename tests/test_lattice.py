@@ -98,11 +98,17 @@ class TestPyramid:
         assert set(tri.vertices) == {(0, 0), (1, 0), (0, 1)}
 
     def test_square_to_pyramid(self):
+        # over a half-space polytope: b + a . x - b * t >= 0, and t >= 0
         square = make_cube(2, 0, 1)
         pyr = pyramid(square)
         assert pyr.ambient_dim == 3
-        assert (0, 0, 1) in pyr.vertices
-        assert len(pyr.vertices) == 5
+        assert {(h.offset, h.normal) for h in pyr.halfspaces} == {
+            (0, (1, 0, 0)), (1, (-1, 0, -1)), (0, (0, 1, 0)), (1, (0, -1, -1)), (0, (0, 0, 1))}
+        by_vertices = pyramid(LatticePolytope(2, vertices=((0, 0), (1, 0), (0, 1), (1, 1))))
+        assert (0, 0, 1) in by_vertices.vertices
+        assert len(by_vertices.vertices) == 5
+        unhinted = LatticePolytope(3, halfspaces=pyr.halfspaces)
+        assert unhinted.halfspace_box == ((0, 0, 0), (1, 1, 1))
 
     def test_hint_accumulates(self):
         square = make_cube(2, 0, 1)
@@ -136,19 +142,22 @@ class TestPyramid:
 class TestGenerators:
     def test_square_with_symmetric_range(self):
         p = make_cube(2, -1, 1)
-        assert set(p.vertices) == {(-1, -1), (-1, 1), (1, -1), (1, 1)}
+        assert p.vertices is None
+        assert p.halfspace_box == ((-1, -1), (1, 1))
         assert p.hint == BoxHint((-1, -1), (1, 1))
 
     def test_cube_vertex_count(self):
-        assert len(make_cube(3, 0, 1).vertices) == 8
+        # the cube carries its 6 facets, whose cone has the 8 vertices as rays
+        cube = make_cube(3, 0, 1)
+        rows = [[1, 0, 0, 0]] + [[h.offset, *h.normal] for h in cube.halfspaces]
+        assert len(cube.halfspaces) == 6 and len(lattice._extreme_rays(rows, 4)) == 8
 
-    def test_cube_validation(self, monkeypatch):
+    def test_cube_validation(self):
         with pytest.raises(InputError):
             make_cube(2, 1, 1)
-        with pytest.raises(InputError):
-            make_cube(21, 0, 1)
-        monkeypatch.setattr(lattice, "CUBE_DIM_CAP", 21)
-        make_cube(21, 0, 1)
+        with pytest.raises(InputError, match="^generator dimension 101 exceeds the cap 100$"):
+            make_cube(GENERATOR_DIM_CAP + 1, 0, 1)
+        assert len(make_cube(GENERATOR_DIM_CAP, 0, 1).halfspaces) == 2 * GENERATOR_DIM_CAP
 
     @pytest.mark.parametrize("build", [
         make_unimodular_simplex,
@@ -229,10 +238,9 @@ class TestPolytopeValidation:
 
 class TestJson:
     def test_vertex_round_trip(self):
-        p = make_cube(2, -1, 1)
         q = polytope_from_json('{"ambient_dim": 2, "vertices": [[-1,-1],[-1,1],[1,-1],[1,1]]}')
         assert q.ambient_dim == 2
-        assert set(q.vertices) == set(p.vertices)
+        assert set(q.vertices) == {(-1, -1), (-1, 1), (1, -1), (1, 1)}
 
     def test_halfspace_round_trip(self):
         text = '{"ambient_dim": 2, "halfspaces": [[1,1,0],[1,-1,0],[1,0,1],[1,0,-1]]}'
