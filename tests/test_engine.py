@@ -453,6 +453,32 @@ class TestHalfspaceVertexStep:
         assert box == ((-1,) * 4, (1,) * 4)
         assert len(refused) >= 3 and min(refused.values()) < len(built)
 
+    # The polar of the cyclic polytope C(m, d) by its m facets: the double
+    # description refuses it under the real cap part way through the rows,
+    # and the refused step has solved no crossing: the rays built are
+    # exactly those of the run over the rows before it.
+    @pytest.mark.parametrize("m, d", [(30, 6), (23, 17)])
+    def test_subsystem_cap_checked_before_any_solve(self, monkeypatch, m, d):
+        ts = range(-(m // 2), m - m // 2)
+        points = [[t**k for k in range(1, d + 1)] for t in ts]
+        center = [sum(col) for col in zip(*points)]
+        rows = tuple(HalfSpace(1, tuple(c - m * x for c, x in zip(center, p))) for p in points)
+        built = []
+        reduce = ehrstar.lattice._reduce_by_gcd
+        monkeypatch.setattr(ehrstar.lattice, "_reduce_by_gcd", lambda r: built.append(1) or reduce(r))
+        with pytest.raises(CostGuardExceeded) as exc:
+            LatticePolytope(d, halfspaces=rows).halfspace_box
+        match = re.fullmatch(r"vertex enumeration would pass \d+ adjacency tests "
+                             rf"at row (\d+) of {m + 1}", str(exc.value))
+        assert match, str(exc.value)
+        row = int(match[1])
+        assert d + 1 < row <= m
+        refused_after = len(built)
+        built.clear()
+        homogenized = [[1] + [0] * d] + [[h.offset, *h.normal] for h in rows]
+        assert ehrstar.lattice._extreme_rays(homogenized[:row - 1], d + 1) is not None
+        assert refused_after == len(built)
+
 
 def _random_h_system(rng) -> LatticePolytope:
     """A small half-space system: bounded, unbounded, empty, flat or non-lattice.
