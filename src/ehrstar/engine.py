@@ -7,12 +7,11 @@ entry points then work on that alone. The strategies, in that order:
   * pyramid hints: cross-sections of the n-th dilate of a pyramid at
     integer heights t are the (n-t)-th dilates of the base, so the counts
     are iterated partial sums of the base counts;
-  * simplices: membership scan over the bounding box of the dilate,
-    decided by the sign pattern of a precomputed scaled inverse;
-  * any other polytope: inequality scan over the box of its vertices,
-    which one double-description routine (`lattice._extreme_rays`) derives
-    from a half-space list, with the rows given; a vertex list that is not
-    a simplex is scanned with the facets that the same routine derives.
+  * any other polytope, a simplex included: inequality scan of its
+    facets over the box of its vertices, both of which one
+    double-description routine (`lattice._extreme_rays`) derives through
+    `LatticePolytope.double_description`; a half-space list keeps one of
+    its own rows per facet and drops the redundant ones.
 
 Hints are trusted to be full-dimensional (a pyramid's base is checked when
 its counts are taken), and the facet cone of a vertex list holds a line
@@ -46,22 +45,9 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate, product
 
-from .errors import (
-    CostGuardExceeded,
-    InputError,
-    NotFullDimensionalError,
-    VolumeCapExceeded,
-    shown,
-)
+from .errors import CostGuardExceeded, InputError, VolumeCapExceeded, shown
 from .intlinalg import _reduce_by_gcd, diagonalize_lattice_basis
-from .lattice import (
-    BoxHint,
-    LatticePolytope,
-    LatticeSimplex,
-    PyramidHint,
-    _extreme_rays,
-    _homogenized_columns,
-)
+from .lattice import BoxHint, LatticePolytope, LatticeSimplex, PyramidHint, _homogenized_columns
 from .starbasis import FStarVector, HStarVector, eval_ehrhart, f_from_h, h_from_f
 
 DEFAULT_COUNT_CAP = 10**9
@@ -278,36 +264,18 @@ def _dilate(system, n: int):
 
 
 def _counted(p: LatticePolytope | LatticeSimplex):
-    """p's BoxHint or PyramidHint, else its scan system (mins, maxs, rows, offsets).
-
-    A half-space polytope scans its own rows over `halfspace_box`, which
-    rejects empty, unbounded, flat and non-lattice input even at d = 0. A
-    vertex list scans over its vertex box: a simplex with its membership
-    kernel, anything else with its facets (b, a), the extreme rays of the
-    cone {(b, a) : b + a . v >= 0 for every vertex v}.
+    """p's BoxHint or PyramidHint, else its scan system (mins, maxs, rows, offsets):
+    the box of its vertices and its facets, from `LatticePolytope.double_description`,
+    which rejects empty, unbounded, flat and non-lattice input even at d = 0.
     """
-    if isinstance(p, LatticePolytope):
-        if p.hint is not None:
-            return p.hint
-        if p.vertices is None:
-            mins, maxs = p.halfspace_box
-            rows = [list(h.normal) for h in p.halfspaces]
-            return mins, maxs, rows, [h.offset for h in p.halfspaces]
-    d = p.ambient_dim
-    s = p if isinstance(p, LatticeSimplex) else p.simplex
-    if s is not None:
-        a, _scale = s.membership_kernel
-        facets = [[row[d], *row[:d]] for row in a]
-    else:
-        facets = _extreme_rays([[1, *v] for v in p.vertices], d + 1)
-        if facets is None:
-            raise NotFullDimensionalError(
-                f"polytope has affine dimension {p.dim} inside R^{d}; "
-                "Ehrhart operations need a full-dimensional polytope"
-            )
-    mins = [min(c) for c in zip(*p.vertices)]
-    maxs = [max(c) for c in zip(*p.vertices)]
-    return mins, maxs, [f[1:] for f in facets], [f[0] for f in facets]
+    if isinstance(p, LatticeSimplex):
+        p = p.to_polytope()
+    if p.hint is not None:
+        return p.hint
+    vertices, facets = p.double_description
+    mins = [min(c) for c in zip(*vertices)]
+    maxs = [max(c) for c in zip(*vertices)]
+    return mins, maxs, [list(f.normal) for f in facets], [f.offset for f in facets]
 
 
 def count_points(p: LatticePolytope | LatticeSimplex, n: int, *, count_cap: int = DEFAULT_COUNT_CAP) -> int:
@@ -352,8 +320,8 @@ def _reciprocity_counts(system, nmax: int, count_cap: int) -> list[int]:
     Each scanned dilate gives ehr(n) and, by Ehrhart-Macdonald reciprocity,
     ehr(-n) = (-1)^d * #interior(nP). For integer x, row . x + off > 0 is
     row . x + off - 1 >= 0, and the interior of a full-dimensional polytope
-    is cut out by the strict versions of its rows with a nonzero normal, so
-    the interior count is the same kernel on those rows with offsets - 1.
+    is cut out by the strict versions of its facets, so the interior count
+    is the same kernel on the same rows with offsets - 1.
     With ehr(0) = 1 that gives ehr on the nodes -k..k, whose Newton forward
     differences determine the polynomial of degree d exactly. For odd d
     there is one node more than needed: its difference must vanish.
@@ -365,10 +333,7 @@ def _reciprocity_counts(system, nmax: int, count_cap: int) -> list[int]:
         lows, highs, rows, offsets = _dilate(system, n)
         _check_scan_cost(lows, highs, count_cap)
         above.append(_count_box_satisfying(lows, highs, rows, offsets))
-        strict = [i for i, row in enumerate(rows) if any(row)]
-        interior = _count_box_satisfying(
-            lows, highs, [rows[i] for i in strict], [offsets[i] - 1 for i in strict]
-        )
+        interior = _count_box_satisfying(lows, highs, rows, [c - 1 for c in offsets])
         below.append((-1) ** d * interior)
     diffs = _forward_differences(below[::-1] + [1] + above)  # nodes -k..k
     if any(diffs[d + 1 :]):

@@ -1,7 +1,7 @@
 """Exact linear algebra over the integers and rationals.
 
 Matrices are plain lists of rows of Python ints; no floating point.
-`det`, `solve_scaled` and `scaled_inverse` share one fraction-free
+`det`, `solve_rational` and `scaled_inverse` share one fraction-free
 (Bareiss) Gauss-Jordan elimination, whose entries stay minors of the input.
 Only `solve_rational` builds Fractions, and it imports `fractions` itself,
 so a process that never calls it skips that import.
@@ -87,30 +87,20 @@ class EchelonBasis:
         return False
 
 
-def solve_scaled(rows: IntMatrix, rhs: list[int]) -> tuple[int, list[int]] | None:
-    """(D, x) with rows @ x == D * rhs and D = det(rows) != 0; None if singular.
-
-    The rational solution is x / D, decided without leaving the integers:
-    it is integral iff D divides every entry of x.
-    """
-    d, x = _eliminate(rows, [[b] for b in rhs])
-    return None if x is None else (d, [row[0] for row in x])
-
-
 def solve_rational(rows: IntMatrix, rhs: list[int]):
     """Solve A x = b exactly over Q as a list of Fractions; None if A is singular."""
     from fractions import Fraction  # here: no other path of the package needs the module
 
-    sol = solve_scaled(rows, rhs)
-    return None if sol is None else [Fraction(x, sol[0]) for x in sol[1]]
+    d, x = _eliminate(rows, [[b] for b in rhs])
+    return None if x is None else [Fraction(row[0], d) for row in x]
 
 
 def scaled_inverse(rows: IntMatrix) -> tuple[IntMatrix, int] | None:
     """Return (A, D) with A @ rows == D * I, D = |det(rows)| > 0.
 
     A is the adjugate up to sign, so all entries are integers. Returns None
-    for singular input. Used as a precomputed membership kernel: the solution
-    of rows @ x = b is A @ b / D, and its sign pattern is that of A @ b.
+    for singular input. The solution of rows @ x = b is A @ b / D, and the
+    columns of A span the cone {x : rows @ x >= 0} when rows are independent.
     """
     n = len(rows)
     identity = [[int(i == j) for j in range(n)] for i in range(n)]

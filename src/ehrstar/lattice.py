@@ -2,9 +2,10 @@
 
 A lattice point is a plain tuple of ints. Polytopes are immutable; they
 carry either a vertex list or a half-space list. One double-description
-routine, `_extreme_rays`, converts between the two where counting needs
-it: it finds the vertices of a half-space list (`halfspace_box`) and the
-facets of a vertex list that is not a simplex (`engine._counted`).
+routine, `_extreme_rays`, gives every polytope that is counted by a scan
+both: `LatticePolytope.double_description` reads the facets of a vertex
+list off it, and the vertices of a half-space list together with the rows
+that bound its facets.
 Generators may attach a structure hint (box product, pyramid tower) that
 the counting engine exploits; hints never change the mathematical object.
 """
@@ -13,7 +14,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import islice
+from operator import and_
 
 from .errors import (
     CostGuardExceeded,
@@ -35,15 +38,17 @@ RANDOM_SIMPLEX_DRAWS = 1000  # degenerate draws before make_random_simplex gives
 # `compute` of the unimodular d-simplex given by its vertices takes 0.5 s
 # at d = 100, 1.5 s at d = 200 and 9.3 s at d = 400 on a 2-vCPU Xeon VM.
 GENERATOR_DIM_CAP = 100
-# Work cap of `_extreme_rays`, checked before each step against the running
-# sum of |positive rays| * |negative rays| * |rays|, at most one bit-set
-# comparison each. On a 2-vCPU Xeon VM the slowest units seen, 0.4 us, are
-# those of the 8,192 facets of the 13-dimensional cross-polytope (2.7e6
-# units, 1.1 s), so a run stops at about 4 s. The 5-dimensional one takes
-# 1,023 units (0.7 ms), the facets of the unimodular 100-simplex 10,100
-# (0.18 s, mostly its scaled inverse), the square with 1,996 corner cuts 9
-# (10 ms). Most pairs of a random vertex list fail at once: 40 vertices in
-# R^5 take 4.0e7 units, 0.06 s, and exit 3.
+# Work cap of `_extreme_rays`. A step is charged |positive rays| * |negative
+# rays| for counting the common tight rows of each pair, then |rays| for
+# each pair with enough of them to need the bit-set comparisons, and the
+# running sum is checked after each part, before the step builds a ray. On
+# a 2-vCPU Xeon VM most units take 0.2-0.3 us (60 random points of
+# [-2, 2]^6: 8.5e6 units, 2.3 s); the slowest seen, 0.7 us, are those of
+# the 13-dimensional cross-polytope by its 8,192 facets (1.8e6 units,
+# 1.2 s), so a run stops within about 7 s. The 6-dimensional one takes
+# 1,590 units (3 ms), the facets of the unimodular 100-simplex 10,200
+# (0.38 s, mostly its scaled inverse), the square with 1,996 corner cuts 12
+# (20 ms), and 40 random points of [-2, 2]^5 3.0e5 (0.06 s).
 _HALFSPACE_WORK_CAP = 10**7
 
 
@@ -116,44 +121,69 @@ class LatticePolytope:
             return None
 
     @cached_property
-    def halfspace_box(self) -> tuple[LatticePoint, LatticePoint]:
-        """(mins, maxs): the integral bounding box of a half-space polytope.
+    def double_description(self) -> tuple[tuple[LatticePoint, ...], tuple[HalfSpace, ...]]:
+        """(vertices, facets): the polytope by its points and by one row per facet.
 
-        The cone over it, y0 >= 0 and offset * y0 + normal . x >= 0, has the
-        primitive extreme rays (q, q * v) for its vertices v and (0, r) for
-        the extreme rays r of its recession cone: so no q > 0 means empty,
-        a q = 0 unbounded, and each v is a lattice point iff q = 1. Empty,
-        unbounded, flat and non-lattice input is rejected; the message names
-        the lexicographically least non-lattice vertex.
+        A vertex list keeps its points; its facets are the primitive extreme
+        rays (b, a) of the cone {(b, a) : b + a . v >= 0 for every point v},
+        which holds a line iff the list is flat.
+
+        A half-space list's cone, y0 >= 0 and offset * y0 + normal . x >= 0,
+        has the primitive extreme rays (q, q * v) for its vertices v and
+        (0, r) for the extreme rays r of its recession cone: so no q > 0 means
+        empty, a q = 0 unbounded, and each v is a lattice point iff q = 1.
+        Empty, unbounded, non-lattice and flat input is rejected in that
+        order; the message names the lexicographically least non-lattice
+        vertex. Of its rows, those with a zero normal or tight on fewer than
+        d vertices bound no facet; of the rest, the first row of each maximal
+        set of tight vertices is kept, and those sets are the facets'.
         """
         d = self.ambient_dim
+        if self.vertices is not None:
+            rays = _extreme_rays([[1, *v] for v in self.vertices], d + 1)
+            if rays is None:
+                raise NotFullDimensionalError(
+                    f"polytope has affine dimension {self.dim} inside R^{d}; "
+                    "Ehrhart operations need a full-dimensional polytope"
+                )
+            return self.vertices, tuple(HalfSpace(f[0], tuple(f[1:])) for f, _ in rays)
         hs = self.halfspaces
-        if hs is None:
-            raise InputError("half-space box needs a half-space representation")
         rays = _extreme_rays([[1] + [0] * d] + [[h.offset, *h.normal] for h in hs], d + 1)
-        if rays is None or all(r[0] == 0 for r in rays):
+        if rays is None or all(r[0] == 0 for r, _ in rays):
             raise InputError("half-space system has no vertices (empty or unbounded)")
-        if any(r[0] == 0 for r in rays):
+        if any(r[0] == 0 for r, _ in rays):
             raise InputError("half-space system is unbounded")
-        fractional = [r for r in rays if r[0] > 1]
+        fractional = [r for r, _ in rays if r[0] > 1]
         if fractional:
             from fractions import Fraction  # only for the message
 
             least = ", ".join(map(str, min([Fraction(v, r[0]) for v in r[1:]] for r in fractional)))
             raise InputError(f"half-space polytope has the non-lattice vertex ({least}); "
                              "only lattice polytopes are supported")
-        vertices = tuple(tuple(r[1:]) for r in rays)
+        vertices = tuple(tuple(r[1:]) for r, _ in rays)
         rank = LatticePolytope(d, vertices=vertices).dim
         if rank != d:
             raise NotFullDimensionalError(
                 f"half-space polytope has affine dimension {rank} inside R^{d}"
             )
-        return tuple(map(min, zip(*vertices))), tuple(map(max, zip(*vertices)))
+        first = {}  # tight-vertex set -> its first row; row k is bit k + 1 of a ray's set
+        for k, h in enumerate(hs):
+            tight = sum(1 << i for i, (_, z) in enumerate(rays) if z >> (k + 1) & 1)
+            if any(h.normal) and tight.bit_count() >= d:
+                first.setdefault(tight, h)
+        # on[i]: the sets that hold vertex i; a set is maximal iff it is the
+        # only set that holds every one of its vertices
+        sets = list(first)
+        on = [sum(1 << j for j, s in enumerate(sets) if s >> i & 1) for i in range(len(rays))]
+        facets = tuple(first[s] for j, s in enumerate(sets)
+                       if reduce(and_, (on[i] for i in range(len(rays)) if s >> i & 1)) == 1 << j)
+        return vertices, facets
 
 
-def _extreme_rays(rows: list[list[int]], n: int) -> list[list[int]] | None:
+def _extreme_rays(rows: list[list[int]], n: int) -> list[tuple[list[int], int]] | None:
     """The primitive extreme rays of {y in R^n : row . y >= 0 for every row},
-    or None when the rows have rank below n and the cone holds a line.
+    each with the bit set of the rows tight on it (bit k for rows[k]), or
+    None when the rows have rank below n and the cone holds a line.
 
     Double description (Motzkin, Raiffa, Thompson and Thrall, 1953): n
     independent rows cut out a simplicial cone, whose rays are the columns
@@ -179,25 +209,28 @@ def _extreme_rays(rows: list[list[int]], n: int) -> list[list[int]] | None:
         vals = [sum(a * b for a, b in zip(row, ray)) for ray, _ in rays]
         pos = [i for i, v in enumerate(vals) if v > 0]
         neg = [i for i, v in enumerate(vals) if v < 0]
-        work += len(pos) * len(neg) * len(rays)
+        # charged as `_HALFSPACE_WORK_CAP` says; the pairs are listed only up
+        # to the first that would pass it
+        work += len(pos) * len(neg)
+        if work <= _HALFSPACE_WORK_CAP:
+            close = ((i, j) for i in pos for j in neg
+                     if (rays[i][1] & rays[j][1]).bit_count() >= n - 2)
+            pairs = list(islice(close, (_HALFSPACE_WORK_CAP - work) // (len(rays) or 1) + 1))
+            work += len(pairs) * len(rays)
         if work > _HALFSPACE_WORK_CAP:
             raise CostGuardExceeded(f"vertex enumeration would pass {_HALFSPACE_WORK_CAP} "
                                     f"adjacency tests at row {k + 1} of {len(rows)}")
         bit = 1 << k
         crossed = []
-        for i in pos:
-            ri, zi = rays[i]
-            for j in neg:
-                rj, zj = rays[j]
-                common = zi & zj
-                if common.bit_count() < n - 2:
-                    continue
-                if any(common & z == common for t, (_, z) in enumerate(rays) if t not in (i, j)):
-                    continue
-                vi, vj = vals[i], -vals[j]
-                crossed.append((_reduce_by_gcd([vi * b + vj * a for a, b in zip(ri, rj)]), common | bit))
+        for i, j in pairs:
+            (ri, zi), (rj, zj) = rays[i], rays[j]
+            common = zi & zj
+            if any(common & z == common for t, (_, z) in enumerate(rays) if t not in (i, j)):
+                continue
+            vi, vj = vals[i], -vals[j]
+            crossed.append((_reduce_by_gcd([vi * b + vj * a for a, b in zip(ri, rj)]), common | bit))
         rays = [(ray, z | bit if not v else z) for (ray, z), v in zip(rays, vals) if v >= 0] + crossed
-    return [ray for ray, _ in rays]
+    return rays
 
 
 @dataclass(frozen=True)
@@ -232,20 +265,12 @@ class LatticeSimplex:
     def ambient_dim(self) -> int:
         return len(self.vertices[0])
 
-    @cached_property
-    def membership_kernel(self) -> tuple[list[list[int]], int]:
-        """(A, D) with A @ (q, n) = D * barycentric(q, n), D > 0.
-
-        The point q lies in the n-th dilate iff all entries of A @ (q, n)
-        are nonnegative; the sum condition is automatic because the last
-        homogeneous coordinate of every vertex is 1.
-        """
-        result = scaled_inverse(_homogenized_columns(self.vertices))
-        if result is None:  # unreachable after from_vertices
-            raise DegenerateSimplexError("degenerate simplex")
-        return result
-
     def to_polytope(self) -> LatticePolytope:
+        return self._polytope
+
+    @cached_property
+    def _polytope(self) -> LatticePolytope:
+        """One vertex-list object per simplex, so that what it caches is kept."""
         return LatticePolytope(self.ambient_dim, vertices=self.vertices)
 
 

@@ -1,19 +1,20 @@
 """Shared test oracles.
 
-Production code never derives half-space descriptions from vertices, so
-the facet derivation for simplices lives here: every d-subset of the
-vertex set spans a facet, whose normal comes from cofactors of the edge
-matrix. `fraction_brute_count` is a from-scratch membership counter
-(fresh Gaussian elimination per point, Fractions throughout) used to pin
-the fast kernels on small cases. `every_dilate_counts` is the counting
-route that scans every dilate n = 1..d+1 and tests every box point
-against every row, kept to pin the reciprocity route and the interval
-kernel. `simplex_contains` is the pure-Python point test on a simplex's
-membership kernel, one point at a time. `fraction_halfspace_box` is the
-box derivation of half-space polytopes done over Fractions, one d-row
-subset at a time, with cofactor rays from d determinants each, kept to pin
-the double-description one; its first half, `fraction_vertex_walk`, pins
-the vertex set and the ray verdict of `lattice._extreme_rays` itself.
+`simplex_facets` derives the facets of a simplex independently of the
+double description: every d-subset of the vertex set spans a facet,
+whose normal comes from cofactors of the edge matrix.
+`fraction_brute_count` is a from-scratch membership counter (fresh
+Gaussian elimination per point, Fractions throughout) used to pin the
+fast kernels on small cases. `every_dilate_counts` is the counting route
+that scans every dilate n = 1..d+1 and tests every box point against
+every row, kept to pin the reciprocity route, the interval kernel and
+the choice of facet rows. `simplex_contains` is the pure-Python point
+test on the barycentric coordinates of a simplex, one point at a time.
+`fraction_halfspace_box` is the box derivation of half-space polytopes
+done over Fractions, one d-row subset at a time, with cofactor rays from
+d determinants each, kept to pin the double-description one
+(`vertex_box`); its first half, `fraction_vertex_walk`, pins the vertex
+set and the ray verdict of `lattice._extreme_rays` itself.
 """
 
 from fractions import Fraction
@@ -22,11 +23,12 @@ from itertools import combinations, product
 import numpy as np
 
 from ehrstar.errors import InputError, NotFullDimensionalError
-from ehrstar.intlinalg import det
+from ehrstar.intlinalg import det, scaled_inverse
 from ehrstar.lattice import (
     HalfSpace,
     LatticePolytope,
     LatticeSimplex,
+    _homogenized_columns,
     affine_dimension,
     make_random_simplex,
 )
@@ -66,7 +68,7 @@ def simplex_contains(s: LatticeSimplex, q, dilate: int) -> bool:
         raise InputError("point/simplex dimension mismatch")
     if dilate <= 0:
         raise InputError("dilate must be positive")
-    a, _scale = s.membership_kernel
+    a, _scale = scaled_inverse(_homogenized_columns(s.vertices))
     vec = list(q) + [dilate]
     for row in a:
         if sum(x * y for x, y in zip(row, vec)) < 0:
@@ -165,26 +167,32 @@ def every_dilate_counts(p) -> tuple[int, ...]:
     """ehr(0..d+1) of a simplex or a half-space polytope, each dilate scanned.
 
     A simplex (or a vertex polytope that is one) is scanned with its
-    barycentric membership rows, a half-space polytope with its own rows,
-    each over the box of its vertices.
+    barycentric membership rows, a half-space polytope with all of its own
+    rows, each over the box of its vertices.
     """
     d = p.ambient_dim
     if isinstance(p, LatticePolytope) and p.vertices is not None:
         p = LatticeSimplex.from_vertices(p.vertices)
     if isinstance(p, LatticeSimplex):
-        a, _scale = p.membership_kernel
+        a, _scale = scaled_inverse(_homogenized_columns(p.vertices))
         mins = [min(v[j] for v in p.vertices) for j in range(d)]
         maxs = [max(v[j] for v in p.vertices) for j in range(d)]
         rows = [row[:d] for row in a]
         offsets = [row[d] for row in a]
     else:
-        mins, maxs = p.halfspace_box
+        mins, maxs = vertex_box(p)
         rows = [list(h.normal) for h in p.halfspaces]
         offsets = [h.offset for h in p.halfspaces]
     return (1,) + tuple(
         full_box_count([n * m for m in mins], [n * m for m in maxs], rows, [n * c for c in offsets])
         for n in range(1, d + 2)
     )
+
+
+def vertex_box(p: LatticePolytope):
+    """(mins, maxs): the box of the vertices in `p.double_description`."""
+    vertices, _facets = p.double_description
+    return tuple(map(min, zip(*vertices))), tuple(map(max, zip(*vertices)))
 
 
 def fraction_vertex_walk(hs, d: int):
@@ -214,7 +222,7 @@ def fraction_vertex_walk(hs, d: int):
 
 
 def fraction_halfspace_box(p: LatticePolytope):
-    """`LatticePolytope.halfspace_box` over Fractions, with the same errors."""
+    """`vertex_box` of a half-space polytope over Fractions, with the same errors."""
     d = p.ambient_dim
     points, ray = fraction_vertex_walk(p.halfspaces, d)
     if not points:

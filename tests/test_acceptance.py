@@ -241,7 +241,7 @@ def test_criterion_11_facet_simplex_6(seed):
     facets = tuple(simplex_facets(s.vertices))
     start = time.monotonic()
     p = LatticePolytope(6, halfspaces=facets)
-    p.halfspace_box
+    p.double_description
     counts = count_profile(p).counts
     elapsed = time.monotonic() - start
     h = HStarVector(box_points_simplex(s).heights)

@@ -481,7 +481,8 @@ class TestCountedByDoubleDescription:
 
     @pytest.mark.parametrize("cuts", [196, 1996])
     def test_square_with_corner_cuts(self, capsys, tmp_path, cuts):
-        # [-1, 1]^2 and redundant cuts, a third of them through a corner
+        # [-1, 1]^2 and redundant cuts, a third of them through a corner:
+        # the scan reads the 4 facets only
         rows = [[1, 1, 0], [1, -1, 0], [1, 0, 1], [1, 0, -1]]
         for i in range(cuts):
             a = [(7 * i) % 11 - 5, (3 * i) % 13 - 6]
@@ -489,11 +490,26 @@ class TestCountedByDoubleDescription:
         path = _write(tmp_path, {"ambient_dim": 2, "halfspaces": rows})
         p = lattice.polytope_from_json(Path(path).read_text())
         start = time.perf_counter()
-        assert p.halfspace_box == ((-1, -1), (1, 1))
+        vertices, facets = p.double_description
         assert time.perf_counter() - start < 1.0
-        if cuts < 1000:  # the scan pairs every row with every other on the last axis
-            code, out, err = run(capsys, "compute", "--input", path)
-            assert (code, err) == (0, "") and "h*: 1 6 1" in out.splitlines()
+        assert sorted(vertices) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+        assert [[h.offset, *h.normal] for h in facets] == rows[:4]
+        start = time.perf_counter()
+        code, out, err = run(capsys, "compute", "--input", path)
+        assert time.perf_counter() - start < 2.0
+        assert (code, err) == (0, "") and "h*: 1 6 1" in out.splitlines()
+
+    def test_cube_with_corner_cuts(self, capsys, tmp_path):
+        # [-1, 1]^3 and 240 redundant cuts in the same pattern
+        rows = [[1, *(s * (k == j) for k in range(3))] for j in range(3) for s in (1, -1)]
+        for i in range(240):
+            a = [(7 * i) % 11 - 5, (3 * i) % 13 - 6, (5 * i) % 7 - 3]
+            rows.append([sum(map(abs, a)) + (i % 3) * (1 + i % 2), *a])
+        path = _write(tmp_path, {"ambient_dim": 3, "halfspaces": rows})
+        start = time.perf_counter()
+        code, out, err = run(capsys, "compute", "--input", path)
+        assert time.perf_counter() - start < 0.1
+        assert (code, err) == (0, "") and "h*: 1 23 23 1" in out.splitlines()
 
 
 class TestHugeIntegers:

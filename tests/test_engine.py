@@ -20,6 +20,7 @@ from conftest import (
     fraction_vertex_walk,
     full_box_count,
     simplex_facets,
+    vertex_box,
 )
 from ehrstar.engine import (
     BoxPointTable,
@@ -38,12 +39,13 @@ from ehrstar.errors import (
     NotFullDimensionalError,
     VolumeCapExceeded,
 )
-from ehrstar.intlinalg import det
+from ehrstar.intlinalg import det, scaled_inverse
 from ehrstar.lattice import (
     HalfSpace,
     LatticePolytope,
     LatticeSimplex,
     _extreme_rays,
+    _homogenized_columns,
     iterated_pyramid,
     make_cube,
     make_higashitani,
@@ -387,6 +389,23 @@ class TestCountingDispatch:
             tuple(s * (k == j) for k in range(3)) for j in range(3) for s in (1, -1)))
         assert _ENTRY_POINTS[entry](octahedron) == 7
 
+    def test_one_double_description_per_polytope(self, monkeypatch):
+        calls = []
+        rays = ehrstar.lattice._extreme_rays
+        monkeypatch.setattr(ehrstar.lattice, "_extreme_rays", lambda *a: calls.append(a) or rays(*a))
+        octahedron = LatticePolytope(3, vertices=tuple(
+            tuple(s * (k == j) for k in range(3)) for j in range(3) for s in (1, -1)))
+        cross = LatticePolytope(3, halfspaces=tuple(HalfSpace(1, s) for s in product((-1, 1), repeat=3)))
+        for p in (octahedron, cross):
+            calls.clear()
+            for entry in _ENTRY_POINTS.values():
+                assert entry(p) == 7
+            assert len(calls) == 1
+        calls.clear()
+        s = make_unimodular_simplex(3)
+        assert count_profile(s).counts == every_dilate_counts(s)
+        assert count_points(s, 2) == 10 and len(calls) == 1
+
     @pytest.mark.parametrize("entry", _ENTRY_POINTS)
     def test_pyramid_over_a_flat_base_reports_the_base(self, entry):
         p = pyramid(LatticePolytope(2, vertices=((0, 0), (2, 2))))
@@ -410,14 +429,14 @@ class TestHalfspaceVertexStep:
         s = make_random_simplex(d, 2, seed)
         facets = simplex_facets(s.vertices)
         start = time.perf_counter()
-        box = LatticePolytope(d, halfspaces=tuple(facets)).halfspace_box
+        box = vertex_box(LatticePolytope(d, halfspaces=tuple(facets)))
         assert time.perf_counter() - start < 1.0
         assert box == (tuple(map(min, zip(*s.vertices))), tuple(map(max, zip(*s.vertices))))
         # without one facet the rest is a cone at the opposite vertex
         for i in range(d + 1):
             cone = LatticePolytope(d, halfspaces=tuple(facets[:i] + facets[i + 1 :]))
             with pytest.raises(InputError, match="^half-space system is unbounded$"):
-                cone.halfspace_box
+                cone.double_description
 
     def test_non_lattice_vertex_rejected(self):
         # 2 + 3x - 2y >= 0, 4 - 3x + y >= 0, 3x >= 0 has the vertex (10/3, 6)
@@ -440,7 +459,7 @@ class TestHalfspaceVertexStep:
             monkeypatch.setattr(ehrstar.lattice, "_HALFSPACE_WORK_CAP", cap)
             built.clear()
             try:
-                box = LatticePolytope(4, halfspaces=rows).halfspace_box
+                box = vertex_box(LatticePolytope(4, halfspaces=rows))
                 break
             except CostGuardExceeded as exc:
                 match = re.fullmatch(rf"vertex enumeration would pass {cap} adjacency tests "
@@ -467,7 +486,7 @@ class TestHalfspaceVertexStep:
         reduce = ehrstar.lattice._reduce_by_gcd
         monkeypatch.setattr(ehrstar.lattice, "_reduce_by_gcd", lambda r: built.append(1) or reduce(r))
         with pytest.raises(CostGuardExceeded) as exc:
-            LatticePolytope(d, halfspaces=rows).halfspace_box
+            LatticePolytope(d, halfspaces=rows).double_description
         match = re.fullmatch(r"vertex enumeration would pass \d+ adjacency tests "
                              rf"at row (\d+) of {m + 1}", str(exc.value))
         assert match, str(exc.value)
@@ -529,7 +548,7 @@ class TestFractionFreeBox:
         for _ in range(100):
             p = _random_h_system(rng)
             expected = _box_outcome(fraction_halfspace_box, p)
-            assert _box_outcome(lambda q: q.halfspace_box, p) == expected, p
+            assert _box_outcome(vertex_box, p) == expected, p
             if isinstance(expected[0], str):
                 seen[next(k for k in self.KINDS if k in expected[1])] += 1
             else:
@@ -556,13 +575,14 @@ def _random_rows(rng) -> tuple[int, tuple[HalfSpace, ...]]:
 
 
 def _cone_rays(hs, d):
-    """`_extreme_rays` of the cone over the rows, as `halfspace_box` runs it."""
+    """`_extreme_rays` of the cone over the rows, as `double_description` runs it."""
     return _extreme_rays([[1] + [0] * d] + [[h.offset, *h.normal] for h in hs], d + 1)
 
 
 def _dd_vertices(hs, d):
     """(vertex set, verdict) read off `_cone_rays`."""
     rays = _cone_rays(hs, d)
+    rays = None if rays is None else [r for r, _tight in rays]
     if rays is None or all(r[0] == 0 for r in rays):
         return set(), "no vertices"
     points = {tuple(Fraction(v, r[0]) for v in r[1:]) for r in rays if r[0]}
@@ -586,7 +606,7 @@ class TestVertexWalk:
             points, ray = fraction_vertex_walk(hs, d)
             verdict = "no vertices" if not points else "unbounded" if ray else "bounded"
             assert _dd_vertices(hs, d) == (set(points), verdict), p
-            outcome = _box_outcome(lambda poly: poly.halfspace_box, p)
+            outcome = _box_outcome(vertex_box, p)
             if isinstance(outcome[0], str):
                 seen[next(k for k in TestFractionFreeBox.KINDS if k in outcome[1])] += 1
             else:
@@ -604,7 +624,7 @@ class TestVertexWalk:
         # conv(+-e_i) has the 2^d facets 1 + s . x >= 0, s in {-1, 1}^d, and h* = binom(d, .)
         rows = tuple(HalfSpace(1, s) for s in product((-1, 1), repeat=d))
         p = LatticePolytope(d, halfspaces=rows)
-        assert p.halfspace_box == ((-1,) * d, (1,) * d)
+        assert vertex_box(p) == ((-1,) * d, (1,) * d)
         assert compute_vectors(p).h.entries == tuple(math.comb(d, i) for i in range(d + 1))
 
     def test_cube_with_redundant_and_scaled_cuts(self):
@@ -614,7 +634,7 @@ class TestVertexWalk:
         rows += [HalfSpace(sum(map(abs, s)), s) for s in product((-1, 0, 1), repeat=3) if any(s)]
         rows += [HalfSpace(5, (1, 2, 1)), HalfSpace(7, (-2, -2, 3))]
         p = LatticePolytope(3, halfspaces=tuple(rows))
-        assert p.halfspace_box == ((-1,) * 3, (1,) * 3)
+        assert vertex_box(p) == ((-1,) * 3, (1,) * 3)
         assert compute_vectors(p).h.entries == compute_vectors(make_cube(3, -1, 1)).h.entries
 
 
@@ -649,7 +669,7 @@ class TestVertexLists:
         checked = 0
         while checked < 4:
             s = make_random_simplex(d, 3, rng.randrange(10**6))
-            a, _scale = s.membership_kernel
+            a, _scale = scaled_inverse(_homogenized_columns(s.vertices))
             box = product(*(range(min(c), max(c) + 1) for c in zip(*s.vertices)))
             inside = [q for q in box if all(sum(x * y for x, y in zip(row, (*q, 1))) > 0 for row in a)]
             if not inside:
@@ -662,6 +682,74 @@ class TestVertexLists:
             assert result.route == "interpolation"
             assert result.h == h_star_of(s)
             checked += 1
+
+    def test_forty_random_vertices_in_r5(self):
+        # most separated pairs share too few tight rows to be adjacent, and
+        # the work measure charges them one count each
+        rng = random.Random(0)
+        vertices = tuple(tuple(rng.randint(-2, 2) for _ in range(5)) for _ in range(40))
+        p = LatticePolytope(5, vertices=vertices)
+        facets = p.double_description[1]
+        for h in facets:
+            tight = [v for v in vertices if h.offset + sum(a * x for a, x in zip(h.normal, v)) == 0]
+            assert ehrstar.lattice.affine_dimension(LatticePolytope(5, vertices=tuple(tight))) == 4
+        assert all(h.offset + sum(a * x for a, x in zip(h.normal, v)) >= 0
+                   for h in facets for v in vertices)
+        h = compute_vectors(p).h.entries
+        assert h[0] == 1 and min(h) >= 0 and len(h) == 6
+
+
+def _primitive(h: HalfSpace) -> tuple[int, ...]:
+    g = math.gcd(h.offset, *h.normal)
+    return (h.offset // g, *(a // g for a in h.normal))
+
+
+def _facet_sources():
+    """(d, vertices): lists whose facets the tests below pad with other rows."""
+    yield from ((d, make_random_simplex(d, 2, seed).vertices) for d in range(1, 5) for seed in range(3))
+    yield from ((d, tuple(product((low, low + 1), repeat=d))) for d in range(2, 5) for low in (-1, 0))
+    yield from ((d, tuple(tuple(s * (k == j) for k in range(d)) for j in range(d) for s in (1, -1)))
+                for d in range(2, 5))
+    rng = random.Random(11)
+    for d in (2, 3, 3):
+        yield d, tuple(tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(9))
+
+
+_FACET_SOURCES = list(_facet_sources())
+
+
+class TestFacetRows:
+    """A half-space list is scanned with one of its own rows per facet."""
+
+    @pytest.mark.parametrize("case", range(len(_FACET_SOURCES)))
+    def test_padded_facets(self, case):
+        d, vertices = _FACET_SOURCES[case]
+        facets = LatticePolytope(d, vertices=vertices).double_description[1]
+        rng = random.Random(case)
+        rows = list(facets)
+        for h in rng.sample(facets, 2):  # a duplicate and a positive multiple
+            k = rng.randint(2, 4)
+            rows += [h, HalfSpace(k * h.offset, tuple(k * a for a in h.normal))]
+        for _ in range(4):  # the sum of two facets: tight on a lower face, or strictly redundant
+            g, h = rng.sample(facets, 2)
+            rows.append(HalfSpace(g.offset + h.offset + rng.randint(0, 1),
+                                  tuple(a + b for a, b in zip(g.normal, h.normal))))
+        rows += [HalfSpace(0, (0,) * d), HalfSpace(5, (0,) * d)]
+        rng.shuffle(rows)
+        p = LatticePolytope(d, halfspaces=tuple(rows))
+        kept = p.double_description[1]
+        assert len(kept) == len(facets)
+        assert {_primitive(h) for h in kept} == {_primitive(h) for h in facets}
+        assert all(h in rows for h in kept)
+        assert count_profile(p).counts == every_dilate_counts(p)
+
+    def test_row_tight_on_a_square_face_of_the_4_cube(self):
+        # x1 + x2 >= 0 is tight on the 4 vertices of a 2-face: as many as a facet has points
+        # in general position, but its tight set lies inside those of x1 >= 0 and x2 >= 0
+        rows = (*_axis_rows([0] * 4, [1] * 4), HalfSpace(0, (1, 1, 0, 0)))
+        p = LatticePolytope(4, halfspaces=rows)
+        assert p.double_description[1] == rows[:-1]
+        assert count_profile(p).counts == every_dilate_counts(p) == tuple((n + 1) ** 4 for n in range(6))
 
 
 def _axis_rows(lows, highs):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import simplex_contains
+from conftest import simplex_contains, vertex_box
 from ehrstar import lattice
 from ehrstar.errors import DegenerateSimplexError, InputError
 from ehrstar.lattice import (
@@ -108,7 +108,7 @@ class TestPyramid:
         assert (0, 0, 1) in by_vertices.vertices
         assert len(by_vertices.vertices) == 5
         unhinted = LatticePolytope(3, halfspaces=pyr.halfspaces)
-        assert unhinted.halfspace_box == ((0, 0, 0), (1, 1, 1))
+        assert vertex_box(unhinted) == ((0, 0, 0), (1, 1, 1))
 
     def test_hint_accumulates(self):
         square = make_cube(2, 0, 1)
@@ -143,7 +143,7 @@ class TestGenerators:
     def test_square_with_symmetric_range(self):
         p = make_cube(2, -1, 1)
         assert p.vertices is None
-        assert p.halfspace_box == ((-1, -1), (1, 1))
+        assert vertex_box(p) == ((-1, -1), (1, 1))
         assert p.hint == BoxHint((-1, -1), (1, 1))
 
     def test_cube_vertex_count(self):
