@@ -16,14 +16,16 @@ entry points then work on that alone. The strategies, in that order:
 Hints are trusted to be full-dimensional (a pyramid's base is checked when
 its counts are taken), and the facet cone of a vertex list holds a line
 iff the list is flat, so a rank is computed only to word that error. A
-profile of a scanned polytope scans only the dilates n <= ceil(d/2), each
-for its lattice points and its interior points. Ehrhart-Macdonald
-reciprocity turns the interior counts into ehr(-n), and Newton forward
-differences on the nodes -k..k give the whole polynomial. Each scan
-enumerates all box axes but the last two, s and t. One Fourier-Motzkin
-step eliminates t from the rows, and the projected rows give each
-enumerated point its integer range of s; every surviving (point, s) pair
-then counts its t-values as one integer interval.
+profile of a scanned polytope scans only the dilates n <= ceil(d/2).
+Ehrhart-Macdonald reciprocity turns their interior counts into ehr(-n),
+and Newton forward differences on the nodes -k..k give the whole
+polynomial. The scan is built once per polytope as a plan (`_ScanPlan`):
+the rows sorted, one Fourier-Motzkin step that eliminates t from them, and
+each row's bound, none of which depends on n. Each dilate is then one pass
+(`_scan_dilate`) that enumerates all box axes but the last two, s and t:
+the projected rows give each enumerated point its integer range of s, and
+every surviving (point, s) pair counts its t-values as one integer
+interval, and its interior t-values from the same floor quotients.
 
 The h*-vector of a simplex is computed directly, without any counting,
 by enumerating the lattice points of the half-open parallelepiped
@@ -32,7 +34,7 @@ arithmetic is exact: scans run on int64 only when a conservative bound
 proves no overflow, and fall back to Python-int (object dtype) arrays
 otherwise.
 
-numpy is imported only when a scan runs (`_count_box_satisfying`). The
+numpy is imported only when a scan runs (`_scan_dilate`). The
 parallelepiped route, the vector conversions, the audit and the search use
 none of it, so a process that never scans skips its import: a cold
 `compute --builtin higashitani-15` takes about 0.13 s instead of 0.26 s
@@ -54,8 +56,8 @@ DEFAULT_COUNT_CAP = 10**9
 DEFAULT_VOLUME_CAP = 10**7
 
 _SCAN_CHUNK = 1 << 17
-# `_count_box_satisfying` counts (prefix, s) pairs and interval widths in
-# int64, and a box of fewer candidates keeps both below 2^62.
+# `_scan_dilate` counts (prefix, s) pairs and interval widths in int64, and
+# a box of fewer candidates keeps both below 2^62.
 _SCAN_KERNEL_LIMIT = 2**62
 
 
@@ -101,97 +103,177 @@ class BoxPointTable:
 # -- bounding-box scans -------------------------------------------------------
 
 
-def _interval(vals, n_pos, n_bound, a_pos, a_neg, lo, hi):
-    """(lows, widths): per column, the integers y in [lo, hi] with vals + a * y >= 0.
+def _intervals(vals, lead, lo, hi):
+    """Per column of vals, the integers y in [lo, hi] with vals + a * y >= 0 on
+    every row (closed) and with vals + a * y >= 1 on the strict rows, as
+    (closed firsts, closed widths, strict firsts, strict widths).
 
-    The rows of vals are sorted by their coefficient a: > 0 (a_pos, a
-    column), < 0 (magnitudes a_neg), = 0. Rows with a > 0 bound y below by
-    ceil(-c / a), the max of which is minus the min of the floors c // a;
-    rows with a < 0 bound it above by floor(c / -a); rows with a = 0 pass or
-    fail as c >= 0.
+    lead = (n_pos, n_bound, a_pos, a_neg, k_pos, k_neg, k_zero). The rows are
+    sorted by their coefficient a: > 0 (a_pos, a column), < 0 (magnitudes
+    a_neg), = 0, and the strict rows are the first k_pos, k_neg and k_zero
+    of each group. Rows with a > 0 bound y below by ceil(-v / a), the max of
+    which is minus the min of the floors v // a; rows with a < 0 bound it
+    above by v // -a; rows with a = 0 pass or fail as v >= 0. Threshold 1
+    puts v - 1 for v, and (v - 1) // a = v // a - [a divides v], so one
+    division gives both bounds; a divides v iff (v // a) * a == v.
     """
     import numpy as np
 
-    lo = -(vals[:n_pos] // a_pos).min(axis=0, initial=-lo)
-    hi = (vals[n_pos:n_bound] // a_neg).min(axis=0, initial=hi)
-    width = np.maximum(hi - lo + 1, 0)
+    n_pos, n_bound, a_pos, a_neg, k_pos, k_neg, k_zero = lead
+    least = np.minimum.reduce
+
+    def floors(v, a, k):  # v // a, and (v - 1) // a on the first k rows
+        q = v // a
+        return q, q[:k] - (q[:k] * a[:k] == v[:k])
+
+    q, q_s = floors(vals[:n_pos], a_pos, k_pos)
+    first = -least(q, axis=0, initial=-lo)
+    first_s = -least(q_s, axis=0, initial=-lo)
+    q, q_s = floors(vals[n_pos:n_bound], a_neg, k_neg)
+    width = np.maximum(least(q, axis=0, initial=hi) - first + 1, 0)
+    width_s = np.maximum(least(q_s, axis=0, initial=hi) - first_s + 1, 0)
     if n_bound < len(vals):
-        width = width * (vals[n_bound:] >= 0).all(axis=0)
-    return lo, width
+        every = np.logical_and.reduce
+        width = width * every(vals[n_bound:] >= 0, axis=0)
+        if k_zero:
+            width_s = width_s * every(vals[n_bound : n_bound + k_zero] >= 1, axis=0)
+    return first, width, first_s, width_s
 
 
-def _count_box_satisfying(lows, highs, rows, offsets, *, chunk=_SCAN_CHUNK) -> int:
-    """Count integer points x with lows <= x <= highs and rows @ x + offsets >= 0.
+def _lead(col, counts):
+    """`_intervals`' lead for rows whose coefficients on y are col, sorted as
+    counts = (n_pos, n_bound, k_pos, k_neg, k_zero) says."""
+    n_pos, n_bound, *strict = counts
+    return n_pos, n_bound, col[:n_pos, None], -col[n_pos:n_bound, None], *strict
 
-    Only the first d - 2 axes are enumerated; s and t name the last two.
-    Fourier-Motzkin elimination of t, done once per call, pairs every row
-    with a > 0 on t with every row with a < 0 into (-a_j) * row_i +
-    a_i * row_j, reduced by its gcd, and keeps the rows with a = 0. The
-    projection is exact over the reals, so for each enumerated prefix these
-    rows give the range of s (`_interval`, clipped to the box) outside of
-    which the t-interval is empty. The surviving (prefix, s) pairs are
-    expanded with np.repeat, and each counts its t-interval by the same
-    rule. d = 1 runs as d = 2 with a leading axis [0, 0] in no row.
+
+class _ScanPlan:
+    """What the scans of the dilates nP of one system have in common.
+
+    The system is a box mins..maxs and rows: row . x + offset >= 0. Its n-th
+    dilate (`_scan_dilate`) scans the box n * mins..n * maxs with the
+    offsets times n, and nothing else depends on n. So the plan holds,
+    once: the rows with a != 0 on t, sorted by its sign; the Fourier-Motzkin
+    projection of t, which keeps the rows with a = 0 and pairs every row
+    with a > 0 with every row with a < 0 into (-a_j) * row_i + a_i * row_j;
+    and each row's bound |row| . max|x| + |offset| over the box, which the
+    dilate multiplies by n. A projected row is reduced by its gcd at n = 1,
+    which holds at every n as the row scales with n as a whole; at n it
+    shrinks further only by gcd(n, g) for the gcd g of its coefficients,
+    which `shared` keeps where g != 1. d = 1 runs as d = 2 with a leading
+    axis [0, 0] in no row.
+    """
+
+    def __init__(self, mins, maxs, rows, offsets):
+        self.offsets = list(offsets)  # read only at d = 0
+        if len(mins) == 1:
+            mins, maxs, rows = [0, *mins], [0, *maxs], [[0, *row] for row in rows]
+        self.mins, self.maxs = list(mins), list(maxs)
+        self._arrays = {}
+        if not mins:
+            return
+        full = [[*row, c] for row, c in zip(rows, offsets)]
+        maxabs = [max(abs(lo), abs(hi)) for lo, hi in zip(mins, maxs)]
+
+        def bound(r):  # |row| . maxabs + |offset|; a projected row has no t
+            return sum(abs(a) * m for a, m in zip(r[:-1], maxabs)) + abs(r[-1])
+
+        pos = [r for r in full if r[-2] > 0]
+        neg = [r for r in full if r[-2] < 0]
+        self.t_rows = pos + neg
+        self.t_counts = (len(pos), len(self.t_rows), len(pos), len(neg), 0)
+        flat = [_reduce_by_gcd(r[:-2] + r[-1:]) for r in full if not r[-2]]
+        pairs = []
+        for ri in pos:
+            for rj in neg:
+                pair = [-rj[-2] * x + ri[-2] * y for x, y in zip(ri, rj)]
+                pairs.append(_reduce_by_gcd(pair[:-2] + pair[-1:]))
+        # Projected rows by their coefficient on s, > 0, < 0, = 0, each group
+        # with its rows with a = 0 on t first: only those bound the interior's
+        # range of s.
+        groups = [[r for r in part if (r[-2] <= 0) + (r[-2] == 0) == sign]
+                  for sign in range(3) for part in (flat, pairs)]
+        self.proj = [r for group in groups for r in group]
+        size = [len(group) for group in groups]
+        self.s_counts = (size[0] + size[1], sum(size[:4]), size[0], size[2], size[4])
+        self.has_flat = bool(flat)
+        self.m = len(full)
+        self.maxabs = max(maxabs)
+        self.row_bound = max(map(bound, self.t_rows), default=0)
+        self.proj_bounds = [bound(r) for r in self.proj]
+        self.proj_bound = max(self.proj_bounds, default=0)
+        self.shared = [(i, g) for i, r in enumerate(self.proj) if (g := math.gcd(*r[:-1])) != 1]
+
+    def arrays(self, dtype):
+        """(pm, tm, s lead, t lead), built once per dtype: the projected rows
+        with the columns x_0 .. x_{d-3}, s, offset, and the t-rows with the
+        columns x_0 .. x_{d-3}, s, t, offset."""
+        import numpy as np
+
+        if dtype not in self._arrays:
+            d = len(self.mins)
+            pm = np.array(self.proj, dtype=dtype).reshape(len(self.proj), d)
+            tm = np.array(self.t_rows, dtype=dtype).reshape(len(self.t_rows), d + 1)
+            self._arrays[dtype] = pm, tm, _lead(pm[:, d - 2], self.s_counts), _lead(tm[:, d - 1], self.t_counts)
+        return self._arrays[dtype]
+
+
+def _scan_dilate(plan: _ScanPlan, n: int, *, chunk: int = _SCAN_CHUNK) -> tuple[int, int]:
+    """(closed, interior): the integer points x of the box n * mins..n * maxs
+    with rows @ x + n * offsets >= 0, and those with > 0 on every row.
+
+    Only the first d - 2 axes are enumerated; s and t name the last two. For
+    each enumerated prefix the projected rows give the range of s outside of
+    which the t-interval is empty (`_intervals`, clipped to the box); the
+    surviving (prefix, s) pairs are expanded with np.repeat, and each counts
+    its t-values as one interval. The interior points' pairs are among
+    those: on each pair the t-rows give the interior t-interval from the
+    same quotients, and the rows with a = 0 on t, at threshold 1, give the
+    interior range of s.
 
     `chunk` bounds the points materialized at once: the tail block of
-    prefix points, built once and reused for every outer prefix, holds at
-    most chunk * m cells of projected-row values for m input rows, and the
-    pairs are expanded at most `chunk` at a time.
+    prefix points, built once per dilate and reused for every outer prefix,
+    holds at most chunk * m cells of projected-row values for m input rows;
+    the t-rows' values are taken at the tail points that survive, and the
+    pairs are expanded at most `chunk` at a time, into a few arrays of
+    (t-rows) * chunk cells each.
 
     The int64 path runs only when `worst` < 2^62, which bounds every
     intermediate: the partial values of the rows and of the projected rows
-    (each row's own bound W, which for a projected row is at most
-    |a_j| * W_i + |a_i| * W_j, and less after the gcd), the quotients (|c // a| <= |c|), the
-    box coordinates +- 1, the difference hi - lo + 1 of two of those, and
-    the pair and point totals (at most the number of candidates). Otherwise
-    the arrays hold Python ints, on which // is the same exact floor
-    division.
+    (each row's own bound, which for a projected row is at most
+    |a_j| * W_i + |a_i| * W_j for the bounds W of its pair, and less after
+    the gcd), the quotients (|v // a| <= |v|, and one more at threshold 1),
+    the box coordinates +- 1, the difference hi - lo + 1 of two of those,
+    and the pair and point totals (at most the number of candidates).
+    Otherwise the arrays hold Python ints, on which // is the same exact
+    floor division.
     """
     import numpy as np  # here, not at the top: processes that never scan skip its import
 
-    d = len(lows)
+    lows = [n * m for m in plan.mins]
+    highs = [n * m for m in plan.maxs]
     sizes = [hi - lo + 1 for lo, hi in zip(lows, highs)]
     if any(s <= 0 for s in sizes):
-        return 0
+        return 0, 0
+    d = len(lows)
     if d == 0:
-        return 1 if all(c >= 0 for c in offsets) else 0
-    if d == 1:
-        lows, highs, sizes, d = [0, *lows], [0, *highs], [1, *sizes], 2
-        rows = [[0, *row] for row in rows]
-
-    # Rows as [coefficients..., offset]. The t-rows are sorted a > 0, then
-    # a < 0; the projected rows, which have no t, by their coefficient on s.
-    full = [[*row, c] for row, c in zip(rows, offsets)]
-    t_rows = sorted((r for r in full if r[-2]), key=lambda r: r[-2] < 0)
-    proj = [r[:-2] + r[-1:] for r in full if not r[-2]]
-    for ri in t_rows:
-        for rj in t_rows:
-            if ri[-2] > 0 > rj[-2]:
-                pair = [-rj[-2] * x + ri[-2] * y for x, y in zip(ri, rj)]
-                proj.append(_reduce_by_gcd(pair[:-2] + pair[-1:]))
-    proj.sort(key=lambda r: (r[-2] <= 0, r[-2] == 0))
-
-    maxabs = [max(abs(lo), abs(hi)) for lo, hi in zip(lows, highs)]
-    worst = max(
-        max((sum(abs(a) * m for a, m in zip(r[:-1], maxabs)) + abs(r[-1]) for r in full + proj),
-            default=0),
-        max(maxabs) + 1,
-        math.prod(sizes),
-    )
-    dtype = np.int64 if worst < 2**62 else object
-
-    def signs(lead_col, lead):
-        n_pos = sum(a > 0 for a in lead)
-        n_bound = n_pos + sum(a < 0 for a in lead)
-        return n_pos, n_bound, lead_col[:n_pos], -lead_col[n_pos:n_bound]
-
+        return int(all(c >= 0 for c in plan.offsets)), int(all(n * c >= 1 for c in plan.offsets))
+    reduced = {i: e for i, g in plan.shared if (e := math.gcd(g, n)) > 1}
+    proj_bound = (max(n * w // reduced.get(i, 1) for i, w in enumerate(plan.proj_bounds))
+                  if reduced else n * plan.proj_bound)
+    worst = max(n * plan.row_bound, proj_bound, n * plan.maxabs + 1, math.prod(sizes))
+    dtype = np.int64 if worst < _SCAN_KERNEL_LIMIT else object
+    pm, tm, s_lead, t_lead = plan.arrays(dtype)
     p = d - 2  # enumerated axes
-    # Columns: x_0 .. x_{p-1}, s, then t for the t-rows, then the offset.
-    pm = np.array(proj, dtype=dtype).reshape(len(proj), d)
-    tm = np.array(t_rows, dtype=dtype).reshape(len(t_rows), d + 1)
-    s_signs = signs(pm[:, p : p + 1], [r[p] for r in proj])
-    t_signs = signs(tm[:, d - 1 : d], [r[-2] for r in t_rows])
-    block = max(1, chunk * max(len(full), 1) // max(len(proj), 1))
+    p_off, t_off = pm[:, -1:] * n, tm[:, -1:] * n
+    if reduced:
+        pm = pm.copy()
+        for i, e in reduced.items():
+            pm[i, :-1] //= e
+            p_off[i, 0] = n * plan.proj[i][-1] // e
+        s_lead = _lead(pm[:, p], plan.s_counts)
+
+    block = max(1, chunk * max(plan.m, 1) // max(len(pm), 1))
     split = p
     tail_count = 1
     while split > 0 and tail_count * sizes[split - 1] <= block:
@@ -200,42 +282,59 @@ def _count_box_satisfying(lows, highs, rows, offsets, *, chunk=_SCAN_CHUNK) -> i
 
     # One row of projected-row values per projected row, one column per
     # tail point; the last tail axis varies fastest.
-    tail_vals = pm[:, -1:]
+    tail_vals = p_off
     for j in range(split, p):
         step = pm[:, j : j + 1] * np.arange(lows[j], highs[j] + 1, dtype=dtype)
         cells = tail_vals[:, :, None] + step[:, None, :]
-        tail_vals = cells.reshape(len(proj), tail_vals.shape[1] * sizes[j])
+        tail_vals = cells.reshape(len(pm), tail_vals.shape[1] * sizes[j])
 
-    count = 0
+    closed = interior = 0
     for prefix in product(*(range(lows[j], highs[j] + 1) for j in range(split))):
-        vals, base_t = tail_vals, tm[:, -1:]
+        vals, t_vals = tail_vals, t_off
         if prefix:
             x = np.array(prefix, dtype=dtype)
             vals = vals + (pm[:, :split] @ x).reshape(-1, 1)
-            base_t = base_t + (tm[:, :split] @ x).reshape(-1, 1)
-        s_first, widths = _interval(vals, *s_signs, lows[p], highs[p])
+            t_vals = t_vals + (tm[:, :split] @ x).reshape(-1, 1)
+        s_first, widths, in_first, in_widths = _intervals(vals, s_lead, lows[p], highs[p])
         keep = np.flatnonzero(widths)
         if not keep.size:
             continue
         widths = widths[keep].astype(np.int64)
         ends = np.cumsum(widths)
-        # the s of pair number i, in the run of tail column c, is first[c] + i
+        # the s of pair number i, in the run of kept column c, is first[c] + i
         first = s_first[keep] - (ends - widths).astype(dtype)
+        # the t-rows' values, but for their s-term, at the kept columns
+        if split < p:
+            for j, x in zip(range(split, p), np.unravel_index(keep, sizes[split:p])):
+                t_vals = t_vals + tm[:, j : j + 1] * (x.astype(dtype) + lows[j])
+        if plan.has_flat:
+            in_first, in_widths = in_first[keep], in_widths[keep]
         total = int(ends[-1])
         for k in range(0, total, chunk):
             k_end = min(k + chunk, total)
-            c0 = int(np.searchsorted(ends, k, side="right"))
-            c1 = int(np.searchsorted(ends, k_end - 1, side="right")) + 1
-            reps = np.minimum(ends[c0:c1], k_end) - np.maximum(ends[c0:c1] - widths[c0:c1], k)
-            cols = np.repeat(keep[c0:c1], reps)
-            s_vals = np.repeat(first[c0:c1], reps) + np.arange(k, k_end).astype(dtype)
-            pair_vals = base_t + tm[:, p : p + 1] * s_vals
-            coords = np.unravel_index(cols, sizes[split:p]) if split < p else ()
-            for j, x in zip(range(split, p), coords):
-                pair_vals = pair_vals + tm[:, j : j + 1] * (x.astype(dtype) + lows[j])
-            _lo, width = _interval(pair_vals, *t_signs, lows[-1], highs[-1])
-            count += int(width.sum())
-    return count
+            if k_end - k == total:  # one chunk: every pair
+                c0, c1, reps = 0, len(ends), widths
+            else:
+                c0 = int(np.searchsorted(ends, k, side="right"))
+                c1 = int(np.searchsorted(ends, k_end - 1, side="right")) + 1
+                reps = np.minimum(ends[c0:c1], k_end) - np.maximum(ends[c0:c1] - widths[c0:c1], k)
+            s_vals = first[c0:c1].repeat(reps) + np.arange(k, k_end, dtype=dtype)
+            pair_vals = t_vals[:, c0:c1].repeat(reps, axis=1) + tm[:, p : p + 1] * s_vals
+            _lo, width, _in_lo, in_width = _intervals(pair_vals, t_lead, lows[-1], highs[-1])
+            closed += int(width.sum())
+            if plan.has_flat:
+                off = s_vals - in_first[c0:c1].repeat(reps)
+                in_width = in_width * ((off >= 0) & (off < in_widths[c0:c1].repeat(reps)))
+            interior += int(in_width.sum())
+    return closed, interior
+
+
+def _count_box_satisfying(lows, highs, rows, offsets, *, chunk=_SCAN_CHUNK) -> int:
+    """Count integer points x with lows <= x <= highs and rows @ x + offsets >= 0.
+
+    The closed count of one `_scan_dilate` pass at n = 1 over a fresh plan.
+    """
+    return _scan_dilate(_ScanPlan(lows, highs, rows, offsets), 1, chunk=chunk)[0]
 
 
 def _check_scan_cost(lows, highs, count_cap: int) -> None:
@@ -318,22 +417,25 @@ def _reciprocity_counts(system, nmax: int, count_cap: int) -> list[int]:
     """[ehr(0), ..., ehr(nmax)] of a scan system, from its dilates n <= ceil(d/2).
 
     Each scanned dilate gives ehr(n) and, by Ehrhart-Macdonald reciprocity,
-    ehr(-n) = (-1)^d * #interior(nP). For integer x, row . x + off > 0 is
-    row . x + off - 1 >= 0, and the interior of a full-dimensional polytope
-    is cut out by the strict versions of its facets, so the interior count
-    is the same kernel on the same rows with offsets - 1.
+    ehr(-n) = (-1)^d * #interior(nP). The interior of a full-dimensional
+    polytope is cut out by the strict versions of its facets, so one
+    `_scan_dilate` pass over one plan of the system counts both per dilate.
     With ehr(0) = 1 that gives ehr on the nodes -k..k, whose Newton forward
     differences determine the polynomial of degree d exactly. For odd d
-    there is one node more than needed: its difference must vanish.
+    there is one node more than needed: its difference must vanish. The box
+    of every scanned dilate is checked against the caps before the first
+    pass.
     """
     d = len(system[0])
     k = (d + 1) // 2
+    for n in range(1, k + 1):
+        lows, highs, _rows, _offsets = _dilate(system, n)
+        _check_scan_cost(lows, highs, count_cap)
+    plan = _ScanPlan(*system)
     below, above = [], []
     for n in range(1, k + 1):
-        lows, highs, rows, offsets = _dilate(system, n)
-        _check_scan_cost(lows, highs, count_cap)
-        above.append(_count_box_satisfying(lows, highs, rows, offsets))
-        interior = _count_box_satisfying(lows, highs, rows, [c - 1 for c in offsets])
+        points, interior = _scan_dilate(plan, n)
+        above.append(points)
         below.append((-1) ** d * interior)
     diffs = _forward_differences(below[::-1] + [1] + above)  # nodes -k..k
     if any(diffs[d + 1 :]):

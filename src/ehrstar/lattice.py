@@ -38,17 +38,23 @@ RANDOM_SIMPLEX_DRAWS = 1000  # degenerate draws before make_random_simplex gives
 # `compute` of the unimodular d-simplex given by its vertices takes 0.5 s
 # at d = 100, 1.5 s at d = 200 and 9.3 s at d = 400 on a 2-vCPU Xeon VM.
 GENERATOR_DIM_CAP = 100
-# Work cap of `_extreme_rays`. A step is charged |positive rays| * |negative
-# rays| for counting the common tight rows of each pair, then |rays| for
-# each pair with enough of them to need the bit-set comparisons, and the
-# running sum is checked after each part, before the step builds a ray. On
-# a 2-vCPU Xeon VM most units take 0.2-0.3 us (60 random points of
-# [-2, 2]^6: 8.5e6 units, 2.3 s); the slowest seen, 0.7 us, are those of
-# the 13-dimensional cross-polytope by its 8,192 facets (1.8e6 units,
-# 1.2 s), so a run stops within about 7 s. The 6-dimensional one takes
-# 1,590 units (3 ms), the facets of the unimodular 100-simplex 10,200
-# (0.38 s, mostly its scaled inverse), the square with 1,996 corner cuts 12
-# (20 ms), and 40 random points of [-2, 2]^5 3.0e5 (0.06 s).
+# Work cap of `_extreme_rays`. A step is charged n units per ray for
+# reading its row against the rays (n = d + 1 entries each), then
+# |positive rays| * |negative rays| for counting the common tight rows of
+# each pair, then |rays| for each pair with enough of them to need the
+# bit-set comparisons, and the running sum is checked after each part,
+# before the step builds a ray. After the last row, a half-space list is
+# charged its m rows per final ray for `double_description`'s pass that
+# reads the rows tight on each vertex, before that pass runs. On a 2-vCPU
+# Xeon VM a unit takes 0.15-0.25 us (60 random points of [-2, 2]^6: 8.8e6
+# units, 1.6-2.1 s; the 13-dimensional cross-polytope by its 8,192 facets:
+# 5.3e6 units, 1.3 s), and runs over the cap stop within 0.6-2 s (the
+# 10-, 11- and 12-cubes by their facets plus 1,000 rows 100 + i + x_1 >= 0,
+# and the polars of the cyclic polytopes C(30, 6) and C(23, 17)), so a run
+# stops within about 3 s. The 6-dimensional cross-polytope takes 7,200
+# units (3 ms), the facets of the unimodular 100-simplex 30,600 (0.34 s,
+# mostly its scaled inverse), the square with 1,996 corner cuts 32,000
+# (30 ms), and 40 random points of [-2, 2]^5 3.3e5 (0.06 s).
 _HALFSPACE_WORK_CAP = 10**7
 
 
@@ -148,7 +154,7 @@ class LatticePolytope:
                 )
             return self.vertices, tuple(HalfSpace(f[0], tuple(f[1:])) for f, _ in rays)
         hs = self.halfspaces
-        rays = _extreme_rays([[1] + [0] * d] + [[h.offset, *h.normal] for h in hs], d + 1)
+        rays = _extreme_rays([[1] + [0] * d] + [[h.offset, *h.normal] for h in hs], d + 1, len(hs))
         if rays is None or all(r[0] == 0 for r, _ in rays):
             raise InputError("half-space system has no vertices (empty or unbounded)")
         if any(r[0] == 0 for r, _ in rays):
@@ -180,10 +186,12 @@ class LatticePolytope:
         return vertices, facets
 
 
-def _extreme_rays(rows: list[list[int]], n: int) -> list[tuple[list[int], int]] | None:
+def _extreme_rays(rows: list[list[int]], n: int, after: int = 0) -> list[tuple[list[int], int]] | None:
     """The primitive extreme rays of {y in R^n : row . y >= 0 for every row},
     each with the bit set of the rows tight on it (bit k for rows[k]), or
-    None when the rows have rank below n and the cone holds a line.
+    None when the rows have rank below n and the cone holds a line. `after`
+    is the work per final ray of the caller's pass over them, charged
+    before they are returned.
 
     Double description (Motzkin, Raiffa, Thompson and Thrall, 1953): n
     independent rows cut out a simplicial cone, whose rays are the columns
@@ -206,12 +214,14 @@ def _extreme_rays(rows: list[list[int]], n: int) -> list[tuple[list[int], int]] 
     for k, row in enumerate(rows):
         if initial >> k & 1:
             continue
-        vals = [sum(a * b for a, b in zip(row, ray)) for ray, _ in rays]
-        pos = [i for i, v in enumerate(vals) if v > 0]
-        neg = [i for i, v in enumerate(vals) if v < 0]
         # charged as `_HALFSPACE_WORK_CAP` says; the pairs are listed only up
         # to the first that would pass it
-        work += len(pos) * len(neg)
+        work += len(rays) * n
+        if work <= _HALFSPACE_WORK_CAP:
+            vals = [sum(a * b for a, b in zip(row, ray)) for ray, _ in rays]
+            pos = [i for i, v in enumerate(vals) if v > 0]
+            neg = [i for i, v in enumerate(vals) if v < 0]
+            work += len(pos) * len(neg)
         if work <= _HALFSPACE_WORK_CAP:
             close = ((i, j) for i in pos for j in neg
                      if (rays[i][1] & rays[j][1]).bit_count() >= n - 2)
@@ -230,6 +240,10 @@ def _extreme_rays(rows: list[list[int]], n: int) -> list[tuple[list[int], int]] 
             vi, vj = vals[i], -vals[j]
             crossed.append((_reduce_by_gcd([vi * b + vj * a for a, b in zip(ri, rj)]), common | bit))
         rays = [(ray, z | bit if not v else z) for (ray, z), v in zip(rays, vals) if v >= 0] + crossed
+    work += len(rays) * after
+    if work > _HALFSPACE_WORK_CAP:
+        raise CostGuardExceeded(f"vertex enumeration would pass {_HALFSPACE_WORK_CAP} "
+                                f"adjacency tests after row {len(rows)} of {len(rows)}")
     return rays
 
 

@@ -512,6 +512,23 @@ class TestCountedByDoubleDescription:
         assert (code, err) == (0, "") and "h*: 1 23 23 1" in out.splitlines()
 
 
+    def test_cube_with_many_redundant_rows_exit_3(self, capsys, tmp_path):
+        # the 11-cube by its 22 facets and 1,000 rows 100 + i + x_1 >= 0: no
+        # row separates a pair of rays, but each is read against all 2^11 of
+        # them, and that work is charged: the cap refuses the run part way
+        # through the rows instead of letting it run for seconds
+        d = 11
+        rows = [[1, *(s * (k == j) for k in range(d))] for j in range(d) for s in (1, -1)]
+        rows += [[100 + i, *(int(k == 0) for k in range(d))] for i in range(1000)]
+        path = _write(tmp_path, {"ambient_dim": d, "halfspaces": rows})
+        start = time.perf_counter()
+        code, out, err = run(capsys, "compute", "--input", path)
+        assert time.perf_counter() - start < 10
+        assert (code, out) == (3, "")
+        assert re.fullmatch(r"error: vertex enumeration would pass 10000000 adjacency tests "
+                            r"at row \d+ of 1023\n", err), err
+
+
 class TestHugeIntegers:
     """Integers past the interpreter's 4,300-digit limit end in exit 2, not a traceback."""
 

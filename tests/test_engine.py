@@ -449,7 +449,9 @@ class TestHalfspaceVertexStep:
     def test_work_cap_checked_before_each_step(self, monkeypatch):
         # conv(+-e_i) in R^4 by its 16 facets, under every cap up to the
         # run's total work. Each new ray is reduced by its gcd once, so the
-        # reductions count the rays that a run has built.
+        # reductions count the rays that a run has built. The pass that
+        # reads the tight rows of the final rays is charged after the last
+        # row, as row 18, before the rays are returned.
         rows = tuple(HalfSpace(1, s) for s in product((-1, 1), repeat=4))
         built = []
         reduce = ehrstar.lattice._reduce_by_gcd
@@ -463,14 +465,29 @@ class TestHalfspaceVertexStep:
                 break
             except CostGuardExceeded as exc:
                 match = re.fullmatch(rf"vertex enumeration would pass {cap} adjacency tests "
-                                     r"at row (\d+) of 17", str(exc))
+                                     r"(at|after) row (\d+) of 17", str(exc))
                 assert match, str(exc)
-                row = int(match[1])
+                row = int(match[2]) + (match[1] == "after")
                 assert row >= max(refused, default=0)
                 # a larger cap that still refuses at this row built nothing more
                 assert refused.setdefault(row, len(built)) == len(built)
         assert box == ((-1,) * 4, (1,) * 4)
         assert len(refused) >= 3 and min(refused.values()) < len(built)
+        assert refused[18] == len(built)
+
+    def test_redundant_rows_charged_for_their_pass_over_the_rays(self, monkeypatch):
+        # the 6-cube by its 12 facets and 1,000 rows 100 + i + x_1 >= 0: no
+        # row separates a pair, yet each reads all 64 rays, d + 1 units each
+        d = 6
+        rows = [HalfSpace(1, tuple(s * (k == j) for k in range(d))) for j in range(d) for s in (1, -1)]
+        rows += [HalfSpace(100 + i, tuple(int(k == 0) for k in range(d))) for i in range(1000)]
+        assert len(LatticePolytope(d, halfspaces=tuple(rows)).double_description[0]) == 2**d
+        monkeypatch.setattr(ehrstar.lattice, "_HALFSPACE_WORK_CAP", 10**5)
+        with pytest.raises(CostGuardExceeded) as exc:
+            LatticePolytope(d, halfspaces=tuple(rows)).double_description
+        match = re.fullmatch(r"vertex enumeration would pass 100000 adjacency tests at row (\d+) of 1013",
+                             str(exc.value))
+        assert match and 13 < int(match[1]) < 1013, str(exc.value)
 
     # The polar of the cyclic polytope C(m, d) by its m facets: the double
     # description refuses it under the real cap part way through the rows,
@@ -807,17 +824,56 @@ class TestReciprocityRoute:
 
     @pytest.mark.parametrize("d", [1, 3, 5])
     def test_corrupted_interior_count_at_odd_d_raises(self, monkeypatch, d):
-        kernel = ehrstar.engine._count_box_satisfying
-        calls = []
+        scan = ehrstar.engine._scan_dilate
+        passes = []
 
-        def interior_of_n1_plus_one(*args, **kwargs):
-            calls.append(args)
-            return kernel(*args, **kwargs) + (len(calls) == 2)
+        def interior_of_n1_plus_one(plan, n, **kwargs):
+            passes.append(n)
+            points, interior = scan(plan, n, **kwargs)
+            return points, interior + (n == 1)
 
-        monkeypatch.setattr(ehrstar.engine, "_count_box_satisfying", interior_of_n1_plus_one)
+        monkeypatch.setattr(ehrstar.engine, "_scan_dilate", interior_of_n1_plus_one)
         with pytest.raises(ArithmeticError, match="degree d"):
             count_profile(make_random_simplex(d, 2, 5))
-        assert len(calls) == 2 * ((d + 1) // 2)
+        assert passes == list(range(1, (d + 1) // 2 + 1))
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_one_pass_per_scanned_dilate_over_one_plan(self, monkeypatch, d):
+        # ceil(d/2) passes, each counting a dilate's points and interior
+        # points, over one plan; the one-dilate kernel is not called
+        s = make_random_simplex(d, 2, 3)
+        expected = every_dilate_counts(s)
+        scan = ehrstar.engine._scan_dilate
+        passes = []
+
+        def recorded(plan, n, **kwargs):
+            passes.append((plan, n))
+            return scan(plan, n, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the profile called the one-dilate kernel")
+
+        monkeypatch.setattr(ehrstar.engine, "_scan_dilate", recorded)
+        monkeypatch.setattr(ehrstar.engine, "_count_box_satisfying", forbidden)
+        assert count_profile(s).counts == expected
+        assert [n for _, n in passes] == list(range(1, (d + 1) // 2 + 1))
+        assert len({id(plan) for plan, _ in passes}) == 1
+
+    @pytest.mark.parametrize("edges, cap, message", [
+        # the n = 1 box has 5^3 points, the n = 2 box 9^3
+        ((4, 4, 4), 9**3 - 1, "visit 729 candidates"),
+        # the n = 1 box has 4 * (2^59 + 1) < 2^62 points, the n = 2 box 9 * (2^60 + 1)
+        ((2**59, 1, 1), 10**30, r"the scan kernel takes fewer than 2\^62"),
+    ])
+    def test_every_cap_checked_before_the_first_pass(self, monkeypatch, edges, cap, message):
+        # d = 3 scans the dilates 1 and 2; only the top one is over a cap
+        s = LatticeSimplex.from_vertices(
+            ((0, 0, 0),) + tuple(tuple(e * (i == j) for j in range(3)) for i, e in enumerate(edges)))
+        passes = []
+        monkeypatch.setattr(ehrstar.engine, "_scan_dilate", lambda *args, **kwargs: passes.append(args))
+        with pytest.raises(CostGuardExceeded, match=message):
+            count_profile(s, count_cap=cap)
+        assert passes == []
 
     def test_count_cap_checks_only_the_scanned_dilates(self):
         # d = 3: dilates 1 and 2 are scanned; the n = 4 box is far over the cap
@@ -834,6 +890,23 @@ def _brute_box_count(lows, highs, rows, offsets) -> int:
     )
 
 
+def _brute_closed_and_interior(lows, highs, rows, offsets) -> tuple[int, int]:
+    """The box points with rows @ x + offsets >= 0, and those with > 0."""
+    return (_brute_box_count(lows, highs, rows, offsets),
+            _brute_box_count(lows, highs, rows, [c - 1 for c in offsets]))
+
+
+def _one_pass(lows, highs, rows, offsets, *, chunk=1 << 17) -> tuple[int, int]:
+    """(closed, interior) of the system from one `_scan_dilate` pass at n = 1."""
+    return ehrstar.engine._scan_dilate(ehrstar.engine._ScanPlan(lows, highs, rows, offsets), 1, chunk=chunk)
+
+
+def _kernel_matches(system, expected, chunk) -> None:
+    """The one-dilate kernel gives the closed count, one pass both counts."""
+    assert _count_box_satisfying(*system, chunk=chunk) == expected[0]
+    assert _one_pass(*system, chunk=chunk) == expected
+
+
 def _needle_simplex(d: int, k: int) -> LatticeSimplex:
     """conv{0, k * 1, k * 1 + e_1, ..., k * 1 + e_{d-1}}: thin along the diagonal.
 
@@ -848,7 +921,10 @@ def _needle_simplex(d: int, k: int) -> LatticeSimplex:
 
 class TestIntervalKernel:
     """The kernel enumerates d - 2 axes, bounds s by the projected rows and
-    counts t as an interval; the oracles test every point of the box."""
+    counts t as an interval; the oracles test every point of the box. Each
+    test checks the closed count of `_count_box_satisfying` and both counts
+    of one `_scan_dilate` pass, the interior one against the oracle on
+    offsets - 1."""
 
     @staticmethod
     def _system(rng, d, *, t_sign=None):
@@ -869,7 +945,7 @@ class TestIntervalKernel:
         rng = random.Random(seed)
         for d in (1, 2, 3, 4, 5):
             system = self._system(rng, d)
-            assert _count_box_satisfying(*system, chunk=chunk) == _brute_box_count(*system)
+            _kernel_matches(system, _brute_closed_and_interior(*system), chunk)
 
     @pytest.mark.parametrize("chunk", [1, 5, 1 << 17])
     @pytest.mark.parametrize("t_sign", [1, -1])
@@ -879,7 +955,7 @@ class TestIntervalKernel:
         rng = random.Random(seed)
         for d in (1, 2, 3, 4, 5):
             system = self._system(rng, d, t_sign=t_sign)
-            assert _count_box_satisfying(*system, chunk=chunk) == _brute_box_count(*system)
+            _kernel_matches(system, _brute_closed_and_interior(*system), chunk)
 
     @pytest.mark.parametrize("chunk", [1, 5, 1 << 17])
     @pytest.mark.parametrize("seed", range(10))
@@ -890,9 +966,10 @@ class TestIntervalKernel:
         highs = [lo + rng.randint(0, 30) for lo in lows]
         m = rng.randint(1, 6)
         rows = [[rng.randint(-4, 4), rng.randint(-4, 4)] for _ in range(m)]
+        rows[rng.randrange(m)][-1] = 0  # a = 0 on t: it bounds the interior's s-range
         offsets = [rng.randint(-40, 40) for _ in range(m)]
         system = lows, highs, rows, offsets
-        assert _count_box_satisfying(*system, chunk=chunk) == _brute_box_count(*system)
+        _kernel_matches(system, _brute_closed_and_interior(*system), chunk)
 
     @pytest.mark.parametrize("chunk", [1, 5, 1 << 17])
     @pytest.mark.parametrize("d, k", [(3, 4), (4, 3), (5, 2)])
@@ -900,8 +977,9 @@ class TestIntervalKernel:
         s = _needle_simplex(d, k)
         for n in (1, 2, 3):
             lows, highs, rows, offsets = ehrstar.engine._dilate(ehrstar.engine._counted(s), n)
-            expected = full_box_count(lows, highs, rows, offsets)
-            assert _count_box_satisfying(lows, highs, rows, offsets, chunk=chunk) == expected
+            expected = (full_box_count(lows, highs, rows, offsets),
+                        full_box_count(lows, highs, rows, [c - 1 for c in offsets]))
+            _kernel_matches((lows, highs, rows, offsets), expected, chunk)
         assert count_profile(s).counts == every_dilate_counts(s)
 
     @staticmethod
@@ -939,10 +1017,10 @@ class TestIntervalKernel:
         if d == 3:  # x becomes the enumerated axis, so the projected row is summed on it
             lows, highs = [lows[0], -1, lows[1]], [highs[0], 1, highs[1]]
             rows = [[row[0], 0, row[1]] for row in rows]
-        expected = _brute_box_count(lows, highs, rows, offsets)
-        assert 0 < expected < math.prod(hi - lo + 1 for lo, hi in zip(lows, highs))
+        expected = _brute_closed_and_interior(lows, highs, rows, offsets)
+        assert 0 < expected[0] < math.prod(hi - lo + 1 for lo, hi in zip(lows, highs))
         for chunk in (1, 5, 1 << 17):
-            assert _count_box_satisfying(lows, highs, rows, offsets, chunk=chunk) == expected
+            _kernel_matches((lows, highs, rows, offsets), expected, chunk)
 
     # `worst` bounds the partial values |rows @ x + offsets| over the box;
     # below 2^62 the kernel runs on int64, from 2^62 on on Python ints
@@ -965,9 +1043,90 @@ class TestIntervalKernel:
         rows[i] = [scale * a for a in rows[i]]
         offsets[i] = scale * offsets[i] + (pad if offsets[i] >= 0 else -pad)
         assert sum(abs(a) * m for a, m in zip(rows[i], maxabs)) + abs(offsets[i]) == worst
-        assert _count_box_satisfying(lows, highs, rows, offsets) == _brute_box_count(
-            lows, highs, rows, offsets
-        )
+        system = lows, highs, rows, offsets
+        _kernel_matches(system, _brute_closed_and_interior(*system), 1 << 17)
+
+    @pytest.mark.parametrize("chunk", [1, 1 << 17])
+    @pytest.mark.parametrize("d, axis", [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+    def test_interior_at_closed_bound_2_62_minus_1(self, monkeypatch, d, axis, chunk):
+        # a * x - a >= 0 with 3a = 2^62 - 1 on [-2, 2]: its closed bound is
+        # 2^62 - 1 and its strict version, offset - a - 1, has the bound
+        # 2^62, yet the closed bound decides the dtype: the pass runs on
+        # int64 and reads x >= 2 off the same quotients.
+        a = (2**62 - 1) // 3
+        assert 3 * a == 2**62 - 1
+        dtypes = []
+        arrays = ehrstar.engine._ScanPlan.arrays
+        monkeypatch.setattr(ehrstar.engine._ScanPlan, "arrays",
+                            lambda plan, dtype: dtypes.append(dtype) or arrays(plan, dtype))
+        unit = [int(j == axis) for j in range(d)]
+        rows = [[a * u for u in unit], [-1] * d, [1] * d] + [[int(j == k) for j in range(d)] for k in range(d)]
+        offsets = [-a, 2 * d + 1, d, 2] + [1] * (d - 1)
+        system = [-2] * d, [2] * d, rows, offsets
+        expected = _brute_closed_and_interior(*system)
+        assert expected[0] > expected[1] > 0
+        _kernel_matches(system, expected, chunk)
+        assert dtypes and all(dtype is not object for dtype in dtypes)
+
+    @pytest.mark.parametrize("chunk", [1, 5, 1 << 17])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_one_plan_for_every_dilate(self, seed, chunk):
+        # Even coefficients off t give pair rows whose coefficients share a
+        # factor with even n: reduced once at n = 1, again at n = 2 and 4.
+        rng = random.Random(seed)
+        for d in (1, 2, 3, 4):
+            mins = [rng.randint(-3, 1) for _ in range(d)]
+            maxs = [lo + rng.randint(0, 3) for lo in mins]
+            m = rng.randint(1, 5)
+            rows = [[2 * rng.randint(-2, 2) for _ in range(d - 1)] + [rng.choice((-3, -1, 0, 1, 2))]
+                    for _ in range(m)]
+            offsets = [rng.randint(-6, 6) for _ in range(m)]
+            plan = ehrstar.engine._ScanPlan(mins, maxs, rows, offsets)
+            for n in (1, 2, 3, 4):
+                dilate = [n * x for x in mins], [n * x for x in maxs], rows, [n * c for c in offsets]
+                assert ehrstar.engine._scan_dilate(plan, n, chunk=chunk) == _brute_closed_and_interior(*dilate)
+
+    @staticmethod
+    def _dtypes(monkeypatch):
+        """The dtype of every pass, in order."""
+        dtypes = []
+        scan = ehrstar.engine._scan_dilate
+
+        def recorded(plan, n, **kwargs):
+            arrays = plan.arrays
+            plan.arrays = lambda dtype: dtypes.append(dtype) or arrays(dtype)
+            try:
+                return scan(plan, n, **kwargs)
+            finally:
+                del plan.arrays
+
+        monkeypatch.setattr(ehrstar.engine, "_scan_dilate", recorded)
+        return dtypes
+
+    def test_pair_row_reduced_again_at_the_dilate(self, monkeypatch):
+        # B x + t + 3 >= 0 and B x - t - 2 >= 0 on [-2, 2] x [-3, 3], with
+        # 4B = 2^62 - 64: the pair row 2B x + 1 has the bound 2^62 - 63. At
+        # n = 2 it is 2B x + 2, which is B x + 1 in lowest terms, of the
+        # same bound; times 2 it would pass 2^62. So both dilates run on int64.
+        big = 2**60 - 16
+        mins, maxs, rows, offsets = [-2, -3], [2, 3], [[big, 1], [big, -1]], [3, -2]
+        dtypes = self._dtypes(monkeypatch)
+        plan = ehrstar.engine._ScanPlan(mins, maxs, rows, offsets)
+        for n in (1, 2):
+            dilate = [n * x for x in mins], [n * x for x in maxs], rows, [n * c for c in offsets]
+            assert ehrstar.engine._scan_dilate(plan, n) == _brute_closed_and_interior(*dilate)
+        assert len(dtypes) == 2 and object not in dtypes
+
+    def test_dilated_simplex_near_2_58_stays_on_int64(self, monkeypatch):
+        # 10 * Delta_3 translated near 2^58: the bounds of the dilates 1 and
+        # 2, the ones scanned, stay below 2^62
+        shift = [2**58 + 17, 2**58 - 400, 2**58 + 999]
+        rows = [HalfSpace(-t, tuple(int(i == j) for i in range(3))) for j, t in enumerate(shift)]
+        rows.append(HalfSpace(10 + sum(shift), (-1, -1, -1)))
+        dtypes = self._dtypes(monkeypatch)
+        counts = count_profile(LatticePolytope(3, halfspaces=tuple(rows))).counts
+        assert counts == tuple(math.comb(10 * n + 3, 3) for n in range(5))
+        assert len(dtypes) == 2 and object not in dtypes
 
     @pytest.mark.parametrize("worst", [2**62 - 1, 2**62, 2**62 + 1, 3 * 2**61])
     def test_bounds_far_outside_the_box(self, worst):
