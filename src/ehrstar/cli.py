@@ -36,7 +36,6 @@ from .errors import (
 )
 from .lattice import (
     LatticePolytope,
-    LatticeSimplex,
     iterated_pyramid,
     make_cube,
     make_higashitani,
@@ -89,7 +88,7 @@ def _parse_signed_ints(text: str) -> list[int]:
     return values
 
 
-def build_builtin(name: str) -> LatticePolytope | LatticeSimplex:
+def build_builtin(name: str) -> LatticePolytope:
     """Instantiate a generator by name.
 
     Names: cube-d-a-b, unimodular-d, higashitani-15, higashitani-a-v-b-m,
@@ -101,10 +100,7 @@ def build_builtin(name: str) -> LatticePolytope | LatticeSimplex:
             times = int_text(times_text)
         except ValueError as exc:
             raise InputError(f"bad pyramid count in builtin {name!r}") from exc
-        base = build_builtin(rest)
-        if isinstance(base, LatticeSimplex):
-            base = base.to_polytope()
-        return iterated_pyramid(base, times)
+        return iterated_pyramid(build_builtin(rest), times)
     if name == "higashitani-15":
         return make_higashitani(7, 131, 7, 132)
     kind, _, params = name.partition("-")
@@ -364,7 +360,7 @@ def _selftest_checks():
         return True
 
     def pyramid_invariant():
-        cases = [make_cube(2, -1, 1), make_random_simplex(3, 3, 7).to_polytope()]
+        cases = [make_cube(2, -1, 1), make_random_simplex(3, 3, 7)]
         from .lattice import pyramid
 
         for p in cases:

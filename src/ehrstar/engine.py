@@ -27,9 +27,11 @@ the projected rows give each enumerated point its integer range of s, and
 every surviving (point, s) pair counts its t-values as one integer
 interval, and its interior t-values from the same floor quotients.
 
-The h*-vector of a simplex is computed directly, without any counting,
-by enumerating the lattice points of the half-open parallelepiped
-spanned by the homogenized vertices (see `box_points_simplex`). All
+The h*-vector of a simplex given by its d + 1 vertices (a polytope whose
+`normalized_volume` is set, a generator's `LatticeSimplex` among them) is
+computed directly, without any counting, by enumerating the lattice points
+of the half-open parallelepiped spanned by the homogenized vertices (see
+`box_points_simplex`); a simplex given by its facets is scanned. All
 arithmetic is exact: scans run on int64 only when a conservative bound
 proves no overflow, and fall back to Python-int (object dtype) arrays
 otherwise.
@@ -49,7 +51,7 @@ from itertools import accumulate, product
 
 from .errors import CostGuardExceeded, InputError, VolumeCapExceeded, shown
 from .intlinalg import _reduce_by_gcd, diagonalize_lattice_basis
-from .lattice import BoxHint, LatticePolytope, LatticeSimplex, PyramidHint, _homogenized_columns
+from .lattice import BoxHint, LatticePolytope, PyramidHint, _homogenized_columns
 from .starbasis import FStarVector, HStarVector, eval_ehrhart, f_from_h, h_from_f
 
 DEFAULT_COUNT_CAP = 10**9
@@ -362,13 +364,12 @@ def _dilate(system, n: int):
 # -- strategy dispatch --------------------------------------------------------
 
 
-def _counted(p: LatticePolytope | LatticeSimplex):
+def _counted(p: LatticePolytope):
     """p's BoxHint or PyramidHint, else its scan system (mins, maxs, rows, offsets):
     the box of its vertices and its facets, from `LatticePolytope.double_description`,
     which rejects empty, unbounded, flat and non-lattice input even at d = 0.
+    A generator's `LatticeSimplex` is a vertex list like any other.
     """
-    if isinstance(p, LatticeSimplex):
-        p = p.to_polytope()
     if p.hint is not None:
         return p.hint
     vertices, facets = p.double_description
@@ -377,7 +378,7 @@ def _counted(p: LatticePolytope | LatticeSimplex):
     return mins, maxs, [list(f.normal) for f in facets], [f.offset for f in facets]
 
 
-def count_points(p: LatticePolytope | LatticeSimplex, n: int, *, count_cap: int = DEFAULT_COUNT_CAP) -> int:
+def count_points(p: LatticePolytope, n: int, *, count_cap: int = DEFAULT_COUNT_CAP) -> int:
     """Exact number of lattice points in the n-th dilate, n >= 1."""
     if n < 1:
         raise InputError("dilate must be positive")
@@ -443,7 +444,7 @@ def _reciprocity_counts(system, nmax: int, count_cap: int) -> list[int]:
     return [sum(c * math.comb(n + k, j) for j, c in enumerate(diffs)) for n in range(nmax + 1)]
 
 
-def count_profile(p: LatticePolytope | LatticeSimplex, *, count_cap: int = DEFAULT_COUNT_CAP) -> CountProfile:
+def count_profile(p: LatticePolytope, *, count_cap: int = DEFAULT_COUNT_CAP) -> CountProfile:
     """Counts at n = 0..d+1; n = 0 contributes 1 by the series convention.
 
     Box and pyramid hints use their closed forms; simplices and half-space
@@ -465,8 +466,9 @@ def f_star_from_profile(profile: CountProfile) -> FStarVector:
 # -- fundamental parallelepiped -----------------------------------------------
 
 
-def box_points_simplex(s: LatticeSimplex, *, volume_cap: int = DEFAULT_VOLUME_CAP) -> BoxPointTable:
-    """Heights of the lattice points of the half-open parallelepiped of s.
+def box_points_simplex(s: LatticePolytope, *, volume_cap: int = DEFAULT_VOLUME_CAP) -> BoxPointTable:
+    """Heights of the lattice points of the half-open parallelepiped of s, a
+    simplex given by its d + 1 vertices (`normalized_volume` is not None).
 
     The homogenized vertices u_i = (v_i, 1) generate a sublattice of
     Z^{d+1} of index N = normalized volume, and the half-open box
@@ -481,6 +483,8 @@ def box_points_simplex(s: LatticeSimplex, *, volume_cap: int = DEFAULT_VOLUME_CA
     """
     d = s.ambient_dim
     n_total = s.normalized_volume
+    if n_total is None:
+        raise InputError("the parallelepiped route needs a simplex given by its d + 1 vertices")
     if n_total > volume_cap:
         raise VolumeCapExceeded(
             f"normalized volume {n_total} exceeds the cap {volume_cap}"
@@ -542,31 +546,30 @@ class ComputeResult:
 
 
 def h_star_of(
-    p: LatticePolytope | LatticeSimplex,
+    p: LatticePolytope,
     *,
     count_cap: int = DEFAULT_COUNT_CAP,
     volume_cap: int = DEFAULT_VOLUME_CAP,
 ) -> HStarVector:
-    """h*-vector by the cheapest exact route.
-
-    Simplices of feasible volume go through the parallelepiped; everything
-    else is counted and interpolated. The two routes agree whenever both
-    apply (covered by the test suite).
-    """
+    """h*-vector by the cheapest exact route (`compute_vectors`); the two
+    routes agree whenever both apply (covered by the test suite)."""
     return compute_vectors(p, count_cap=count_cap, volume_cap=volume_cap).h
 
 
 def compute_vectors(
-    p: LatticePolytope | LatticeSimplex,
+    p: LatticePolytope,
     *,
     count_cap: int = DEFAULT_COUNT_CAP,
     volume_cap: int = DEFAULT_VOLUME_CAP,
 ) -> ComputeResult:
-    s = p if isinstance(p, LatticeSimplex) else p.simplex
-    if s is not None and s.normalized_volume <= volume_cap:
-        table = box_points_simplex(s, volume_cap=volume_cap)
+    """h*, f*, counts ehr(0..d+1) and route of p. A simplex given by its
+    vertices (`normalized_volume` is not None) of volume at most `volume_cap`
+    takes the parallelepiped; all else, H-simplices included, is scanned."""
+    volume = p.normalized_volume
+    if volume is not None and volume <= volume_cap:
+        table = box_points_simplex(p, volume_cap=volume_cap)
         h = HStarVector(table.heights, polytope_derived=True)
-        counts = tuple(eval_ehrhart(h, n) for n in range(s.ambient_dim + 2))
+        counts = tuple(eval_ehrhart(h, n) for n in range(p.ambient_dim + 2))
         return ComputeResult(h, f_from_h(h), counts, "parallelepiped")
     profile = count_profile(p, count_cap=count_cap)
     f = f_star_from_profile(profile)

@@ -1,11 +1,15 @@
 """Lattice polytopes with exact integer data, plus the generator zoo.
 
 A lattice point is a plain tuple of ints. Polytopes are immutable; they
-carry either a vertex list or a half-space list. One double-description
-routine, `_extreme_rays`, gives every polytope that is counted by a scan
-both: `LatticePolytope.double_description` reads the facets of a vertex
-list off it, and the vertices of a half-space list together with the rows
-that bound its facets.
+carry either a vertex list or a half-space list, whose entries must be
+ints. A vertex list of d + 1 affinely independent points is a simplex:
+its `normalized_volume` is set, and the parallelepiped route reads it. The
+simplex generators return a `LatticeSimplex`, which is a `LatticePolytope`
+built by a validating constructor. One double-description routine,
+`_extreme_rays`, gives every polytope that is counted by a scan both:
+`LatticePolytope.double_description` reads the facets of a vertex list off
+it, and the vertices of a half-space list together with the rows that
+bound its facets.
 Generators may attach a structure hint (box product, pyramid tower) that
 the counting engine exploits; hints never change the mathematical object.
 """
@@ -16,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import islice
-from operator import and_
+from operator import and_, index
 
 from .errors import (
     CostGuardExceeded,
@@ -107,24 +111,27 @@ class LatticePolytope:
             for v in self.vertices:
                 if len(v) != self.ambient_dim:
                     raise InputError("vertex length does not match ambient dimension")
+            entries = (x for v in self.vertices for x in v)
         else:
             for hs in self.halfspaces:
                 if len(hs.normal) != self.ambient_dim:
                     raise InputError("half-space normal length does not match ambient dimension")
+            entries = (x for hs in self.halfspaces for x in (hs.offset, *hs.normal))
+        if any(type(x) is not int for x in entries):
+            raise InputError("coordinates, offsets and normals must be ints")
 
     @cached_property
     def dim(self) -> int:
         return affine_dimension(self)
 
     @cached_property
-    def simplex(self) -> "LatticeSimplex | None":
-        """The vertex list as a simplex (d + 1 vertices, det != 0), or None."""
+    def normalized_volume(self) -> int | None:
+        """|det| of the homogenized vertices of a simplex given by its d + 1
+        vertices, else None: the number of lattice points of its half-open
+        fundamental parallelepiped, hence the sum of its h*-entries."""
         if self.vertices is None or len(self.vertices) != self.ambient_dim + 1:
             return None
-        try:
-            return LatticeSimplex.from_vertices(self.vertices)
-        except DegenerateSimplexError:
-            return None
+        return abs(det(_homogenized_columns(self.vertices))) or None
 
     @cached_property
     def double_description(self) -> tuple[tuple[LatticePoint, ...], tuple[HalfSpace, ...]]:
@@ -247,22 +254,16 @@ def _extreme_rays(rows: list[list[int]], n: int, after: int = 0) -> list[tuple[l
     return rays
 
 
-@dataclass(frozen=True)
-class LatticeSimplex:
-    """d+1 vertices spanning dimension d, with their normalized volume.
-
-    The normalized volume is |det| of the edge matrix (equivalently of the
-    homogenized vertex matrix); it equals the number of lattice points of
-    the half-open fundamental parallelepiped, hence the sum of the
-    h*-entries. Construct through `LatticeSimplex.from_vertices`.
-    """
-
-    vertices: tuple[LatticePoint, ...]
-    normalized_volume: int
+class LatticeSimplex(LatticePolytope):
+    """A vertex list of d + 1 lattice points spanning dimension d, built by
+    the validating `from_vertices`; its `normalized_volume` is never None."""
 
     @classmethod
     def from_vertices(cls, vertices) -> "LatticeSimplex":
-        vertices = tuple(tuple(int(x) for x in v) for v in vertices)
+        try:
+            vertices = tuple(tuple(map(index, v)) for v in vertices)
+        except TypeError as exc:
+            raise InputError(f"simplex vertices must be integer tuples: {exc}") from exc
         if not vertices:
             raise InputError("simplex needs vertices")
         d = len(vertices[0])
@@ -270,22 +271,10 @@ class LatticeSimplex:
             raise InputError("inconsistent vertex lengths")
         if len(vertices) != d + 1:
             raise InputError(f"a {d}-simplex needs exactly {d + 1} vertices")
-        volume = abs(det(_homogenized_columns(vertices)))
-        if volume == 0:
+        s = cls(d, vertices=vertices)
+        if s.normalized_volume is None:
             raise DegenerateSimplexError("vertices do not span the ambient dimension")
-        return cls(vertices, volume)
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.vertices[0])
-
-    def to_polytope(self) -> LatticePolytope:
-        return self._polytope
-
-    @cached_property
-    def _polytope(self) -> LatticePolytope:
-        """One vertex-list object per simplex, so that what it caches is kept."""
-        return LatticePolytope(self.ambient_dim, vertices=self.vertices)
+        return s
 
 
 def _homogenized_columns(vertices: tuple[LatticePoint, ...]) -> list[list[int]]:

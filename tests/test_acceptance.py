@@ -146,10 +146,7 @@ def _audit_corpus():
     base = []
     for d in range(2, 9):
         bound = 4 if d <= 3 else (2 if d <= 6 else 1)
-        base.extend(
-            s.to_polytope()
-            for s in bounded_volume_simplices(d, bound, 30, volume_cap=5000, seed0=10_000 + d)
-        )
+        base.extend(bounded_volume_simplices(d, bound, 30, volume_cap=5000, seed0=10_000 + d))
     for d in range(1, 6):
         for low, high in ((0, 1), (-1, 1), (-2, 2)):
             base.append(make_cube(d, low, high))

@@ -151,6 +151,19 @@ class TestBoxPoints:
         table = box_points_simplex(s)
         assert sum(table.heights) == s.normalized_volume
         assert table.heights[0] == 1
+        # a plain vertex list of the same points takes the same route
+        assert box_points_simplex(LatticePolytope(s.ambient_dim, vertices=s.vertices)) == table
+
+    @pytest.mark.parametrize("p", [
+        make_cube(2, -1, 1),
+        as_halfspace_polytope(((0, 0), (1, 0), (0, 1))),
+        LatticePolytope(2, vertices=((0, 0), (1, 0), (0, 1), (1, 1))),
+        LatticePolytope(2, vertices=((0, 0), (1, 1), (2, 2))),
+    ], ids=["cube", "h-simplex", "square-by-4-vertices", "degenerate-triangle"])
+    def test_needs_a_simplex_by_its_vertices(self, p):
+        assert p.normalized_volume is None
+        with pytest.raises(InputError, match="needs a simplex given by its d \\+ 1 vertices"):
+            box_points_simplex(p)
 
     @given(small_simplices)
     @settings(max_examples=25, deadline=None)
@@ -237,15 +250,31 @@ class TestPyramids:
         lifted = h_star_of(pyramid(make_cube(2, -1, 1)))
         assert lifted.entries == base.entries + (0,)
 
+    @pytest.mark.parametrize("s", [
+        make_unimodular_simplex(2),
+        make_higashitani(2, 3, 1, 4),
+        make_random_simplex(3, 2, 5),
+    ], ids=["unimodular", "higashitani", "random"])
+    def test_generator_simplices_take_the_polytope_operations(self, s):
+        d = s.ambient_dim
+        plain = LatticePolytope(d, vertices=s.vertices)
+        assert s.dim == d
+        assert s.double_description == plain.double_description
+        assert count_points(s, 2) == count_points(plain, 2)
+        assert pyramid(s).vertices == pyramid(plain).vertices
+        assert iterated_pyramid(s, 2).ambient_dim == d + 2
+        assert h_star_of(pyramid(s)).entries == h_star_of(s).entries + (0,)
+        assert h_star_of(iterated_pyramid(s, 2)).entries == h_star_of(plain).entries + (0, 0)
+
     def test_pyramid_invariant_spiked_simplex(self):
         s = make_higashitani(7, 131, 7, 132)
-        lifted = h_star_of(pyramid(s.to_polytope()))
+        lifted = h_star_of(pyramid(s))
         assert lifted.entries == SPIKE15_H + (0,)
 
     @given(small_simplices)
     @settings(max_examples=20, deadline=None)
     def test_pyramid_invariant_random(self, s):
-        assert h_star_of(pyramid(s.to_polytope())).entries == h_star_of(s).entries + (0,)
+        assert h_star_of(pyramid(s)).entries == h_star_of(s).entries + (0,)
 
 
 class TestHStarDispatch:
@@ -361,11 +390,12 @@ class TestCountingDispatch:
 
     def test_simplex_vertex_list_skips_the_rank(self, no_rank):
         # d + 1 vertices: the nonzero determinant proves full dimension
-        assert compute_vectors(make_higashitani(7, 131, 7, 132).to_polytope()).h.entries == SPIKE15_H
+        s = make_higashitani(7, 131, 7, 132)
+        assert compute_vectors(LatticePolytope(s.ambient_dim, vertices=s.vertices)).h.entries == SPIKE15_H
         # its vertex box is far over the count cap, which is checked after the dispatch
         for entry in ("count_profile", "count_points"):
             with pytest.raises(CostGuardExceeded):
-                _ENTRY_POINTS[entry](make_higashitani(7, 131, 7, 132).to_polytope())
+                _ENTRY_POINTS[entry](LatticePolytope(s.ambient_dim, vertices=s.vertices))
 
     @pytest.mark.parametrize("entry", _ENTRY_POINTS)
     @pytest.mark.parametrize("vertices, outcome", [
@@ -694,7 +724,7 @@ class TestVertexLists:
             vertices = list(s.vertices)
             vertices.insert(rng.randrange(d + 2), rng.choice(inside))
             p = LatticePolytope(d, vertices=tuple(vertices))
-            assert p.simplex is None
+            assert p.normalized_volume is None
             result = compute_vectors(p)
             assert result.route == "interpolation"
             assert result.h == h_star_of(s)
@@ -789,7 +819,7 @@ class TestReciprocityRoute:
         s = make_random_simplex(d, {1: 4, 2: 3, 3: 2, 4: 2, 5: 1, 6: 1}[d], seed)
         expected = every_dilate_counts(s)
         assert count_profile(s).counts == expected
-        assert count_profile(s.to_polytope()).counts == expected
+        assert count_profile(LatticePolytope(d, vertices=s.vertices)).counts == expected
         assert count_profile(as_halfspace_polytope(s.vertices)).counts == expected
 
     @pytest.mark.parametrize("seed", range(8))

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from ehrstar.errors import DegenerateSimplexError, InputError
 from ehrstar.lattice import (
     GENERATOR_DIM_CAP,
     BoxHint,
+    HalfSpace,
     LatticePolytope,
     LatticeSimplex,
     PyramidHint,
@@ -41,16 +43,14 @@ class TestAffineDimension:
         assert affine_dimension(p) == 1
 
     def test_spiked_15_simplex(self):
-        p = make_higashitani(7, 131, 7, 132).to_polytope()
+        p = make_higashitani(7, 131, 7, 132)
         assert affine_dimension(p) == 15
 
     @pytest.mark.parametrize("d", range(1, 21))
     def test_unimodular_simplices(self, d):
-        assert affine_dimension(make_unimodular_simplex(d).to_polytope()) == d
+        assert affine_dimension(make_unimodular_simplex(d)) == d
 
     def test_needs_vertices(self):
-        from ehrstar.lattice import HalfSpace
-
         p = LatticePolytope(1, halfspaces=(HalfSpace(0, (1,)), HalfSpace(1, (-1,))))
         with pytest.raises(InputError):
             affine_dimension(p)
@@ -130,7 +130,7 @@ class TestPyramid:
 
     @given(random_simplices, st.integers(0, 3))
     def test_vertex_and_dimension_growth(self, s, times):
-        p = iterated_pyramid(s.to_polytope(), times)
+        p = iterated_pyramid(s, times)
         assert p.ambient_dim == s.ambient_dim + times
         assert len(p.vertices) == len(s.vertices) + times
 
@@ -234,6 +234,27 @@ class TestPolytopeValidation:
     def test_simplex_needs_d_plus_1_vertices(self):
         with pytest.raises(InputError):
             LatticeSimplex.from_vertices(((0, 0), (1, 0)))
+
+    @pytest.mark.parametrize("build", [
+        lambda: LatticePolytope(2, vertices=((0, 0), (1.5, 0), (0, 1))),
+        lambda: LatticePolytope(2, vertices=((0, 0), (1.5, 0), (0, 1), (1, 1))),
+        lambda: LatticePolytope(2, vertices=((0, 0), (True, 0), (0, 1))),
+        lambda: LatticePolytope(1, halfspaces=(HalfSpace(0, (1,)), HalfSpace(1.5, (-1,)))),
+        lambda: LatticePolytope(1, halfspaces=(HalfSpace(0, (1.0,)), HalfSpace(1, (-1,)))),
+        lambda: LatticeSimplex.from_vertices(((0, 0), (1.5, 0), (0, 1))),
+        lambda: LatticeSimplex.from_vertices(((0, 0), ("1", 0), (0, 1))),
+        lambda: LatticeSimplex.from_vertices((0, 1)),
+    ], ids=["float-triangle", "float-square", "bool", "float-offset", "float-normal",
+            "float-simplex", "string-simplex", "non-tuple-simplex"])
+    def test_non_integer_entries_rejected(self, build):
+        with pytest.raises(InputError):
+            build()
+
+    def test_simplex_converts_integer_types(self):
+        s = LatticeSimplex.from_vertices(np.array([[0, 0], [2, 0], [0, 3]]))
+        assert s.vertices == ((0, 0), (2, 0), (0, 3))
+        assert all(type(x) is int for v in s.vertices for x in v)
+        assert s.normalized_volume == 6
 
 
 class TestJson:
