@@ -1,7 +1,8 @@
 """Exact lattice-point counting and h*/f*-vector extraction.
 
-Each input is resolved once, by `_counted`, into how it is counted; the
-entry points then work on that alone. The strategies, in that order:
+Every input, a generator's output included, is a `LatticePolytope`. Each
+is resolved once, by `_counted`, into how it is counted; the entry points
+then work on that alone. The strategies, in that order:
 
   * box hints (products of segments): closed-form per-axis counts;
   * pyramid hints: cross-sections of the n-th dilate of a pyramid at
@@ -26,9 +27,10 @@ each row's bound, none of which depends on n. Each dilate is then one pass
 the projected rows give each enumerated point its integer range of s, and
 every surviving (point, s) pair counts its t-values as one integer
 interval, and its interior t-values from the same floor quotients.
+`count_points` scans its one dilate by the same plan and pass.
 
 The h*-vector of a simplex given by its d + 1 vertices (a polytope whose
-`normalized_volume` is set, a generator's `LatticeSimplex` among them) is
+`normalized_volume` is set, the simplex generators' output among them) is
 computed directly, without any counting, by enumerating the lattice points
 of the half-open parallelepiped spanned by the homogenized vertices (see
 `box_points_simplex`); a simplex given by its facets is scanned. All
@@ -162,18 +164,16 @@ class _ScanPlan:
     dilate multiplies by n. A projected row is reduced by its gcd at n = 1,
     which holds at every n as the row scales with n as a whole; at n it
     shrinks further only by gcd(n, g) for the gcd g of its coefficients,
-    which `shared` keeps where g != 1. d = 1 runs as d = 2 with a leading
-    axis [0, 0] in no row.
+    which `shared` keeps where g != 1. A system of d < 2 axes runs as one of
+    two, with 2 - d leading axes [0, 0] in no row.
     """
 
     def __init__(self, mins, maxs, rows, offsets):
-        self.offsets = list(offsets)  # read only at d = 0
-        if len(mins) == 1:
-            mins, maxs, rows = [0, *mins], [0, *maxs], [[0, *row] for row in rows]
+        if len(mins) < 2:
+            pad = [0] * (2 - len(mins))
+            mins, maxs, rows = [*pad, *mins], [*pad, *maxs], [[*pad, *row] for row in rows]
         self.mins, self.maxs = list(mins), list(maxs)
         self._arrays = {}
-        if not mins:
-            return
         full = [[*row, c] for row, c in zip(rows, offsets)]
         maxabs = [max(abs(lo), abs(hi)) for lo, hi in zip(mins, maxs)]
 
@@ -258,8 +258,6 @@ def _scan_dilate(plan: _ScanPlan, n: int, *, chunk: int = _SCAN_CHUNK) -> tuple[
     if any(s <= 0 for s in sizes):
         return 0, 0
     d = len(lows)
-    if d == 0:
-        return int(all(c >= 0 for c in plan.offsets)), int(all(n * c >= 1 for c in plan.offsets))
     reduced = {i: e for i, g in plan.shared if (e := math.gcd(g, n)) > 1}
     proj_bound = (max(n * w // reduced.get(i, 1) for i, w in enumerate(plan.proj_bounds))
                   if reduced else n * plan.proj_bound)
@@ -335,14 +333,17 @@ def _count_box_satisfying(lows, highs, rows, offsets, *, chunk=_SCAN_CHUNK) -> i
     """Count integer points x with lows <= x <= highs and rows @ x + offsets >= 0.
 
     The closed count of one `_scan_dilate` pass at n = 1 over a fresh plan.
+    No entry point calls it; it names the kernel for the kernel tests and
+    for perfbench's tracer.
     """
     return _scan_dilate(_ScanPlan(lows, highs, rows, offsets), 1, chunk=chunk)[0]
 
 
-def _check_scan_cost(lows, highs, count_cap: int) -> None:
-    total = 1
-    for lo, hi in zip(lows, highs):
-        total *= max(hi - lo + 1, 0)
+def _check_scan_cost(system, n: int, count_cap: int) -> None:
+    """Refuse to scan the n-th dilate of a scan system whose box holds more
+    than `count_cap` candidates, or 2^62 or more."""
+    mins, maxs = system[:2]
+    total = math.prod(n * (hi - lo) + 1 for lo, hi in zip(mins, maxs))
     if total > count_cap:
         raise CostGuardExceeded(
             f"bounding-box scan would visit {shown(total)} candidates (cap {count_cap}); "
@@ -355,12 +356,6 @@ def _check_scan_cost(lows, highs, count_cap: int) -> None:
         )
 
 
-def _dilate(system, n: int):
-    """The scan system of the n-th dilate: the box and the offsets times n."""
-    mins, maxs, rows, offsets = system
-    return [n * m for m in mins], [n * m for m in maxs], rows, [n * c for c in offsets]
-
-
 # -- strategy dispatch --------------------------------------------------------
 
 
@@ -368,7 +363,7 @@ def _counted(p: LatticePolytope):
     """p's BoxHint or PyramidHint, else its scan system (mins, maxs, rows, offsets):
     the box of its vertices and its facets, from `LatticePolytope.double_description`,
     which rejects empty, unbounded, flat and non-lattice input even at d = 0.
-    A generator's `LatticeSimplex` is a vertex list like any other.
+    A generator's simplex is a `LatticePolytope` with a vertex list like any other.
     """
     if p.hint is not None:
         return p.hint
@@ -385,9 +380,8 @@ def count_points(p: LatticePolytope, n: int, *, count_cap: int = DEFAULT_COUNT_C
     counted = _counted(p)
     if not isinstance(counted, tuple):
         return _counts_through(counted, n, count_cap)[n]
-    lows, highs, rows, offsets = _dilate(counted, n)
-    _check_scan_cost(lows, highs, count_cap)
-    return _count_box_satisfying(lows, highs, rows, offsets)
+    _check_scan_cost(counted, n, count_cap)
+    return _scan_dilate(_ScanPlan(*counted), n)[0]
 
 
 def _counts_through(counted, nmax: int, count_cap: int) -> list[int]:
@@ -430,8 +424,7 @@ def _reciprocity_counts(system, nmax: int, count_cap: int) -> list[int]:
     d = len(system[0])
     k = (d + 1) // 2
     for n in range(1, k + 1):
-        lows, highs, _rows, _offsets = _dilate(system, n)
-        _check_scan_cost(lows, highs, count_cap)
+        _check_scan_cost(system, n, count_cap)
     plan = _ScanPlan(*system)
     below, above = [], []
     for n in range(1, k + 1):

@@ -1,15 +1,15 @@
 """Lattice polytopes with exact integer data, plus the generator zoo.
 
-A lattice point is a plain tuple of ints. Polytopes are immutable; they
-carry either a vertex list or a half-space list, whose entries must be
-ints. A vertex list of d + 1 affinely independent points is a simplex:
-its `normalized_volume` is set, and the parallelepiped route reads it. The
-simplex generators return a `LatticeSimplex`, which is a `LatticePolytope`
-built by a validating constructor. One double-description routine,
-`_extreme_rays`, gives every polytope that is counted by a scan both:
-`LatticePolytope.double_description` reads the facets of a vertex list off
-it, and the vertices of a half-space list together with the rows that
-bound its facets.
+A lattice point is a plain tuple of ints. Every polytope, a generator's
+output included, is an immutable `LatticePolytope` with either a vertex
+list or a half-space list, whose points and normals are tuples of ints. A
+vertex list of d + 1 affinely independent points is a simplex: its
+`normalized_volume` is set, and the parallelepiped route reads it;
+`LatticeSimplex.from_vertices` builds one and checks that it is one. One
+double-description routine, `_extreme_rays`, gives every polytope that is
+counted by a scan both: `LatticePolytope.double_description` reads the
+facets of a vertex list off it, and the vertices of a half-space list
+together with the rows that bound its facets.
 Generators may attach a structure hint (box product, pyramid tower) that
 the counting engine exploits; hints never change the mathematical object.
 """
@@ -109,11 +109,15 @@ class LatticePolytope:
             if not self.vertices:
                 raise InputError("vertex list must be nonempty")
             for v in self.vertices:
+                if not isinstance(v, tuple):
+                    raise InputError("each vertex must be a tuple")
                 if len(v) != self.ambient_dim:
                     raise InputError("vertex length does not match ambient dimension")
             entries = (x for v in self.vertices for x in v)
         else:
             for hs in self.halfspaces:
+                if not isinstance(hs.normal, tuple):
+                    raise InputError("each half-space normal must be a tuple")
                 if len(hs.normal) != self.ambient_dim:
                     raise InputError("half-space normal length does not match ambient dimension")
             entries = (x for hs in self.halfspaces for x in (hs.offset, *hs.normal))
@@ -254,12 +258,13 @@ def _extreme_rays(rows: list[list[int]], n: int, after: int = 0) -> list[tuple[l
     return rays
 
 
-class LatticeSimplex(LatticePolytope):
-    """A vertex list of d + 1 lattice points spanning dimension d, built by
-    the validating `from_vertices`; its `normalized_volume` is never None."""
+class LatticeSimplex:
+    """The validating constructor of a simplex: `from_vertices` returns a
+    `LatticePolytope` of d + 1 lattice points spanning dimension d, whose
+    `normalized_volume` is never None."""
 
     @classmethod
-    def from_vertices(cls, vertices) -> "LatticeSimplex":
+    def from_vertices(cls, vertices) -> LatticePolytope:
         try:
             vertices = tuple(tuple(map(index, v)) for v in vertices)
         except TypeError as exc:
@@ -267,11 +272,9 @@ class LatticeSimplex(LatticePolytope):
         if not vertices:
             raise InputError("simplex needs vertices")
         d = len(vertices[0])
-        if any(len(v) != d for v in vertices):
-            raise InputError("inconsistent vertex lengths")
         if len(vertices) != d + 1:
             raise InputError(f"a {d}-simplex needs exactly {d + 1} vertices")
-        s = cls(d, vertices=vertices)
+        s = LatticePolytope(d, vertices=vertices)
         if s.normalized_volume is None:
             raise DegenerateSimplexError("vertices do not span the ambient dimension")
         return s
@@ -351,7 +354,7 @@ def make_cube(d: int, low: int, high: int) -> LatticePolytope:
     return LatticePolytope(d, halfspaces=tuple(rows), hint=hint)
 
 
-def make_unimodular_simplex(d: int) -> LatticeSimplex:
+def make_unimodular_simplex(d: int) -> LatticePolytope:
     """conv{0, e_1, ..., e_d}; normalized volume 1."""
     if d < 1:
         raise InputError("simplex dimension must be positive")
@@ -363,7 +366,7 @@ def make_unimodular_simplex(d: int) -> LatticeSimplex:
 
 def make_higashitani(
     ones_len: int, big_val: int, big_len: int, last_val: int
-) -> LatticeSimplex:
+) -> LatticePolytope:
     """Spiked simplex conv{0, e_1, ..., e_{d-1}, w}, d = ones_len + big_len + 1.
 
     w = (1,...,1, big_val,...,big_val, last_val) with ones_len ones and
@@ -382,7 +385,7 @@ def make_higashitani(
     return LatticeSimplex.from_vertices((origin,) + units + (w,))
 
 
-def make_random_simplex(d: int, coord_bound: int, seed: int) -> LatticeSimplex:
+def make_random_simplex(d: int, coord_bound: int, seed: int) -> LatticePolytope:
     """Random nondegenerate simplex; deterministic for a fixed seed.
 
     Vertices are uniform in [-coord_bound, coord_bound]^d, resampled until

@@ -57,7 +57,7 @@ def simplex_facets(vertices) -> list[HalfSpace]:
     return out
 
 
-def simplex_contains(s: LatticeSimplex, q, dilate: int) -> bool:
+def simplex_contains(s: LatticePolytope, q, dilate: int) -> bool:
     """Exact membership of q in the dilate-th dilate of the simplex.
 
     Decided by the sign pattern of the precomputed scaled inverse, i.e. by
@@ -171,9 +171,8 @@ def every_dilate_counts(p) -> tuple[int, ...]:
     rows, each over the box of its vertices.
     """
     d = p.ambient_dim
-    if isinstance(p, LatticePolytope) and p.vertices is not None:
+    if p.vertices is not None:
         p = LatticeSimplex.from_vertices(p.vertices)
-    if isinstance(p, LatticeSimplex):
         a, _scale = scaled_inverse(_homogenized_columns(p.vertices))
         mins = [min(v[j] for v in p.vertices) for j in range(d)]
         maxs = [max(v[j] for v in p.vertices) for j in range(d)]

@@ -59,6 +59,11 @@ class TestFirstHalf:
         r = check_first_half(F(5, 4, 9, 9, 1))
         assert not r.holds and r.witness == 1
 
+    def test_middle_step_violation(self):
+        # strict up to f_{half-1}, then f_{half-1} > f_half
+        r = check_first_half(F(1, 5, 3, 4, 2))
+        assert r.applicable and not r.holds and r.witness == 2
+
     def test_low_dimension_not_applicable(self):
         r = check_first_half(F(3, 2))
         assert not r.applicable and r.holds
@@ -205,6 +210,10 @@ class TestPeakWindow:
         r = check_peak_window(F(1, 1, 1, 1, 1, 1, 9), 1)
         assert r.applicable and not r.holds
 
+    def test_nonunimodal_vector_fails_at_its_dip(self):
+        r = check_peak_window(F(3, 1, 3), 1)
+        assert r.applicable and not r.holds and r.witness == 1
+
 
 class TestDegree5Unimodal:
     def test_low_degree_spike_patterns(self):
@@ -217,6 +226,10 @@ class TestDegree5Unimodal:
 
     def test_high_degree_not_applicable(self):
         assert not check_degree5_unimodal(SPIKE15_F, 8).applicable
+
+    def test_nonunimodal_vector_fails_at_its_dip(self):
+        r = check_degree5_unimodal(F(3, 1, 3), 1)
+        assert r.applicable and not r.holds and r.witness == 1
 
 
 class TestBinomialLemma:

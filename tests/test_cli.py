@@ -570,7 +570,7 @@ class TestHugeIntegers:
 
     def test_unprintable_scan_total_is_named_by_its_digit_count(self):
         with pytest.raises(ehrstar.CostGuardExceeded) as info:
-            ehrstar.engine._check_scan_cost([0, 0], [10**3000, 10**3000], 10**9)
+            ehrstar.engine._check_scan_cost(([0, 0], [10**3000, 10**3000], [], []), 1, 10**9)
         assert str(info.value) == ("bounding-box scan would visit <6001-digit number> candidates "
                                    "(cap 1000000000); raise the cap or use the parallelepiped route")
 
@@ -627,6 +627,33 @@ class TestSearch:
             "--spike-val-range", "2:3",
         )
         assert code == 2
+
+    TWO_SPIKES = ("--spike-pos-range", "7:8", "--spike-val-range", "30:50",
+                  "--spike2-pos-range", "8:9", "--spike2-val-range", "30:50")
+
+    def test_two_spikes_print_the_in_process_search(self, capsys):
+        outcome = ehrstar.search_nonunimodal(
+            14, [ehrstar.SpikeRange(7, 8, 30, 50), ehrstar.SpikeRange(8, 9, 30, 50)],
+            cli.DEFAULT_SEARCH_BUDGET)
+        assert outcome.candidates and not outcome.truncated
+        code, out, err = run(capsys, "search", "--dim", "14", *self.TWO_SPIKES, "--format", "json")
+        assert (code, err) == (0, "")
+        *found, summary = map(json.loads, out.splitlines())
+        assert [(c["spikes"], c["h_star"], c["first_dip"]) for c in found] == [
+            ([list(s) for s in c.spikes], [str(x) for x in c.h.entries], c.first_dip)
+            for c in outcome.candidates]
+        assert (summary["summary"]["candidates"], summary["summary"]["scanned"]) == (
+            len(outcome.candidates), outcome.scanned)
+        code, out, err = run(capsys, "search", "--dim", "14", *self.TWO_SPIKES)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-2] == (
+            f"{len(outcome.candidates)} candidate(s) from {outcome.scanned} pattern(s) at d = 14")
+
+    @pytest.mark.parametrize("options", [TWO_SPIKES[:6], TWO_SPIKES[:4] + TWO_SPIKES[6:]],
+                             ids=["pos-only", "val-only"])
+    def test_second_spike_needs_both_ranges_exit_2(self, capsys, options):
+        assert run(capsys, "search", "--dim", "14", *options) == (
+            2, "", "error: second spike needs both --spike2-pos-range and --spike2-val-range\n")
 
 
 class TestSelftest:

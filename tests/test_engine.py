@@ -444,10 +444,10 @@ class TestCountingDispatch:
         assert str(info.value) == _FLAT
 
     def test_kernel_limit_whatever_the_cap(self):
-        ehrstar.engine._check_scan_cost([0, 0], [2**61 - 1, 0], 10**30)
+        ehrstar.engine._check_scan_cost(([0, 0], [2**61 - 1, 0], [], []), 1, 10**30)
         with pytest.raises(CostGuardExceeded, match=r"^bounding-box scan would visit 4611686018427387904 "
                            r"candidates; the scan kernel takes fewer than 2\^62$"):
-            ehrstar.engine._check_scan_cost([0, 0], [2**61 - 1, 1], 10**30)
+            ehrstar.engine._check_scan_cost(([0, 0], [2**61 - 1, 1], [], []), 1, 10**30)
 
 
 class TestHalfspaceVertexStep:
@@ -937,7 +937,7 @@ def _kernel_matches(system, expected, chunk) -> None:
     assert _one_pass(*system, chunk=chunk) == expected
 
 
-def _needle_simplex(d: int, k: int) -> LatticeSimplex:
+def _needle_simplex(d: int, k: int) -> LatticePolytope:
     """conv{0, k * 1, k * 1 + e_1, ..., k * 1 + e_{d-1}}: thin along the diagonal.
 
     Its box is about k^d, but for most prefixes of the box no s, and for
@@ -1006,7 +1006,9 @@ class TestIntervalKernel:
     def test_thin_simplices(self, d, k, chunk):
         s = _needle_simplex(d, k)
         for n in (1, 2, 3):
-            lows, highs, rows, offsets = ehrstar.engine._dilate(ehrstar.engine._counted(s), n)
+            mins, maxs, rows, facet_offsets = ehrstar.engine._counted(s)
+            lows, highs = [n * m for m in mins], [n * m for m in maxs]
+            offsets = [n * c for c in facet_offsets]
             expected = (full_box_count(lows, highs, rows, offsets),
                         full_box_count(lows, highs, rows, [c - 1 for c in offsets]))
             _kernel_matches((lows, highs, rows, offsets), expected, chunk)

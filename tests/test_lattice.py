@@ -244,11 +244,22 @@ class TestPolytopeValidation:
         lambda: LatticeSimplex.from_vertices(((0, 0), (1.5, 0), (0, 1))),
         lambda: LatticeSimplex.from_vertices(((0, 0), ("1", 0), (0, 1))),
         lambda: LatticeSimplex.from_vertices((0, 1)),
+        lambda: LatticePolytope(2, vertices=([0, 0], [1, 0], [0, 1])),
+        lambda: LatticePolytope(2, vertices=((0, 0), [1, 0], (0, 1))),
+        lambda: LatticePolytope(1, halfspaces=(HalfSpace(0, [1]), HalfSpace(1, (-1,)))),
     ], ids=["float-triangle", "float-square", "bool", "float-offset", "float-normal",
-            "float-simplex", "string-simplex", "non-tuple-simplex"])
+            "float-simplex", "string-simplex", "non-tuple-simplex",
+            "list-vertices", "one-list-vertex", "list-normal"])
     def test_non_integer_entries_rejected(self, build):
         with pytest.raises(InputError):
             build()
+
+    def test_generator_output_equals_its_vertex_list(self):
+        s = make_unimodular_simplex(2)
+        plain = LatticePolytope(2, vertices=s.vertices)
+        assert s == plain and hash(s) == hash(plain) and len({s, plain}) == 1
+        assert type(s) is LatticePolytope
+        assert LatticeSimplex.from_vertices(s.vertices) == plain
 
     def test_simplex_converts_integer_types(self):
         s = LatticeSimplex.from_vertices(np.array([[0, 0], [2, 0], [0, 3]]))
