@@ -408,9 +408,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     input_file = argparse.ArgumentParser(add_help=False)
     input_file.add_argument("--input", dest="input_path", help="input JSON file")
-    polytope = argparse.ArgumentParser(add_help=False, parents=[input_file])
-    polytope.add_argument("--builtin", help="builtin generator, e.g. cube-2--1-1, unimodular-4, "
-                                            "higashitani-15, random-3-4-7, pyr-2-cube-2-0-1")
+    polytope = argparse.ArgumentParser(add_help=False)
+    source = polytope.add_mutually_exclusive_group()
+    source.add_argument("--input", dest="input_path", help="input JSON file")
+    source.add_argument("--builtin", help="builtin generator, e.g. cube-2--1-1, unimodular-4, "
+                                          "higashitani-15, random-3-4-7, pyr-2-cube-2-0-1")
     polytope.add_argument("--count-cap", type=int, default=engine.DEFAULT_COUNT_CAP,
                           help="max candidate points per bounding-box scan")
     polytope.add_argument("--volume-cap", type=int, default=engine.DEFAULT_VOLUME_CAP,

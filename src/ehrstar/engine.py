@@ -15,9 +15,9 @@ then work on that alone. The strategies, in that order:
     its own rows per facet and drops the redundant ones.
 
 Hints are trusted to be full-dimensional (a pyramid's base is checked when
-its counts are taken), and the facet cone of a vertex list holds a line
-iff the list is flat, so a rank is computed only to word that error. A
-profile of a scanned polytope scans only the dilates n <= ceil(d/2).
+its counts are taken); the double description decides it for the rest, so
+a rank is computed only to word that error. A profile of a scanned
+polytope scans only the dilates n <= ceil(d/2).
 Ehrhart-Macdonald reciprocity turns their interior counts into ehr(-n),
 and Newton forward differences on the nodes -k..k give the whole
 polynomial. The scan is built once per polytope as a plan (`_ScanPlan`):

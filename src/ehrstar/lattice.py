@@ -2,7 +2,7 @@
 
 A lattice point is a plain tuple of ints. Every polytope, a generator's
 output included, is an immutable `LatticePolytope` with either a vertex
-list or a half-space list, whose points and normals are tuples of ints. A
+tuple or a half-space tuple, whose points and normals are tuples of ints. A
 vertex list of d + 1 affinely independent points is a simplex: its
 `normalized_volume` is set, and the parallelepiped route reads it;
 `LatticeSimplex.from_vertices` builds one and checks that it is one. One
@@ -105,6 +105,8 @@ class LatticePolytope:
             raise InputError("exactly one of vertices/halfspaces must be given")
         if self.ambient_dim < 0:
             raise InputError("ambient dimension must be nonnegative")
+        if not isinstance(self.vertices if self.vertices is not None else self.halfspaces, tuple):
+            raise InputError("vertices and halfspaces must be tuples")
         if self.vertices is not None:
             if not self.vertices:
                 raise InputError("vertex list must be nonempty")
@@ -153,7 +155,10 @@ class LatticePolytope:
         order; the message names the lexicographically least non-lattice
         vertex. Of its rows, those with a zero normal or tight on fewer than
         d vertices bound no facet; of the rest, the first row of each maximal
-        set of tight vertices is kept, and those sets are the facets'.
+        set of tight vertices is kept, and those sets are the facets'. It is
+        flat iff a row with a nonzero normal is tight on every vertex: an
+        implicit equality (Schrijver, Theory of Linear and Integer
+        Programming, 8.2). A rank is computed only to word the flat error.
         """
         d = self.ambient_dim
         if self.vertices is not None:
@@ -178,15 +183,15 @@ class LatticePolytope:
             raise InputError(f"half-space polytope has the non-lattice vertex ({least}); "
                              "only lattice polytopes are supported")
         vertices = tuple(tuple(r[1:]) for r, _ in rays)
-        rank = LatticePolytope(d, vertices=vertices).dim
-        if rank != d:
-            raise NotFullDimensionalError(
-                f"half-space polytope has affine dimension {rank} inside R^{d}"
-            )
         first = {}  # tight-vertex set -> its first row; row k is bit k + 1 of a ray's set
         for k, h in enumerate(hs):
+            if not any(h.normal):
+                continue
             tight = sum(1 << i for i, (_, z) in enumerate(rays) if z >> (k + 1) & 1)
-            if any(h.normal) and tight.bit_count() >= d:
+            if tight == (1 << len(rays)) - 1:  # an implicit equality
+                rank = LatticePolytope(d, vertices=vertices).dim
+                raise NotFullDimensionalError(f"half-space polytope has affine dimension {rank} inside R^{d}")
+            if tight.bit_count() >= d:
                 first.setdefault(tight, h)
         # on[i]: the sets that hold vertex i; a set is maximal iff it is the
         # only set that holds every one of its vertices
@@ -426,6 +431,8 @@ def polytope_from_obj(obj) -> LatticePolytope:
     if not isinstance(obj, dict) or "ambient_dim" not in obj:
         raise InputError("polytope JSON must be an object with 'ambient_dim'")
     dim = int_entry(obj["ambient_dim"])
+    if dim < 0:
+        raise InputError("ambient dimension must be nonnegative")
     _require_dim_cap(dim, "polytope")
     if "vertices" in obj:
         vertices = tuple(

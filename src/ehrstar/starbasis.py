@@ -8,7 +8,8 @@ A degree-d lattice-point counting polynomial ehr(n) can be written as
 with the convention f_{-1} = 1, which makes ehr(0) = 1 come out of the
 second basis as the alternating sum of the f-entries. Everything in this
 module is pure integer arithmetic on these coefficient vectors; nothing
-here touches geometry.
+here touches geometry. Each binomial is `math.comb` with both indices
+nonnegative, where C(a, b) = 0 for b > a.
 
 Vectors derived from an actual polytope satisfy h_0 = 1 and h_k >= 0
 (and then f_k >= 0); "raw" vectors with arbitrary integer entries are
@@ -29,19 +30,6 @@ from .errors import InputError, decode_json, int_entry, json_list
 # at d = 400, and one search pattern about 20 ms and 0.3 s. Generator outputs
 # (dimension <= lattice.GENERATOR_DIM_CAP = 100) stay valid inputs.
 VECTOR_DIM_CAP = 200
-
-
-def binom(a: int, b: int) -> int:
-    """C(a, b) with the vanishing convention: 0 when b < 0 or b > a.
-
-    The conversion formulas below rely on out-of-range terms vanishing.
-    Negative a is always a bug in this codebase, so it raises.
-    """
-    if a < 0:
-        raise ValueError(f"binom called with negative upper index {a}")
-    if b < 0 or b > a:
-        return 0
-    return comb(a, b)
 
 
 @dataclass(frozen=True)
@@ -88,12 +76,13 @@ class FStarVector:
 
 
 def f_from_h(h: HStarVector) -> FStarVector:
-    """Change of basis h* -> f*: f_k = sum_{j=0}^{k+1} C(d-j+1, k-j+1) h_j."""
+    """Change of basis h* -> f*: f_k = sum_j C(d-j+1, k-j+1) h_j over
+    0 <= j <= min(k+1, d)."""
     d = h.dim
     out = []
     for k in range(d + 1):
         out.append(
-            sum(binom(d - j + 1, k - j + 1) * h.entries[j] for j in range(min(k + 1, d) + 1))
+            sum(comb(d - j + 1, k - j + 1) * h.entries[j] for j in range(min(k + 1, d) + 1))
         )
     return FStarVector(tuple(out), polytope_derived=h.polytope_derived)
 
@@ -113,7 +102,7 @@ def h_from_f(f: FStarVector) -> HStarVector:
     for k in range(d + 1):
         out.append(
             sum(
-                (-1) ** (k - j - 1) * binom(d - j, k - j - 1) * ext[j + 1]
+                (-1) ** (k - j - 1) * comb(d - j, k - j - 1) * ext[j + 1]
                 for j in range(-1, k)
             )
         )
@@ -125,7 +114,7 @@ def eval_ehrhart(h: HStarVector, n: int) -> int:
     if n < 0:
         raise InputError("dilate must be nonnegative")
     d = h.dim
-    return sum(h.entries[k] * binom(n + d - k, d) for k in range(d + 1))
+    return sum(h.entries[k] * comb(n + d - k, d) for k in range(d + 1))
 
 
 def eval_ehrhart_f(f: FStarVector, n: int) -> int:
@@ -133,9 +122,9 @@ def eval_ehrhart_f(f: FStarVector, n: int) -> int:
     if n < 0:
         raise InputError("dilate must be nonnegative")
     if n == 0:
-        # C(-1, k) = (-1)^k formally, outside the vanishing convention.
+        # C(-1, k) = (-1)^k formally, which math.comb does not take.
         return alternating_sum(f)
-    return sum(f.entries[k] * binom(n - 1, k) for k in range(f.dim + 1))
+    return sum(f.entries[k] * comb(n - 1, k) for k in range(f.dim + 1))
 
 
 def alternating_sum(f: FStarVector) -> int:
@@ -164,7 +153,7 @@ def hstar_poly_identity_check(h: HStarVector, f: FStarVector) -> bool:
         m = d - k + 1
         # coeff * z^k * (1-z)^m
         for i in range(m + 1):
-            rhs[k + i] += coeff * (-1) ** i * binom(m, i)
+            rhs[k + i] += coeff * (-1) ** i * comb(m, i)
     lhs = list(h.entries) + [0]
     return rhs == lhs
 

@@ -309,6 +309,29 @@ class TestAudit:
         assert "first_half_increase" in out
         assert "unimodal: yes" in out
 
+    def test_text_report_of_the_spiked_simplex_names_the_dip(self, capsys):
+        code, out, err = run(capsys, "audit", "--builtin", "higashitani-15")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[4] == "unimodal: NO (first dip at 9)"
+        assert "extended f*-vector is symmetric" not in out
+
+    def test_text_report_of_a_unimodular_simplex_names_the_symmetry(self, capsys):
+        code, out, err = run(capsys, "audit", "--builtin", "unimodular-3")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[4:6] == ["unimodal: yes (peak at 1)",
+                                         "extended f*-vector is symmetric"]
+
+    def test_text_report_gives_each_failing_witness(self, capsys, tmp_path):
+        path = tmp_path / "raw.json"
+        path.write_text(json.dumps({"d": 4, "f_star": [1, 5, 3, 4, 2]}))
+        code, out, err = run(capsys, "audit", "--input", str(path))
+        assert (code, err) == (0, "")
+        assert [line for line in out.splitlines() if "witness=" in line] == [
+            "  [FAIL] first_half_increase  witness=2",
+            "  [FAIL] hibi  witness=1",
+            "  [FAIL] degree_le5_unimodal  witness=2",
+        ]
+
 
 class TestConvertAndSeries:
     def test_convert_h_to_f(self, capsys, tmp_path):
@@ -340,6 +363,13 @@ class TestConvertAndSeries:
         assert code == 0
         assert "(1 + 6*z + z^2) / (1 - z)^3" in out
 
+    @pytest.mark.parametrize("name, line", [
+        ("higashitani-15", "Ehr(z) = (1 + 131*z^8) / (1 - z)^16"),
+        ("cube-1-0-2", "Ehr(z) = (1 + z) / (1 - z)^2"),
+    ])
+    def test_series_text_skips_zero_and_unit_coefficients(self, capsys, name, line):
+        assert run(capsys, "series", "--builtin", name) == (0, line + "\n", "")
+
     def test_series_from_vector_file(self, capsys, tmp_path):
         path = tmp_path / "h.json"
         path.write_text(json.dumps({"d": 1, "h_star": ["1", "0"]}))
@@ -355,7 +385,7 @@ class TestVectorDimensionCap:
         def refuse(a, b):
             raise AssertionError("a binomial was computed past the dimension cap")
 
-        monkeypatch.setattr(starbasis, "binom", refuse)
+        monkeypatch.setattr(starbasis, "comb", refuse)
 
     @pytest.mark.parametrize("command", ["convert", "audit", "series"])
     @pytest.mark.parametrize("key", ["h_star", "f_star"])
@@ -689,6 +719,8 @@ _ERROR_FILES = {
     "h_float.json": '{"d": 1, "h_star": [1, 0.5]}',
     "f_bool.json": '{"d": 1, "f_star": [false, 1]}',
     "d_float.json": '{"d": 1.0, "h_star": [1, 0]}',
+    "negative_dim_halfspaces.json": '{"ambient_dim": -1, "halfspaces": [[]]}',
+    "negative_dim_vertices.json": '{"ambient_dim": -1, "vertices": [[]]}',
 }
 _ERROR_PATHS = [
     *[pytest.param([c, "--count-cap", "0"], "caps must be positive", id=f"{c}-count-cap-0")
@@ -722,6 +754,17 @@ _ERROR_PATHS = [
                             ("h_float.json", "bad integer entry 0.5"),
                             ("f_bool.json", "bad integer entry False"),
                             ("d_float.json", "bad integer entry 1.0"))],
+    *[pytest.param([c, "--input", f"negative_dim_{form}.json"],
+                   "ambient dimension must be nonnegative", id=f"{c}-negative-dim-{form}")
+      for c in _POLYTOPE_COMMANDS for form in ("halfspaces", "vertices")],
+    *[pytest.param([c, "--builtin", name], message, id=f"{c}-builtin-{name}")
+      for c in _POLYTOPE_COMMANDS
+      for name, message in (("cube-2-x-1", "bad builtin parameter 'x'"),
+                            ("cube-2-0-", "trailing sign in builtin parameters '2-0-'"),
+                            ("pyr-x-cube-2-0-1",
+                             "bad pyramid count in builtin 'pyr-x-cube-2-0-1'"))],
+    pytest.param(["search", "--dim", "5", "--spike-pos-range", "1:2", "--spike-val-range", "1:x"],
+                 "bad --spike-val-range '1:x'", id="search-bad-value"),
 ]
 
 
@@ -735,6 +778,22 @@ class TestErrorPaths:
         monkeypatch.chdir(tmp_path)
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", _POLYTOPE_COMMANDS)
+    @pytest.mark.parametrize("first, second", [
+        (["--builtin", "cube-1-0-1"], ["--input", "polytope.json"]),
+        (["--input", "polytope.json"], ["--builtin", "cube-1-0-1"]),
+    ], ids=["builtin-first", "input-first"])
+    def test_input_with_builtin_exits_2(self, capsys, tmp_path, monkeypatch, command, first,
+                                        second):
+        (tmp_path / "polytope.json").write_text(_ERROR_FILES["polytope.json"])
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main([command, *first, *second])
+        out, err = capsys.readouterr()
+        assert (info.value.code, out) == (2, "")
+        assert err.splitlines()[-1] == (f"ehrstar {command}: error: argument {second[0]}: "
+                                        f"not allowed with argument {first[0]}")
 
 
 _POLYTOPE_OPTIONS = {"--input", "--builtin", "--count-cap", "--volume-cap", "--format"}

@@ -419,6 +419,35 @@ class TestCountingDispatch:
             tuple(s * (k == j) for k in range(3)) for j in range(3) for s in (1, -1)))
         assert _ENTRY_POINTS[entry](octahedron) == 7
 
+    @pytest.mark.parametrize("entry", _ENTRY_POINTS)
+    def test_halfspace_inputs_skip_the_rank(self, no_rank, entry):
+        # full dimension is read off the rows tight on every vertex
+        box = tuple(_axis_rows([-1, 0, 2], [1, 2, 3]))
+        cuts = (HalfSpace(5, (1, 1, 0)), HalfSpace(0, (0, 0, 0)), HalfSpace(3, (0, 0, 2)))
+        s = make_random_simplex(3, 2, 5)
+        cross = tuple(HalfSpace(1, signs) for signs in product((-1, 1), repeat=6))
+        for p, points in [
+            (LatticePolytope(3, halfspaces=box), 18),
+            (LatticePolytope(3, halfspaces=cuts[:1] + box + cuts[1:]), 18),
+            (LatticePolytope(3, halfspaces=tuple(simplex_facets(s.vertices))),
+             compute_vectors(s).counts[1]),
+            (LatticePolytope(6, halfspaces=cross), 13),
+        ]:
+            assert _ENTRY_POINTS[entry](p) == points
+
+    @pytest.mark.parametrize("rows, rank", [
+        pytest.param([(0, (1, 0)), (2, (-1, 0)), (0, (0, 1)), (0, (0, -1))], 1, id="segment"),
+        pytest.param([(0, (1, 0)), (0, (0, 1)), (0, (-1, -1)), (0, (0, 0))], 0, id="point"),
+        pytest.param([(0, (1, 0, 0)), (0, (0, 1, 0)), (0, (0, 0, 1)), (1, (-1, -1, -1)),
+                      (-1, (1, 1, 1))], 2, id="triangle"),
+    ])
+    def test_flat_halfspace_input_names_its_rank(self, rows, rank):
+        d = len(rows[0][1])
+        p = LatticePolytope(d, halfspaces=tuple(HalfSpace(b, a) for b, a in rows))
+        with pytest.raises(NotFullDimensionalError) as info:
+            p.double_description
+        assert str(info.value) == f"half-space polytope has affine dimension {rank} inside R^{d}"
+
     def test_one_double_description_per_polytope(self, monkeypatch):
         calls = []
         rays = ehrstar.lattice._extreme_rays

@@ -247,9 +247,12 @@ class TestPolytopeValidation:
         lambda: LatticePolytope(2, vertices=([0, 0], [1, 0], [0, 1])),
         lambda: LatticePolytope(2, vertices=((0, 0), [1, 0], (0, 1))),
         lambda: LatticePolytope(1, halfspaces=(HalfSpace(0, [1]), HalfSpace(1, (-1,)))),
+        lambda: LatticePolytope(2, vertices=[(0, 0), (1, 0), (0, 1)]),
+        lambda: LatticePolytope(1, halfspaces=[HalfSpace(0, (1,)), HalfSpace(1, (-1,))]),
     ], ids=["float-triangle", "float-square", "bool", "float-offset", "float-normal",
             "float-simplex", "string-simplex", "non-tuple-simplex",
-            "list-vertices", "one-list-vertex", "list-normal"])
+            "list-vertices", "one-list-vertex", "list-normal",
+            "vertex-list-container", "halfspace-list-container"])
     def test_non_integer_entries_rejected(self, build):
         with pytest.raises(InputError):
             build()

@@ -10,7 +10,6 @@ from ehrstar.starbasis import (
     FStarVector,
     HStarVector,
     alternating_sum,
-    binom,
     degree_of,
     eval_ehrhart,
     eval_ehrhart_f,
@@ -42,18 +41,6 @@ def H(*entries):
 
 def F(*entries):
     return FStarVector(tuple(entries))
-
-
-class TestBinom:
-    def test_vanishing_convention(self):
-        assert binom(5, -1) == 0
-        assert binom(3, 4) == 0
-        assert binom(4, 2) == 6
-        assert binom(0, 0) == 1
-
-    def test_negative_upper_index_rejected(self):
-        with pytest.raises(ValueError):
-            binom(-1, 0)
 
 
 class TestConversions:
