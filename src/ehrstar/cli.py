@@ -47,7 +47,6 @@ from .starbasis import (
     VECTOR_DIM_CAP,
     HStarVector,
     degree_of,
-    eval_ehrhart,
     f_from_h,
     gorenstein_index,
     h_from_f,

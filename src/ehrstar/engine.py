@@ -1,8 +1,8 @@
 """Exact lattice-point counting and h*/f*-vector extraction.
 
-Every input, a generator's output included, is a `LatticePolytope`. Each
-is resolved once, by `_counted`, into how it is counted; the entry points
-then work on that alone. The strategies, in that order:
+Every input, a generator's output included, is a `LatticePolytope`. The
+entry points dispatch on its hint, and count any other polytope by the
+scan plan `_scan_plan` builds for it. The strategies, in that order:
 
   * box hints (products of segments): closed-form per-axis counts;
   * pyramid hints: cross-sections of the n-th dilate of a pyramid at
@@ -21,7 +21,8 @@ polytope scans only the dilates n <= ceil(d/2).
 Ehrhart-Macdonald reciprocity turns their interior counts into ehr(-n),
 and Newton forward differences on the nodes -k..k give the whole
 polynomial. The scan is built once per polytope as a plan (`_ScanPlan`):
-the rows sorted, one Fourier-Motzkin step that eliminates t from them, and
+the box, which gives each dilate's size to the caps, the rows sorted, one
+Fourier-Motzkin step that eliminates t from them (on the first pass), and
 each row's bound, none of which depends on n. Each dilate is then one pass
 (`_scan_dilate`) that enumerates all box axes but the last two, s and t:
 the projected rows give each enumerated point its integer range of s, and
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, product
 
 from .errors import CostGuardExceeded, InputError, VolumeCapExceeded, shown
@@ -154,40 +156,52 @@ def _lead(col, counts):
 class _ScanPlan:
     """What the scans of the dilates nP of one system have in common.
 
-    The system is a box mins..maxs and rows: row . x + offset >= 0. Its n-th
-    dilate (`_scan_dilate`) scans the box n * mins..n * maxs with the
-    offsets times n, and nothing else depends on n. So the plan holds,
-    once: the rows with a != 0 on t, sorted by its sign; the Fourier-Motzkin
-    projection of t, which keeps the rows with a = 0 and pairs every row
-    with a > 0 with every row with a < 0 into (-a_j) * row_i + a_i * row_j;
-    and each row's bound |row| . max|x| + |offset| over the box, which the
-    dilate multiplies by n. A projected row is reduced by its gcd at n = 1,
-    which holds at every n as the row scales with n as a whole; at n it
-    shrinks further only by gcd(n, g) for the gcd g of its coefficients,
-    which `shared` keeps where g != 1. A system of d < 2 axes runs as one of
-    two, with 2 - d leading axes [0, 0] in no row.
+    The system is a box mins..maxs and rows: row . x + offset >= 0, in `dim`
+    axes. Its n-th dilate (`_scan_dilate`) scans the box n * mins..n * maxs
+    (`sizes(n)` points per axis) with the offsets times n, and nothing else
+    depends on n. So the plan holds, once: the rows with a != 0 on t, sorted
+    by its sign; each row's bound |row| . max|x| + |offset| over the box,
+    which the dilate multiplies by n; and, from the first pass on, so after
+    the caps are checked, the `projection` of t: the Fourier-Motzkin step
+    keeps the rows with a = 0 and pairs every row with a > 0 with every row
+    with a < 0 into (-a_j) * row_i + a_i * row_j, up to m^2 / 4 rows. A
+    projected row is reduced by its gcd at n = 1, which holds at every n as
+    the row scales with n as a whole; at n it shrinks further only by
+    gcd(n, g) for the gcd g of its coefficients, which `shared` keeps where
+    g != 1. A system of d < 2 axes runs as one of two, with 2 - d leading
+    axes [0, 0] in no row; `dim` stays d.
     """
 
     def __init__(self, mins, maxs, rows, offsets):
-        if len(mins) < 2:
-            pad = [0] * (2 - len(mins))
-            mins, maxs, rows = [*pad, *mins], [*pad, *maxs], [[*pad, *row] for row in rows]
-        self.mins, self.maxs = list(mins), list(maxs)
-        self._arrays = {}
-        full = [[*row, c] for row, c in zip(rows, offsets)]
-        maxabs = [max(abs(lo), abs(hi)) for lo, hi in zip(mins, maxs)]
-
-        def bound(r):  # |row| . maxabs + |offset|; a projected row has no t
-            return sum(abs(a) * m for a, m in zip(r[:-1], maxabs)) + abs(r[-1])
-
+        self.dim = len(mins)
+        pad = [0] * (2 - self.dim)
+        self.mins, self.maxs = [*pad, *mins], [*pad, *maxs]
+        self.maxabs = [max(abs(lo), abs(hi)) for lo, hi in zip(self.mins, self.maxs)]
+        full = [[*pad, *row, c] for row, c in zip(rows, offsets)]
         pos = [r for r in full if r[-2] > 0]
         neg = [r for r in full if r[-2] < 0]
         self.t_rows = pos + neg
         self.t_counts = (len(pos), len(self.t_rows), len(pos), len(neg), 0)
-        flat = [_reduce_by_gcd(r[:-2] + r[-1:]) for r in full if not r[-2]]
+        self.flat = [r for r in full if not r[-2]]
+        self.m = len(full)
+        self.row_bound = max(map(self._bound, self.t_rows), default=0)
+        self._arrays = {}
+
+    def _bound(self, r):  # |row| . maxabs + |offset|; a projected row has no t
+        return sum(abs(a) * m for a, m in zip(r[:-1], self.maxabs)) + abs(r[-1])
+
+    def sizes(self, n: int) -> list[int]:
+        """The points along each axis of the n-th dilate's box."""
+        return [n * (hi - lo) + 1 for lo, hi in zip(self.mins, self.maxs)]
+
+    @cached_property
+    def projection(self):
+        """(rows, s-counts, bounds, shared) of the projected rows."""
+        n_pos = self.t_counts[0]
+        flat = [_reduce_by_gcd(r[:-2] + r[-1:]) for r in self.flat]
         pairs = []
-        for ri in pos:
-            for rj in neg:
+        for ri in self.t_rows[:n_pos]:
+            for rj in self.t_rows[n_pos:]:
                 pair = [-rj[-2] * x + ri[-2] * y for x, y in zip(ri, rj)]
                 pairs.append(_reduce_by_gcd(pair[:-2] + pair[-1:]))
         # Projected rows by their coefficient on s, > 0, < 0, = 0, each group
@@ -195,16 +209,11 @@ class _ScanPlan:
         # range of s.
         groups = [[r for r in part if (r[-2] <= 0) + (r[-2] == 0) == sign]
                   for sign in range(3) for part in (flat, pairs)]
-        self.proj = [r for group in groups for r in group]
+        proj = [r for group in groups for r in group]
         size = [len(group) for group in groups]
-        self.s_counts = (size[0] + size[1], sum(size[:4]), size[0], size[2], size[4])
-        self.has_flat = bool(flat)
-        self.m = len(full)
-        self.maxabs = max(maxabs)
-        self.row_bound = max(map(bound, self.t_rows), default=0)
-        self.proj_bounds = [bound(r) for r in self.proj]
-        self.proj_bound = max(self.proj_bounds, default=0)
-        self.shared = [(i, g) for i, r in enumerate(self.proj) if (g := math.gcd(*r[:-1])) != 1]
+        s_counts = (size[0] + size[1], sum(size[:4]), size[0], size[2], size[4])
+        shared = [(i, g) for i, r in enumerate(proj) if (g := math.gcd(*r[:-1])) != 1]
+        return proj, s_counts, [self._bound(r) for r in proj], shared
 
     def arrays(self, dtype):
         """(pm, tm, s lead, t lead), built once per dtype: the projected rows
@@ -214,13 +223,13 @@ class _ScanPlan:
 
         if dtype not in self._arrays:
             d = len(self.mins)
-            pm = np.array(self.proj, dtype=dtype).reshape(len(self.proj), d)
-            tm = np.array(self.t_rows, dtype=dtype).reshape(len(self.t_rows), d + 1)
-            self._arrays[dtype] = pm, tm, _lead(pm[:, d - 2], self.s_counts), _lead(tm[:, d - 1], self.t_counts)
+            pm = np.array(self.projection[0], dtype=dtype).reshape(-1, d)
+            tm = np.array(self.t_rows, dtype=dtype).reshape(-1, d + 1)
+            self._arrays[dtype] = pm, tm, _lead(pm[:, d - 2], self.projection[1]), _lead(tm[:, d - 1], self.t_counts)
         return self._arrays[dtype]
 
 
-def _scan_dilate(plan: _ScanPlan, n: int, *, chunk: int = _SCAN_CHUNK) -> tuple[int, int]:
+def _scan_dilate(plan: _ScanPlan, n: int) -> tuple[int, int]:
     """(closed, interior): the integer points x of the box n * mins..n * maxs
     with rows @ x + n * offsets >= 0, and those with > 0 on every row.
 
@@ -233,12 +242,12 @@ def _scan_dilate(plan: _ScanPlan, n: int, *, chunk: int = _SCAN_CHUNK) -> tuple[
     same quotients, and the rows with a = 0 on t, at threshold 1, give the
     interior range of s.
 
-    `chunk` bounds the points materialized at once: the tail block of
-    prefix points, built once per dilate and reused for every outer prefix,
-    holds at most chunk * m cells of projected-row values for m input rows;
-    the t-rows' values are taken at the tail points that survive, and the
-    pairs are expanded at most `chunk` at a time, into a few arrays of
-    (t-rows) * chunk cells each.
+    C = `_SCAN_CHUNK`, read at each call, bounds the points materialized at
+    once: the tail block of prefix points, built once per dilate and reused
+    for every outer prefix, holds at most C * m cells of projected-row
+    values for m input rows; the t-rows' values are taken at the tail points
+    that survive, and the pairs are expanded at most C at a time, into a few
+    arrays of (t-rows) * C cells each.
 
     The int64 path runs only when `worst` < 2^62, which bounds every
     intermediate: the partial values of the rows and of the projected rows
@@ -252,28 +261,26 @@ def _scan_dilate(plan: _ScanPlan, n: int, *, chunk: int = _SCAN_CHUNK) -> tuple[
     """
     import numpy as np  # here, not at the top: processes that never scan skip its import
 
-    lows = [n * m for m in plan.mins]
-    highs = [n * m for m in plan.maxs]
-    sizes = [hi - lo + 1 for lo, hi in zip(lows, highs)]
+    sizes = plan.sizes(n)
     if any(s <= 0 for s in sizes):
         return 0, 0
-    d = len(lows)
-    reduced = {i: e for i, g in plan.shared if (e := math.gcd(g, n)) > 1}
-    proj_bound = (max(n * w // reduced.get(i, 1) for i, w in enumerate(plan.proj_bounds))
-                  if reduced else n * plan.proj_bound)
-    worst = max(n * plan.row_bound, proj_bound, n * plan.maxabs + 1, math.prod(sizes))
+    lows, highs = [n * m for m in plan.mins], [n * m for m in plan.maxs]
+    proj, s_counts, proj_bounds, shared = plan.projection
+    reduced = {i: e for i, g in shared if (e := math.gcd(g, n)) > 1}
+    proj_bound = max((n * w // reduced.get(i, 1) for i, w in enumerate(proj_bounds)), default=0)
+    worst = max(n * plan.row_bound, proj_bound, n * max(plan.maxabs) + 1, math.prod(sizes))
     dtype = np.int64 if worst < _SCAN_KERNEL_LIMIT else object
     pm, tm, s_lead, t_lead = plan.arrays(dtype)
-    p = d - 2  # enumerated axes
+    p = len(lows) - 2  # enumerated axes
     p_off, t_off = pm[:, -1:] * n, tm[:, -1:] * n
     if reduced:
         pm = pm.copy()
         for i, e in reduced.items():
             pm[i, :-1] //= e
-            p_off[i, 0] = n * plan.proj[i][-1] // e
-        s_lead = _lead(pm[:, p], plan.s_counts)
+            p_off[i, 0] = n * proj[i][-1] // e
+        s_lead = _lead(pm[:, p], s_counts)
 
-    block = max(1, chunk * max(plan.m, 1) // max(len(pm), 1))
+    block = max(1, _SCAN_CHUNK * max(plan.m, 1) // max(len(pm), 1))
     split = p
     tail_count = 1
     while split > 0 and tail_count * sizes[split - 1] <= block:
@@ -307,11 +314,11 @@ def _scan_dilate(plan: _ScanPlan, n: int, *, chunk: int = _SCAN_CHUNK) -> tuple[
         if split < p:
             for j, x in zip(range(split, p), np.unravel_index(keep, sizes[split:p])):
                 t_vals = t_vals + tm[:, j : j + 1] * (x.astype(dtype) + lows[j])
-        if plan.has_flat:
+        if plan.flat:
             in_first, in_widths = in_first[keep], in_widths[keep]
         total = int(ends[-1])
-        for k in range(0, total, chunk):
-            k_end = min(k + chunk, total)
+        for k in range(0, total, _SCAN_CHUNK):
+            k_end = min(k + _SCAN_CHUNK, total)
             if k_end - k == total:  # one chunk: every pair
                 c0, c1, reps = 0, len(ends), widths
             else:
@@ -322,81 +329,72 @@ def _scan_dilate(plan: _ScanPlan, n: int, *, chunk: int = _SCAN_CHUNK) -> tuple[
             pair_vals = t_vals[:, c0:c1].repeat(reps, axis=1) + tm[:, p : p + 1] * s_vals
             _lo, width, _in_lo, in_width = _intervals(pair_vals, t_lead, lows[-1], highs[-1])
             closed += int(width.sum())
-            if plan.has_flat:
+            if plan.flat:
                 off = s_vals - in_first[c0:c1].repeat(reps)
                 in_width = in_width * ((off >= 0) & (off < in_widths[c0:c1].repeat(reps)))
             interior += int(in_width.sum())
     return closed, interior
 
 
-def _count_box_satisfying(lows, highs, rows, offsets, *, chunk=_SCAN_CHUNK) -> int:
+def _count_box_satisfying(lows, highs, rows, offsets) -> int:
     """Count integer points x with lows <= x <= highs and rows @ x + offsets >= 0.
 
-    The closed count of one `_scan_dilate` pass at n = 1 over a fresh plan.
-    No entry point calls it; it names the kernel for the kernel tests and
-    for perfbench's tracer.
+    The closed count of one `_scan_dilate` pass at n = 1 over a fresh plan,
+    in blocks of `_SCAN_CHUNK` like every pass. No entry point calls it; it
+    names the kernel for the kernel tests and for perfbench's tracer.
     """
-    return _scan_dilate(_ScanPlan(lows, highs, rows, offsets), 1, chunk=chunk)[0]
+    return _scan_dilate(_ScanPlan(lows, highs, rows, offsets), 1)[0]
 
 
-def _check_scan_cost(system, n: int, count_cap: int) -> None:
-    """Refuse to scan the n-th dilate of a scan system whose box holds more
-    than `count_cap` candidates, or 2^62 or more."""
-    mins, maxs = system[:2]
-    total = math.prod(n * (hi - lo) + 1 for lo, hi in zip(mins, maxs))
+def _check_scan_cost(plan: _ScanPlan, n: int, count_cap: int) -> None:
+    """Refuse to scan the n-th dilate of a plan whose box, `plan.sizes(n)`,
+    holds more than `count_cap` candidates, or 2^62 or more."""
+    total = math.prod(plan.sizes(n))
     if total > count_cap:
-        raise CostGuardExceeded(
-            f"bounding-box scan would visit {shown(total)} candidates (cap {count_cap}); "
-            "raise the cap or use the parallelepiped route"
-        )
-    if total >= _SCAN_KERNEL_LIMIT:
-        raise CostGuardExceeded(
-            f"bounding-box scan would visit {shown(total)} candidates; "
-            "the scan kernel takes fewer than 2^62"
-        )
+        why = f" (cap {count_cap}); raise the cap or use the parallelepiped route"
+    elif total >= _SCAN_KERNEL_LIMIT:
+        why = "; the scan kernel takes fewer than 2^62"
+    else:
+        return
+    raise CostGuardExceeded(f"bounding-box scan would visit {shown(total)} candidates{why}")
 
 
 # -- strategy dispatch --------------------------------------------------------
 
 
-def _counted(p: LatticePolytope):
-    """p's BoxHint or PyramidHint, else its scan system (mins, maxs, rows, offsets):
-    the box of its vertices and its facets, from `LatticePolytope.double_description`,
-    which rejects empty, unbounded, flat and non-lattice input even at d = 0.
-    A generator's simplex is a `LatticePolytope` with a vertex list like any other.
+def _scan_plan(p: LatticePolytope) -> _ScanPlan:
+    """The scan of p: the box of its vertices and its facets, from
+    `LatticePolytope.double_description`, which rejects empty, unbounded,
+    flat and non-lattice input even at d = 0. A generator's simplex is a
+    `LatticePolytope` with a vertex list like any other.
     """
-    if p.hint is not None:
-        return p.hint
     vertices, facets = p.double_description
-    mins = [min(c) for c in zip(*vertices)]
-    maxs = [max(c) for c in zip(*vertices)]
-    return mins, maxs, [list(f.normal) for f in facets], [f.offset for f in facets]
+    return _ScanPlan([min(c) for c in zip(*vertices)], [max(c) for c in zip(*vertices)],
+                     [f.normal for f in facets], [f.offset for f in facets])
 
 
 def count_points(p: LatticePolytope, n: int, *, count_cap: int = DEFAULT_COUNT_CAP) -> int:
     """Exact number of lattice points in the n-th dilate, n >= 1."""
     if n < 1:
         raise InputError("dilate must be positive")
-    counted = _counted(p)
-    if not isinstance(counted, tuple):
-        return _counts_through(counted, n, count_cap)[n]
-    _check_scan_cost(counted, n, count_cap)
-    return _scan_dilate(_ScanPlan(*counted), n)[0]
+    if p.hint is not None:
+        return _counts_through(p, n, count_cap)[n]
+    plan = _scan_plan(p)
+    _check_scan_cost(plan, n, count_cap)
+    return _scan_dilate(plan, n)[0]
 
 
-def _counts_through(counted, nmax: int, count_cap: int) -> list[int]:
-    """[ehr(0), ..., ehr(nmax)] of what `_counted` returned."""
-    if isinstance(counted, BoxHint):
-        return [
-            math.prod(n * (hi - lo) + 1 for lo, hi in zip(counted.lows, counted.highs))
-            for n in range(nmax + 1)
-        ]
-    if isinstance(counted, PyramidHint):
-        counts = _counts_through(_counted(counted.base), nmax, count_cap)
-        for _ in range(counted.times):
+def _counts_through(p: LatticePolytope, nmax: int, count_cap: int) -> list[int]:
+    """[ehr(0), ..., ehr(nmax)] of p: by its box or pyramid hint, else by its scan plan."""
+    if isinstance(p.hint, BoxHint):
+        return [math.prod(n * (hi - lo) + 1 for lo, hi in zip(p.hint.lows, p.hint.highs))
+                for n in range(nmax + 1)]
+    if isinstance(p.hint, PyramidHint):
+        counts = _counts_through(p.hint.base, nmax, count_cap)
+        for _ in range(p.hint.times):
             counts = list(accumulate(counts))
         return counts
-    return _reciprocity_counts(counted, nmax, count_cap)
+    return _reciprocity_counts(_scan_plan(p), nmax, count_cap)
 
 
 def _forward_differences(values) -> list[int]:
@@ -408,24 +406,23 @@ def _forward_differences(values) -> list[int]:
     return diffs
 
 
-def _reciprocity_counts(system, nmax: int, count_cap: int) -> list[int]:
-    """[ehr(0), ..., ehr(nmax)] of a scan system, from its dilates n <= ceil(d/2).
+def _reciprocity_counts(plan: _ScanPlan, nmax: int, count_cap: int) -> list[int]:
+    """[ehr(0), ..., ehr(nmax)] of a scan plan, from its dilates n <= ceil(d/2).
 
     Each scanned dilate gives ehr(n) and, by Ehrhart-Macdonald reciprocity,
     ehr(-n) = (-1)^d * #interior(nP). The interior of a full-dimensional
     polytope is cut out by the strict versions of its facets, so one
-    `_scan_dilate` pass over one plan of the system counts both per dilate.
-    With ehr(0) = 1 that gives ehr on the nodes -k..k, whose Newton forward
-    differences determine the polynomial of degree d exactly. For odd d
-    there is one node more than needed: its difference must vanish. The box
-    of every scanned dilate is checked against the caps before the first
-    pass.
+    `_scan_dilate` pass over the plan counts both per dilate. With
+    ehr(0) = 1 that gives ehr on the nodes -k..k, whose Newton forward
+    differences determine the polynomial of degree d = `plan.dim` exactly.
+    For odd d there is one node more than needed: its difference must
+    vanish. The box of every scanned dilate is checked against the caps
+    before the first pass.
     """
-    d = len(system[0])
+    d = plan.dim
     k = (d + 1) // 2
     for n in range(1, k + 1):
-        _check_scan_cost(system, n, count_cap)
-    plan = _ScanPlan(*system)
+        _check_scan_cost(plan, n, count_cap)
     below, above = [], []
     for n in range(1, k + 1):
         points, interior = _scan_dilate(plan, n)
@@ -444,7 +441,7 @@ def count_profile(p: LatticePolytope, *, count_cap: int = DEFAULT_COUNT_CAP) -> 
     polytopes scan only the dilates n <= ceil(d/2) (`_reciprocity_counts`).
     """
     d = p.ambient_dim
-    return CountProfile(d, tuple(_counts_through(_counted(p), d + 1, count_cap)))
+    return CountProfile(d, tuple(_counts_through(p, d + 1, count_cap)))
 
 
 def f_star_from_profile(profile: CountProfile) -> FStarVector:

@@ -103,6 +103,8 @@ class LatticePolytope:
     def __post_init__(self):
         if (self.vertices is None) == (self.halfspaces is None):
             raise InputError("exactly one of vertices/halfspaces must be given")
+        if type(self.ambient_dim) is not int:
+            raise InputError("ambient dimension must be an int")
         if self.ambient_dim < 0:
             raise InputError("ambient dimension must be nonnegative")
         if not isinstance(self.vertices if self.vertices is not None else self.halfspaces, tuple):
@@ -118,6 +120,8 @@ class LatticePolytope:
             entries = (x for v in self.vertices for x in v)
         else:
             for hs in self.halfspaces:
+                if not isinstance(hs, HalfSpace):
+                    raise InputError("each half-space must be a HalfSpace")
                 if not isinstance(hs.normal, tuple):
                     raise InputError("each half-space normal must be a tuple")
                 if len(hs.normal) != self.ambient_dim:
@@ -381,8 +385,6 @@ def make_higashitani(
     if min(ones_len, big_val, big_len, last_val) < 1:
         raise InputError("all parameters must be positive")
     d = ones_len + big_len + 1
-    if d < 3:
-        raise InputError("resulting dimension must be at least 3")
     _require_dim_cap(d)
     w = (1,) * ones_len + (big_val,) * big_len + (last_val,)
     origin = (0,) * d

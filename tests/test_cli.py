@@ -1,4 +1,6 @@
 import argparse
+import dataclasses
+import io
 import json
 import os
 import re
@@ -600,7 +602,8 @@ class TestHugeIntegers:
 
     def test_unprintable_scan_total_is_named_by_its_digit_count(self):
         with pytest.raises(ehrstar.CostGuardExceeded) as info:
-            ehrstar.engine._check_scan_cost(([0, 0], [10**3000, 10**3000], [], []), 1, 10**9)
+            ehrstar.engine._check_scan_cost(
+                ehrstar.engine._ScanPlan([0, 0], [10**3000, 10**3000], [], []), 1, 10**9)
         assert str(info.value) == ("bounding-box scan would visit <6001-digit number> candidates "
                                    "(cap 1000000000); raise the cap or use the parallelepiped route")
 
@@ -704,6 +707,33 @@ class TestSelftest:
         assert "  [FAIL] spiked 15-simplex" in out.splitlines()
         assert out.splitlines()[-1].startswith("1 check(s) FAILED")
 
+    def test_wrong_engine_results_fail_the_checks_that_read_them(self, capsys, monkeypatch):
+        compute = ehrstar.engine.compute_vectors
+
+        def wrong(p, **kwargs):  # the last h*-entry one too large, one count too many
+            r = compute(p, **kwargs)
+            h = starbasis.HStarVector(r.h.entries[:-1] + (r.h.entries[-1] + 1,))
+            return dataclasses.replace(r, h=h, counts=r.counts + (0,))
+
+        monkeypatch.setattr(ehrstar.engine, "compute_vectors", wrong)
+        code, out, err = run(capsys, "selftest")
+        *lines, summary = out.splitlines()
+        assert (code, err) == (1, "")
+        assert lines == ["  [FAIL] square pipeline", "  [FAIL] segment pipeline",
+                         "  [FAIL] unimodular simplex rows", "  [FAIL] spiked 15-simplex",
+                         "  [ok  ] binomial difference lemma", "  [ok  ] basis round trips",
+                         "  [FAIL] pyramid invariant"]
+        assert re.fullmatch(r"5 check\(s\) FAILED \(\d+\.\d\ds\)", summary)
+
+    def test_wrong_lemma_and_basis_change_fail(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "check_binom_diff_lemma", lambda n, k, j: False)
+        monkeypatch.setattr(cli, "h_from_f", lambda f: starbasis.HStarVector((0,) * len(f.entries)))
+        code, out, _ = run(capsys, "selftest")
+        assert code == 1
+        assert [line for line in out.splitlines() if "[FAIL]" in line] == [
+            "  [FAIL] binomial difference lemma", "  [FAIL] basis round trips"]
+        assert out.splitlines()[-1].startswith("2 check(s) FAILED")
+
 
 _POLYTOPE_COMMANDS = ("compute", "audit", "series")
 _INPUT_COMMANDS = ("compute", "audit", "series", "convert")
@@ -721,6 +751,7 @@ _ERROR_FILES = {
     "d_float.json": '{"d": 1.0, "h_star": [1, 0]}',
     "negative_dim_halfspaces.json": '{"ambient_dim": -1, "halfspaces": [[]]}',
     "negative_dim_vertices.json": '{"ambient_dim": -1, "vertices": [[]]}',
+    "bad_provenance.json": '{"d": 2, "h_star": [1, 0, 0], "provenance": "x"}',
 }
 _ERROR_PATHS = [
     *[pytest.param([c, "--count-cap", "0"], "caps must be positive", id=f"{c}-count-cap-0")
@@ -765,6 +796,16 @@ _ERROR_PATHS = [
                              "bad pyramid count in builtin 'pyr-x-cube-2-0-1'"))],
     pytest.param(["search", "--dim", "5", "--spike-pos-range", "1:2", "--spike-val-range", "1:x"],
                  "bad --spike-val-range '1:x'", id="search-bad-value"),
+    *[pytest.param(["compute", "--builtin", name], message, id=f"compute-builtin-{name}")
+      for name, message in (("cube-0-0-1", "cube dimension must be positive"),
+                            ("unimodular-0", "simplex dimension must be positive"),
+                            ("random-0-1", "dimension and coordinate bound must be positive"))],
+    *[pytest.param([c, "--input", "bad_provenance.json"], "provenance must be 'raw' or 'polytope'",
+                   id=f"{c}-bad-provenance") for c in ("audit", "convert")],
+    pytest.param(["search", "--dim", "0", "--spike-pos-range", "1:1", "--spike-val-range", "2:3"],
+                 "dimension must be positive", id="search-dim-0"),
+    pytest.param(["search", "--dim", "5", "--spike-pos-range", "1:2", "--spike-val-range", "5:3"],
+                 "bad spike value range", id="search-reversed-values"),
 ]
 
 
@@ -842,6 +883,24 @@ class TestOptionTable:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert f"error: unrecognized arguments: {' '.join(argv)}\n" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def test_broken_pipe_in_process_exits_0(monkeypatch):
+    # the reader is gone: the flush at the end of main raises, and stdout is
+    # pointed at devnull for the interpreter's own flush at shutdown
+    class ClosedPipe(io.StringIO):
+        def flush(self):
+            raise BrokenPipeError
+
+        def fileno(self):
+            return 99
+
+    targets = []
+    with monkeypatch.context() as patch:  # undone before pytest's capture dups its own fds
+        patch.setattr(sys, "stdout", ClosedPipe())
+        patch.setattr(os, "dup2", lambda fd, fd2: targets.append(fd2) or os.close(fd))
+        code = main(["compute", "--builtin", "cube-2-0-1"])
+    assert (code, targets) == (0, [99])
 
 
 class TestProcess:

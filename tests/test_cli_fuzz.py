@@ -8,7 +8,8 @@ wrong row length, a non-integer or huge entry, a negative or huge
 dimension, a missing field. Every case ends in a documented exit: 0, 2 or
 3, or argparse's SystemExit(2) for a bad option; exit 1 only from `audit`
 on polytope data that fails a check. The caps stay small, so every case is
-cheap.
+cheap. `search` gets cases of its own: dimensions and spike ranges, valid
+or not, and budgets of 1..10^4; it ends in 0, 2 or 4.
 """
 
 import json
@@ -186,6 +187,8 @@ def _outcome(capsys, argv: list[str]):
     fmt = argv[argv.index("--format") + 1] if "--format" in argv else "text"
     if code == 1:
         assert argv[0] == "audit" and _failed_checks(out, fmt) and err == "", (out, err)
+    elif code == 4:
+        assert argv[0] == "search" and out.splitlines() and err == "", (out, err)
     elif code == 0:
         assert err == ""
     else:
@@ -224,3 +227,56 @@ def test_named_case(capsys, tmp_path, command, name):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(obj))
     assert _outcome(capsys, [command, "--input", str(path)]) == expected
+
+
+def _search_range(rng, d: int, what: str) -> str:
+    """A spike range: mostly valid and small, else reversed, malformed, past d
+    or 40 digits long."""
+    kind = rng.choices(("valid", "reversed", "malformed", "past d", "long"), (24, 1, 1, 1, 1))[0]
+    if what == "pos":
+        lo = rng.randint(1, max(d, 1))
+        hi = min(lo + rng.randint(0, 3), max(d, 1))
+    else:
+        lo = rng.randint(-5, 300)
+        hi = lo + rng.randint(0, 6)
+    if kind == "reversed":
+        lo, hi = hi + rng.randint(1, 3), lo
+    elif kind == "malformed":
+        return rng.choice(("5", "a:b", "1:", ":3", "1:2:3", "", "1.5:2", "--"))
+    elif kind == "past d":  # positions past d; values past any spike of the cases above
+        lo, hi = (d + rng.randint(1, 3), d + 5) if what == "pos" else (lo + 10**6, hi + 10**6)
+    elif kind == "long":
+        hi = int("9" * 40)
+        lo = hi - rng.randint(0, 5) if rng.random() < 0.7 else lo
+    return f"{lo}:{hi}"
+
+
+def _search_argv(rng) -> list[str]:
+    d = rng.choices((rng.randint(1, 20), 0, -rng.randint(1, 5), rng.randint(201, 10**4)),
+                    (16, 1, 1, 1))[0]
+    argv = ["search", "--dim", str(d), "--spike-pos-range", _search_range(rng, d, "pos"),
+            "--spike-val-range", _search_range(rng, d, "val")]
+    if rng.random() < 0.3:
+        names = rng.choice((["pos"], ["val"], ["pos", "val"], ["pos", "val"]))
+        for what in names:
+            argv += [f"--spike2-{what}-range", _search_range(rng, d, what)]
+    argv += ["--budget", str(rng.choice((int(10 ** rng.uniform(0, 4)), 10**4)))]
+    if rng.random() < 0.5:
+        argv += ["--format", rng.choice(("text", "json"))]
+    if rng.random() < 0.03:
+        argv += rng.choice((["--dim", "x"], ["--budget", "1e3"], ["--input", "x.json"]))
+    return argv
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_every_search_ends_in_a_documented_exit(capsys, block):
+    rng = random.Random(1000 + block)
+    codes = []
+    for _ in range(40):
+        argv = _search_argv(rng)
+        try:
+            codes.append(_outcome(capsys, argv))
+        except Exception as exc:
+            raise AssertionError(argv) from exc
+    assert set(codes) <= {0, 2, 4, "usage"}, codes
+    assert codes.count(0) >= len(codes) / 3, codes

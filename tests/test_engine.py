@@ -373,7 +373,7 @@ _ENTRY_POINTS = {
 
 
 class TestCountingDispatch:
-    """`_counted` resolves each input once; hints and (d+1)-vertex simplices need no rank."""
+    """Hints and scan plans count each input; hints and (d+1)-vertex simplices need no rank."""
 
     @pytest.fixture
     def no_rank(self, monkeypatch):
@@ -473,10 +473,10 @@ class TestCountingDispatch:
         assert str(info.value) == _FLAT
 
     def test_kernel_limit_whatever_the_cap(self):
-        ehrstar.engine._check_scan_cost(([0, 0], [2**61 - 1, 0], [], []), 1, 10**30)
+        ehrstar.engine._check_scan_cost(ehrstar.engine._ScanPlan([0, 0], [2**61 - 1, 0], [], []), 1, 10**30)
         with pytest.raises(CostGuardExceeded, match=r"^bounding-box scan would visit 4611686018427387904 "
                            r"candidates; the scan kernel takes fewer than 2\^62$"):
-            ehrstar.engine._check_scan_cost(([0, 0], [2**61 - 1, 1], [], []), 1, 10**30)
+            ehrstar.engine._check_scan_cost(ehrstar.engine._ScanPlan([0, 0], [2**61 - 1, 1], [], []), 1, 10**30)
 
 
 class TestHalfspaceVertexStep:
@@ -934,6 +934,19 @@ class TestReciprocityRoute:
             count_profile(s, count_cap=cap)
         assert passes == []
 
+    def test_projection_waits_for_the_caps(self, monkeypatch):
+        # the plan's Fourier-Motzkin rows (up to m^2 / 4 of them) are built by
+        # the first pass, so a refused scan builds none
+        def forbidden(plan):
+            raise AssertionError("projection built before the caps were checked")
+
+        monkeypatch.setattr(ehrstar.engine._ScanPlan, "projection", property(forbidden))
+        cross = LatticePolytope(6, halfspaces=tuple(HalfSpace(1, s) for s in product((-1, 1), repeat=6)))
+        for entry in (lambda: count_profile(cross, count_cap=100),
+                      lambda: count_points(cross, 1, count_cap=100)):
+            with pytest.raises(CostGuardExceeded, match="visit 729 candidates"):
+                entry()
+
     def test_count_cap_checks_only_the_scanned_dilates(self):
         # d = 3: dilates 1 and 2 are scanned; the n = 4 box is far over the cap
         s = LatticeSimplex.from_vertices(((0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4)))
@@ -955,15 +968,18 @@ def _brute_closed_and_interior(lows, highs, rows, offsets) -> tuple[int, int]:
             _brute_box_count(lows, highs, rows, [c - 1 for c in offsets]))
 
 
-def _one_pass(lows, highs, rows, offsets, *, chunk=1 << 17) -> tuple[int, int]:
+def _one_pass(lows, highs, rows, offsets) -> tuple[int, int]:
     """(closed, interior) of the system from one `_scan_dilate` pass at n = 1."""
-    return ehrstar.engine._scan_dilate(ehrstar.engine._ScanPlan(lows, highs, rows, offsets), 1, chunk=chunk)
+    return ehrstar.engine._scan_dilate(ehrstar.engine._ScanPlan(lows, highs, rows, offsets), 1)
 
 
 def _kernel_matches(system, expected, chunk) -> None:
-    """The one-dilate kernel gives the closed count, one pass both counts."""
-    assert _count_box_satisfying(*system, chunk=chunk) == expected[0]
-    assert _one_pass(*system, chunk=chunk) == expected
+    """The one-dilate kernel gives the closed count, one pass both counts,
+    each in blocks of `chunk`."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ehrstar.engine, "_SCAN_CHUNK", chunk)
+        assert _count_box_satisfying(*system) == expected[0]
+        assert _one_pass(*system) == expected
 
 
 def _needle_simplex(d: int, k: int) -> LatticePolytope:
@@ -1035,9 +1051,9 @@ class TestIntervalKernel:
     def test_thin_simplices(self, d, k, chunk):
         s = _needle_simplex(d, k)
         for n in (1, 2, 3):
-            mins, maxs, rows, facet_offsets = ehrstar.engine._counted(s)
-            lows, highs = [n * m for m in mins], [n * m for m in maxs]
-            offsets = [n * c for c in facet_offsets]
+            vertices, facets = s.double_description
+            lows, highs = [n * min(c) for c in zip(*vertices)], [n * max(c) for c in zip(*vertices)]
+            rows, offsets = [list(f.normal) for f in facets], [n * f.offset for f in facets]
             expected = (full_box_count(lows, highs, rows, offsets),
                         full_box_count(lows, highs, rows, [c - 1 for c in offsets]))
             _kernel_matches((lows, highs, rows, offsets), expected, chunk)
@@ -1131,9 +1147,10 @@ class TestIntervalKernel:
 
     @pytest.mark.parametrize("chunk", [1, 5, 1 << 17])
     @pytest.mark.parametrize("seed", range(12))
-    def test_one_plan_for_every_dilate(self, seed, chunk):
+    def test_one_plan_for_every_dilate(self, monkeypatch, seed, chunk):
         # Even coefficients off t give pair rows whose coefficients share a
         # factor with even n: reduced once at n = 1, again at n = 2 and 4.
+        monkeypatch.setattr(ehrstar.engine, "_SCAN_CHUNK", chunk)
         rng = random.Random(seed)
         for d in (1, 2, 3, 4):
             mins = [rng.randint(-3, 1) for _ in range(d)]
@@ -1145,7 +1162,7 @@ class TestIntervalKernel:
             plan = ehrstar.engine._ScanPlan(mins, maxs, rows, offsets)
             for n in (1, 2, 3, 4):
                 dilate = [n * x for x in mins], [n * x for x in maxs], rows, [n * c for c in offsets]
-                assert ehrstar.engine._scan_dilate(plan, n, chunk=chunk) == _brute_closed_and_interior(*dilate)
+                assert ehrstar.engine._scan_dilate(plan, n) == _brute_closed_and_interior(*dilate)
 
     @staticmethod
     def _dtypes(monkeypatch):
@@ -1198,11 +1215,12 @@ class TestIntervalKernel:
         assert _count_box_satisfying([-2, -2], [2, 2], rows, offsets) == 0
 
     @pytest.mark.parametrize("chunk", [1, 1 << 17])
-    def test_axis_in_no_row_beyond_int64(self, chunk):
+    def test_axis_in_no_row_beyond_int64(self, monkeypatch, chunk):
         # only the box bounds the first coordinate
+        monkeypatch.setattr(ehrstar.engine, "_SCAN_CHUNK", chunk)
         big = 2**63
         rows, offsets = [[0, 1], [0, -1]], [0, 1]
-        assert _count_box_satisfying([big - 2, 0], [big + 1, 3], rows, offsets, chunk=chunk) == 8
+        assert _count_box_satisfying([big - 2, 0], [big + 1, 3], rows, offsets) == 8
 
     def test_total_beyond_int64(self):
         # 16 intervals of 2^60 + 1 points each: the sum passes 2^63

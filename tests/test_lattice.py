@@ -257,6 +257,26 @@ class TestPolytopeValidation:
         with pytest.raises(InputError):
             build()
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: LatticePolytope(1.0, vertices=((0,), (1,))), "ambient dimension must be an int"),
+        (lambda: LatticePolytope(True, vertices=((0,), (1,))), "ambient dimension must be an int"),
+        (lambda: LatticePolytope("1", vertices=((0,), (1,))), "ambient dimension must be an int"),
+        (lambda: LatticePolytope(-1.5, vertices=((),)), "ambient dimension must be an int"),
+        (lambda: LatticePolytope(-1, vertices=((),)), "ambient dimension must be nonnegative"),
+        (lambda: LatticePolytope(1, halfspaces=((0, (1,)), (1, (-1,)))),
+         "each half-space must be a HalfSpace"),
+        (lambda: LatticePolytope(1, halfspaces=(HalfSpace(0, (1,)), None)),
+         "each half-space must be a HalfSpace"),
+        (lambda: LatticePolytope(2, halfspaces=(HalfSpace(0, (1,)),)),
+         "half-space normal length does not match ambient dimension"),
+        (lambda: LatticeSimplex.from_vertices([]), "simplex needs vertices"),
+    ], ids=["float-dim", "bool-dim", "string-dim", "negative-float-dim", "negative-dim",
+            "tuple-halfspace", "none-halfspace", "short-normal", "no-simplex-vertices"])
+    def test_refusal_message(self, build, message):
+        with pytest.raises(InputError) as info:
+            build()
+        assert str(info.value) == message
+
     def test_generator_output_equals_its_vertex_list(self):
         s = make_unimodular_simplex(2)
         plain = LatticePolytope(2, vertices=s.vertices)

@@ -96,6 +96,8 @@ class TestEvaluation:
     def test_negative_dilate_rejected(self):
         with pytest.raises(InputError):
             eval_ehrhart(H(1), -1)
+        with pytest.raises(InputError, match="^dilate must be nonnegative$"):
+            eval_ehrhart_f(F(2, 1), -1)
 
     @given(raw_h_vectors)
     def test_both_bases_agree_on_interpolation_range(self, h):
@@ -175,6 +177,12 @@ class TestVectorValidation:
     def test_empty_rejected(self):
         with pytest.raises(InputError):
             HStarVector(())
+        with pytest.raises(InputError, match=r"^f\*-vector must have at least one entry$"):
+            FStarVector(())
+
+    def test_nothing_to_serialize(self):
+        with pytest.raises(InputError, match="^nothing to serialize$"):
+            vectors_to_json_obj()
 
 
 class TestJson:
