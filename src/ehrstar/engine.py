@@ -17,7 +17,9 @@ scan plan `_scan_plan` builds for it. The strategies, in that order:
 Hints are trusted to be full-dimensional (a pyramid's base is checked when
 its counts are taken); the double description decides it for the rest, so
 a rank is computed only to word that error. A profile of a scanned
-polytope scans only the dilates n <= ceil(d/2).
+polytope scans only the dilates n <= ceil(d/2), and of a scanned simplex
+only n <= ceil(d/2) - 1, so none at d <= 2: its exact normalized volume
+and facet volumes give its two leading coefficients (`_scan_plan`).
 Ehrhart-Macdonald reciprocity turns their interior counts into ehr(-n),
 and Newton forward differences on the nodes -k..k give the whole
 polynomial. The scan is built once per polytope as a plan (`_ScanPlan`):
@@ -54,7 +56,7 @@ from functools import cached_property
 from itertools import accumulate, product
 
 from .errors import CostGuardExceeded, InputError, VolumeCapExceeded, shown
-from .intlinalg import _reduce_by_gcd, diagonalize_lattice_basis
+from .intlinalg import _reduce_by_gcd, det, diagonalize_lattice_basis
 from .lattice import BoxHint, LatticePolytope, PyramidHint, _homogenized_columns
 from .starbasis import FStarVector, HStarVector, eval_ehrhart, f_from_h, h_from_f
 
@@ -170,10 +172,16 @@ class _ScanPlan:
     gcd(n, g) for the gcd g of its coefficients, which `shared` keeps where
     g != 1. A system of d < 2 axes runs as one of two, with 2 - d leading
     axes [0, 0] in no row; `dim` stays d.
+
+    `anchor` is (NV, S) for a simplex (see `_scan_plan`), with which a
+    profile scans the dilates n <= ceil(d/2) - 1, and None otherwise, with
+    which it scans n <= ceil(d/2) (`_reciprocity_counts`). A plan built
+    straight from rows has none.
     """
 
-    def __init__(self, mins, maxs, rows, offsets):
+    def __init__(self, mins, maxs, rows, offsets, anchor=None):
         self.dim = len(mins)
+        self.anchor = anchor
         pad = [0] * (2 - self.dim)
         self.mins, self.maxs = [*pad, *mins], [*pad, *maxs]
         self.maxabs = [max(abs(lo), abs(hi)) for lo, hi in zip(self.mins, self.maxs)]
@@ -348,7 +356,9 @@ def _count_box_satisfying(lows, highs, rows, offsets) -> int:
 
 def _check_scan_cost(plan: _ScanPlan, n: int, count_cap: int) -> None:
     """Refuse to scan the n-th dilate of a plan whose box, `plan.sizes(n)`,
-    holds more than `count_cap` candidates, or 2^62 or more."""
+    holds more than `count_cap` candidates, or 2^62 or more. A profile
+    checks only the dilates it scans: n <= ceil(d/2), or n <= ceil(d/2) - 1
+    for a simplex."""
     total = math.prod(plan.sizes(n))
     if total > count_cap:
         why = f" (cap {count_cap}); raise the cap or use the parallelepiped route"
@@ -367,10 +377,32 @@ def _scan_plan(p: LatticePolytope) -> _ScanPlan:
     `LatticePolytope.double_description`, which rejects empty, unbounded,
     flat and non-lattice input even at d = 0. A generator's simplex is a
     `LatticePolytope` with a vertex list like any other.
+
+    A simplex, a polytope of d >= 1 whose double description has d + 1
+    vertices, is anchored on (NV, S). NV is its normalized volume: the
+    cached `normalized_volume` of a vertex list, and |det| of the
+    homogenized vertices of a half-space list (which leaves that property
+    None). S is the sum of NV / h_F over its facets F, where h_F is the
+    lattice distance of F from the vertex off it: (b + a . v) / gcd(a) for
+    the facet's row b + a . x >= 0 at that vertex, the only one where the row
+    is not 0, as a kept half-space row need not be primitive. NV / h_F is
+    the normalized volume of F, so h_F must divide NV.
     """
     vertices, facets = p.double_description
+    d = p.ambient_dim
+    anchor = None
+    if d >= 1 and len(vertices) == d + 1:
+        volume = p.normalized_volume or abs(det(_homogenized_columns(vertices)))
+        facet_sum = 0
+        for f in facets:
+            height = max(f.offset + sum(a * x for a, x in zip(f.normal, v)) for v in vertices)
+            height //= math.gcd(*f.normal)
+            if volume % height:
+                raise ArithmeticError("a facet's lattice distance does not divide the normalized volume")
+            facet_sum += volume // height
+        anchor = volume, facet_sum
     return _ScanPlan([min(c) for c in zip(*vertices)], [max(c) for c in zip(*vertices)],
-                     [f.normal for f in facets], [f.offset for f in facets])
+                     [f.normal for f in facets], [f.offset for f in facets], anchor)
 
 
 def count_points(p: LatticePolytope, n: int, *, count_cap: int = DEFAULT_COUNT_CAP) -> int:
@@ -407,38 +439,65 @@ def _forward_differences(values) -> list[int]:
 
 
 def _reciprocity_counts(plan: _ScanPlan, nmax: int, count_cap: int) -> list[int]:
-    """[ehr(0), ..., ehr(nmax)] of a scan plan, from its dilates n <= ceil(d/2).
+    """[ehr(0), ..., ehr(nmax)] of a scan plan, from its dilates n <= k.
 
     Each scanned dilate gives ehr(n) and, by Ehrhart-Macdonald reciprocity,
     ehr(-n) = (-1)^d * #interior(nP). The interior of a full-dimensional
     polytope is cut out by the strict versions of its facets, so one
     `_scan_dilate` pass over the plan counts both per dilate. With
-    ehr(0) = 1 that gives ehr on the nodes -k..k, whose Newton forward
-    differences determine the polynomial of degree d = `plan.dim` exactly.
-    For odd d there is one node more than needed: its difference must
-    vanish. The box of every scanned dilate is checked against the caps
-    before the first pass.
+    ehr(0) = 1 that gives ehr on the nodes -k..k, and the Newton forward
+    differences of q(n) = scale * ehr(n) - known(n) there determine q
+    exactly if its degree e is at most 2k.
+
+    Without an anchor q is ehr: scale 1, known 0, e = d = `plan.dim` and
+    k = ceil(d/2). A simplex's anchor (NV, S) gives the two leading
+    coefficients of ehr, NV / d! and S / (2 (d-1)!) (the second is half the
+    sum of the facets' relative volumes; Beck and Robins, Computing the
+    Continuous Discretely), so q(n) = 2 d! ehr(n) - 2 NV n^d - d S n^(d-1)
+    has degree e = d - 2 and k = ceil(d/2) - 1: no dilate is
+    scanned at d <= 2. Where 2k > e, at odd d, one node is spare and its
+    difference must vanish; at d = 1 that is q(0) = 2 - S = 0. Dividing
+    q(n) + known(n) by the scale must leave no remainder. The box of every
+    scanned dilate is checked against the caps before the first pass.
     """
     d = plan.dim
-    k = (d + 1) // 2
+    if plan.anchor is None:
+        scale, degree = 1, d
+
+        def known(n):
+            return 0
+    else:
+        volume, facet_sum = plan.anchor
+        scale, degree = 2 * math.factorial(d), d - 2
+
+        def known(n):
+            return 2 * volume * n**d + d * facet_sum * n ** (d - 1)
+    k = (degree + 1) // 2
     for n in range(1, k + 1):
         _check_scan_cost(plan, n, count_cap)
     below, above = [], []
     for n in range(1, k + 1):
         points, interior = _scan_dilate(plan, n)
-        above.append(points)
-        below.append((-1) ** d * interior)
-    diffs = _forward_differences(below[::-1] + [1] + above)  # nodes -k..k
-    if any(diffs[d + 1 :]):
+        above.append(scale * points - known(n))
+        below.append(scale * (-1) ** d * interior - known(-n))
+    diffs = _forward_differences(below[::-1] + [scale - known(0)] + above)  # nodes -k..k
+    if any(diffs[degree + 1 :]):
         raise ArithmeticError("reciprocity counts do not fit a polynomial of degree d")
-    return [sum(c * math.comb(n + k, j) for j, c in enumerate(diffs)) for n in range(nmax + 1)]
+    counts = []
+    for n in range(nmax + 1):
+        count, rest = divmod(sum(c * math.comb(n + k, j) for j, c in enumerate(diffs)) + known(n), scale)
+        if rest:
+            raise ArithmeticError(f"anchored counts are not divisible by 2 * {d}!")
+        counts.append(count)
+    return counts
 
 
 def count_profile(p: LatticePolytope, *, count_cap: int = DEFAULT_COUNT_CAP) -> CountProfile:
     """Counts at n = 0..d+1; n = 0 contributes 1 by the series convention.
 
-    Box and pyramid hints use their closed forms; simplices and half-space
-    polytopes scan only the dilates n <= ceil(d/2) (`_reciprocity_counts`).
+    Box and pyramid hints use their closed forms; every other polytope
+    scans only the dilates n <= ceil(d/2), a simplex, by vertices or by
+    facets, only n <= ceil(d/2) - 1 (`_reciprocity_counts`).
     """
     d = p.ambient_dim
     return CountProfile(d, tuple(_counts_through(p, d + 1, count_cap)))

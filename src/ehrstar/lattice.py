@@ -274,8 +274,8 @@ class LatticeSimplex:
 
     @classmethod
     def from_vertices(cls, vertices) -> LatticePolytope:
-        try:
-            vertices = tuple(tuple(map(index, v)) for v in vertices)
+        try:  # ints, bools among them, stay as they are for LatticePolytope to check
+            vertices = tuple(tuple(x if isinstance(x, int) else index(x) for x in v) for v in vertices)
         except TypeError as exc:
             raise InputError(f"simplex vertices must be integer tuples: {exc}") from exc
         if not vertices:

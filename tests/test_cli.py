@@ -8,7 +8,7 @@ import subprocess
 import sys
 import time
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, prod
 from pathlib import Path
 
 import pytest
@@ -165,21 +165,22 @@ class TestCompute:
         )
         assert code == 3
 
-    def test_cap_covers_only_the_scanned_dilates(self, capsys):
-        # d = 3 scans the dilates n <= 2, so a cap that fits the n = 2 box
-        # suffices, although the n = 4 box is over it
+    def test_cap_covers_only_the_scanned_dilates(self, capsys, tmp_path):
+        # d = 3: a simplex scans the dilate n = 1 and the box [0, 3]^3 by its
+        # 8 vertices, which is no simplex, the dilates n <= 2, so a cap that
+        # fits the top scanned box suffices, although the n = 4 box is over it
         p = build_builtin("random-3-4-3")
         widths = [max(v[j] for v in p.vertices) - min(v[j] for v in p.vertices) for j in range(3)]
-        cap = 1
-        for w in widths:
-            cap *= 2 * w + 1
-        argv = ["compute", "--builtin", "random-3-4-3", "--volume-cap", "1"]
-        code, out, err = run(capsys, *argv, "--count-cap", str(cap))
-        assert code == 0 and err == "" and "route: interpolation" in out
-        code, out, err = run(capsys, *argv, "--count-cap", str(cap - 1))
-        assert code == 3 and out == ""
-        assert err == (f"error: bounding-box scan would visit {cap} candidates (cap {cap - 1}); "
-                       "raise the cap or use the parallelepiped route\n")
+        box = tmp_path / "box.json"
+        box.write_text(json.dumps({"ambient_dim": 3, "vertices": list(product((0, 3), repeat=3))}))
+        for source, cap in ((["--builtin", "random-3-4-3", "--volume-cap", "1"], prod(w + 1 for w in widths)),
+                            (["--input", str(box)], 7**3)):
+            code, out, err = run(capsys, "compute", *source, "--count-cap", str(cap))
+            assert code == 0 and err == "" and "route: interpolation" in out
+            code, out, err = run(capsys, "compute", *source, "--count-cap", str(cap - 1))
+            assert code == 3 and out == ""
+            assert err == (f"error: bounding-box scan would visit {cap} candidates (cap {cap - 1}); "
+                           "raise the cap or use the parallelepiped route\n")
 
     @pytest.mark.parametrize("command", ["compute", "audit", "series"])
     def test_scan_past_the_kernel_limit_exit_3(self, capsys, tmp_path, command):
@@ -975,7 +976,10 @@ class TestProcess:
         ["audit", "--builtin", "higashitani-15"],
         ["series", "--builtin", "higashitani-15"],
         ["convert", "--input", "{vectors}"],
-    ], ids=["import", "compute", "audit", "series", "convert"])
+        # a simplex of d <= 2 on the interpolation route is anchored on its
+        # volume and facet volumes and scans no dilate
+        ["compute", "--builtin", "random-2-9-1", "--volume-cap", "1"],
+    ], ids=["import", "compute", "audit", "series", "convert", "compute-interpolation-d2"])
     def test_commands_without_a_scan_do_not_import_numpy(self, tmp_path, argv):
         vectors = tmp_path / "vectors.json"
         vectors.write_text(json.dumps({"d": 15, "h_star": SPIKE15_H}))

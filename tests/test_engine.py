@@ -840,7 +840,8 @@ def _axis_rows(lows, highs):
 
 
 class TestReciprocityRoute:
-    """count_profile scans n <= ceil(d/2) only; the every-dilate scan is the oracle."""
+    """count_profile scans n <= ceil(d/2) only, a simplex n <= ceil(d/2) - 1;
+    the every-dilate scan is the oracle."""
 
     @pytest.mark.parametrize("seed", range(2))
     @pytest.mark.parametrize("d", range(1, 7))
@@ -881,8 +882,79 @@ class TestReciprocityRoute:
         p = LatticePolytope(d, halfspaces=tuple(facets + [facets[0], doubled]))
         assert count_profile(p).counts == every_dilate_counts(s)
 
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_anchored_simplices_match_two_references(self, d):
+        # by vertices and by facet rows scaled by 1, 2 or 3, at the origin and
+        # translated near 2^59 (where the scans take the object path): the
+        # parallelepiped's counts, and the ceil(d/2) dilates of the plan
+        # without the anchor
+        rng = random.Random(d)
+        for _ in range(4):
+            vertices = _random_simplex_vertices(d, rng)
+            shift = [2**59 + rng.randint(-1000, 1000) for _ in range(d)]
+            for vs in (vertices, tuple(tuple(x + c for x, c in zip(v, shift)) for v in vertices)):
+                reference = compute_vectors(LatticeSimplex.from_vertices(vs))
+                assert reference.route == "parallelepiped"
+                expected = reference.counts
+                rows = tuple(HalfSpace(k * f.offset, tuple(k * a for a in f.normal))
+                             for f in simplex_facets(vs) for k in [rng.choice((1, 2, 3))])
+                for p in (LatticePolytope(d, vertices=vs), LatticePolytope(d, halfspaces=rows)):
+                    assert ehrstar.engine._scan_plan(p).anchor is not None
+                    unanchored = ehrstar.engine._reciprocity_counts(_unanchored_plan(p), d + 1, 10**9)
+                    assert count_profile(p).counts == expected == tuple(unanchored)
+
+    def test_anchor_of_a_simplex_by_its_vertices_and_by_its_facets(self):
+        # conv{0, 2 e_1, 3 e_2}: NV = 6, and the facets x = 0, y = 0 and
+        # 3x + 2y = 6 lie at the lattice distances 2, 3 and 6 from the vertex
+        # off them, so S = 3 + 2 + 1; the rows of the facet form are scaled
+        vertices = ((0, 0), (2, 0), (0, 3))
+        rows = (HalfSpace(0, (2, 0)), HalfSpace(0, (0, 3)), HalfSpace(12, (-6, -4)))
+        for p in (LatticePolytope(2, vertices=vertices), LatticePolytope(2, halfspaces=rows)):
+            assert ehrstar.engine._scan_plan(p).anchor == (6, 6)
+        assert LatticePolytope(2, halfspaces=rows).normalized_volume is None
+        # a vertex list of d + 2 points and a box are not simplices, and
+        # d = 0 has no second coefficient
+        for p in (LatticePolytope(2, vertices=vertices + ((1, 1),)), _box_and_its_center(2),
+                  LatticePolytope(0, vertices=((),))):
+            assert ehrstar.engine._scan_plan(p).anchor is None
+
+    def test_corrupted_volume_or_facet_distance_raises(self, monkeypatch):
+        # NV = 6 is divisible by the distances 2, 3 and 6; 7 is not, nor is 6
+        # by the distance 4 that y >= 0 moved to 1 + y >= 0 gives
+        vertices = ((0, 0), (2, 0), (0, 3))
+        s = LatticePolytope(2, vertices=vertices)
+        s.__dict__["normalized_volume"] = 7
+        with pytest.raises(ArithmeticError, match="does not divide the normalized volume"):
+            count_profile(s)
+        s = LatticePolytope(2, vertices=vertices)
+        box, facets = s.double_description
+        s.__dict__["double_description"] = box, tuple(
+            HalfSpace(1, f.normal) if f.normal == (0, 1) else f for f in facets)
+        with pytest.raises(ArithmeticError, match="does not divide the normalized volume"):
+            count_profile(s)
+        h = LatticePolytope(2, halfspaces=tuple(simplex_facets(vertices)))
+        monkeypatch.setattr(ehrstar.engine, "det", lambda rows: 7)
+        with pytest.raises(ArithmeticError, match="does not divide the normalized volume"):
+            count_profile(h)
+
+    @pytest.mark.parametrize("d, bump, message", [
+        # a facet sum one off adds d * n^(d-1) to 2 d! ehr(n): at odd d the
+        # spare node sees it, at d = 4 the division by 2 * 4! leaves
+        # (n^3 - n) / 12 at n = 2
+        (3, 1, "degree d"), (5, 1, "degree d"), (4, 1, r"not divisible by 2 \* 4!"),
+    ])
+    def test_corrupted_anchor_raises(self, d, bump, message):
+        plan = ehrstar.engine._scan_plan(make_random_simplex(d, 2, 5))
+        volume, facet_sum = plan.anchor
+        plan.anchor = volume, facet_sum + bump
+        with pytest.raises(ArithmeticError, match=message):
+            ehrstar.engine._reciprocity_counts(plan, d + 1, 10**9)
+
     @pytest.mark.parametrize("d", [1, 3, 5])
     def test_corrupted_interior_count_at_odd_d_raises(self, monkeypatch, d):
+        # the spare node catches it, over the ceil(d/2) passes of a vertex
+        # list that is no simplex and the ceil(d/2) - 1 of a simplex; at
+        # d = 1 the simplex makes no pass, so there is nothing to corrupt
         scan = ehrstar.engine._scan_dilate
         passes = []
 
@@ -893,15 +965,23 @@ class TestReciprocityRoute:
 
         monkeypatch.setattr(ehrstar.engine, "_scan_dilate", interior_of_n1_plus_one)
         with pytest.raises(ArithmeticError, match="degree d"):
-            count_profile(make_random_simplex(d, 2, 5))
+            count_profile(_box_and_its_center(d))
         assert passes == list(range(1, (d + 1) // 2 + 1))
+        passes.clear()
+        s = make_random_simplex(d, 2, 5)
+        if d == 1:
+            assert count_profile(s).counts == every_dilate_counts(s)
+        else:
+            with pytest.raises(ArithmeticError, match="degree d"):
+                count_profile(s)
+        assert passes == list(range(1, (d - 1) // 2 + 1))
 
     @pytest.mark.parametrize("d", range(1, 7))
     def test_one_pass_per_scanned_dilate_over_one_plan(self, monkeypatch, d):
-        # ceil(d/2) passes, each counting a dilate's points and interior
-        # points, over one plan; the one-dilate kernel is not called
-        s = make_random_simplex(d, 2, 3)
-        expected = every_dilate_counts(s)
+        # ceil(d/2) - 1 passes for a simplex, none at d <= 2, and ceil(d/2)
+        # for a vertex list that is no simplex, each counting a dilate's
+        # points and interior points, over one plan; the one-dilate kernel is
+        # not called
         scan = ehrstar.engine._scan_dilate
         passes = []
 
@@ -914,24 +994,33 @@ class TestReciprocityRoute:
 
         monkeypatch.setattr(ehrstar.engine, "_scan_dilate", recorded)
         monkeypatch.setattr(ehrstar.engine, "_count_box_satisfying", forbidden)
-        assert count_profile(s).counts == expected
-        assert [n for _, n in passes] == list(range(1, (d + 1) // 2 + 1))
-        assert len({id(plan) for plan, _ in passes}) == 1
+        s = make_random_simplex(d, 2, 3)
+        box = _box_and_its_center(d)
+        for p, expected, scanned in ((s, every_dilate_counts(s), (d - 1) // 2),
+                                     (box, tuple((2 * n + 1) ** d for n in range(d + 2)), (d + 1) // 2)):
+            passes.clear()
+            assert count_profile(p).counts == expected
+            assert [n for _, n in passes] == list(range(1, scanned + 1))
+            assert len({id(plan) for plan, _ in passes}) == min(scanned, 1)
 
     @pytest.mark.parametrize("edges, cap, message", [
-        # the n = 1 box has 5^3 points, the n = 2 box 9^3
+        # the box of these edges has 5^3 points, its 2nd dilate 9^3, and so
+        # has the simplex of twice these edges
         ((4, 4, 4), 9**3 - 1, "visit 729 candidates"),
-        # the n = 1 box has 4 * (2^59 + 1) < 2^62 points, the n = 2 box 9 * (2^60 + 1)
+        # 4 * (2^59 + 1) < 2^62 points, and 9 * (2^60 + 1)
         ((2**59, 1, 1), 10**30, r"the scan kernel takes fewer than 2\^62"),
     ])
     def test_every_cap_checked_before_the_first_pass(self, monkeypatch, edges, cap, message):
-        # d = 3 scans the dilates 1 and 2; only the top one is over a cap
+        # d = 3: the box by its 8 vertices scans the dilates 1 and 2, and
+        # only the top one is over a cap; the simplex scans its dilate 1 alone
+        box = LatticePolytope(3, vertices=tuple(product(*((0, e) for e in edges))))
         s = LatticeSimplex.from_vertices(
-            ((0, 0, 0),) + tuple(tuple(e * (i == j) for j in range(3)) for i, e in enumerate(edges)))
+            ((0, 0, 0),) + tuple(tuple(2 * e * (i == j) for j in range(3)) for i, e in enumerate(edges)))
         passes = []
         monkeypatch.setattr(ehrstar.engine, "_scan_dilate", lambda *args, **kwargs: passes.append(args))
-        with pytest.raises(CostGuardExceeded, match=message):
-            count_profile(s, count_cap=cap)
+        for p in (box, s):
+            with pytest.raises(CostGuardExceeded, match=message):
+                count_profile(p, count_cap=cap)
         assert passes == []
 
     def test_projection_waits_for_the_caps(self, monkeypatch):
@@ -948,11 +1037,40 @@ class TestReciprocityRoute:
                 entry()
 
     def test_count_cap_checks_only_the_scanned_dilates(self):
-        # d = 3: dilates 1 and 2 are scanned; the n = 4 box is far over the cap
+        # d = 3: the simplex 4 * Delta_3 scans its dilate 1, and the box
+        # [0, 4]^3 by its 8 vertices its dilates 1 and 2; the n = 4 boxes
+        # are far over the caps
         s = LatticeSimplex.from_vertices(((0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4)))
-        assert count_profile(s, count_cap=9**3).counts == every_dilate_counts(s)
-        with pytest.raises(CostGuardExceeded, match="visit 729 candidates"):
-            count_profile(s, count_cap=9**3 - 1)
+        box = LatticePolytope(3, vertices=tuple(product((0, 4), repeat=3)))
+        for p, top in ((s, 5**3), (box, 9**3)):
+            assert count_profile(p, count_cap=top).counts == every_dilate_counts(
+                LatticePolytope(3, halfspaces=p.double_description[1]))
+            with pytest.raises(CostGuardExceeded, match=f"visit {top} candidates"):
+                count_profile(p, count_cap=top - 1)
+
+
+def _random_simplex_vertices(d: int, rng: random.Random):
+    """A random d-simplex with a small box: by `make_random_simplex` up to
+    d = 6, and as conv{0, e_1, ..., e_{d-1}, w} with w in {0, 1}^{d-1} x
+    [1, 3] above, whose dilates' boxes stay small enough to scan."""
+    if d <= 6:
+        return make_random_simplex(d, 2 if d <= 4 else 1, rng.randrange(10**6)).vertices
+    units = [tuple(int(i == j) for j in range(d)) for i in range(d - 1)]
+    return ((0,) * d, *units, (*(rng.randint(0, 1) for _ in range(d - 1)), rng.randint(1, 3)))
+
+
+def _unanchored_plan(p: LatticePolytope):
+    """The scan plan of p built straight from its double description's rows,
+    so without a simplex's anchor: the ceil(d/2)-dilate route."""
+    vertices, facets = p.double_description
+    return ehrstar.engine._ScanPlan([min(c) for c in zip(*vertices)], [max(c) for c in zip(*vertices)],
+                                    [f.normal for f in facets], [f.offset for f in facets])
+
+
+def _box_and_its_center(d: int) -> LatticePolytope:
+    """[0, 2]^d by its 2^d vertices and the interior point (1, ..., 1): a
+    vertex list that is no simplex, also at d = 1."""
+    return LatticePolytope(d, vertices=(*product((0, 2), repeat=d), (1,) * d))
 
 
 def _brute_box_count(lows, highs, rows, offsets) -> int:
@@ -1196,15 +1314,15 @@ class TestIntervalKernel:
         assert len(dtypes) == 2 and object not in dtypes
 
     def test_dilated_simplex_near_2_58_stays_on_int64(self, monkeypatch):
-        # 10 * Delta_3 translated near 2^58: the bounds of the dilates 1 and
-        # 2, the ones scanned, stay below 2^62
+        # 10 * Delta_3 translated near 2^58: the bound of the dilate 1, the
+        # one scanned, stays below 2^62
         shift = [2**58 + 17, 2**58 - 400, 2**58 + 999]
         rows = [HalfSpace(-t, tuple(int(i == j) for i in range(3))) for j, t in enumerate(shift)]
         rows.append(HalfSpace(10 + sum(shift), (-1, -1, -1)))
         dtypes = self._dtypes(monkeypatch)
         counts = count_profile(LatticePolytope(3, halfspaces=tuple(rows))).counts
         assert counts == tuple(math.comb(10 * n + 3, 3) for n in range(5))
-        assert len(dtypes) == 2 and object not in dtypes
+        assert len(dtypes) == 1 and object not in dtypes
 
     @pytest.mark.parametrize("worst", [2**62 - 1, 2**62, 2**62 + 1, 3 * 2**61])
     def test_bounds_far_outside_the_box(self, worst):

@@ -244,13 +244,14 @@ class TestPolytopeValidation:
         lambda: LatticeSimplex.from_vertices(((0, 0), (1.5, 0), (0, 1))),
         lambda: LatticeSimplex.from_vertices(((0, 0), ("1", 0), (0, 1))),
         lambda: LatticeSimplex.from_vertices((0, 1)),
+        lambda: LatticeSimplex.from_vertices(((0, 0), (True, 0), (0, 1))),
         lambda: LatticePolytope(2, vertices=([0, 0], [1, 0], [0, 1])),
         lambda: LatticePolytope(2, vertices=((0, 0), [1, 0], (0, 1))),
         lambda: LatticePolytope(1, halfspaces=(HalfSpace(0, [1]), HalfSpace(1, (-1,)))),
         lambda: LatticePolytope(2, vertices=[(0, 0), (1, 0), (0, 1)]),
         lambda: LatticePolytope(1, halfspaces=[HalfSpace(0, (1,)), HalfSpace(1, (-1,))]),
     ], ids=["float-triangle", "float-square", "bool", "float-offset", "float-normal",
-            "float-simplex", "string-simplex", "non-tuple-simplex",
+            "float-simplex", "string-simplex", "non-tuple-simplex", "bool-simplex",
             "list-vertices", "one-list-vertex", "list-normal",
             "vertex-list-container", "halfspace-list-container"])
     def test_non_integer_entries_rejected(self, build):
@@ -270,8 +271,11 @@ class TestPolytopeValidation:
         (lambda: LatticePolytope(2, halfspaces=(HalfSpace(0, (1,)),)),
          "half-space normal length does not match ambient dimension"),
         (lambda: LatticeSimplex.from_vertices([]), "simplex needs vertices"),
+        (lambda: LatticeSimplex.from_vertices(((0, 0), (True, 0), (0, 1))),
+         "coordinates, offsets and normals must be ints"),
     ], ids=["float-dim", "bool-dim", "string-dim", "negative-float-dim", "negative-dim",
-            "tuple-halfspace", "none-halfspace", "short-normal", "no-simplex-vertices"])
+            "tuple-halfspace", "none-halfspace", "short-normal", "no-simplex-vertices",
+            "bool-simplex"])
     def test_refusal_message(self, build, message):
         with pytest.raises(InputError) as info:
             build()
