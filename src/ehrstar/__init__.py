@@ -2,109 +2,41 @@
 
 Computes Ehrhart values, h*- and f*-vectors in exact integer arithmetic,
 audits the known inequalities between them, and searches spiked
-h*-patterns for nonunimodal f*-vectors.
+h*-patterns for nonunimodal f*-vectors. Each public name and submodule
+resolves on first use (PEP 562), a name from its submodule on every access.
 """
 
-from .audit import (
-    AuditReport,
-    CheckResult,
-    SearchOutcome,
-    SpikeRange,
-    check_binom_diff_lemma,
-    full_audit,
-    search_nonunimodal,
-    unimodality,
-)
-from .engine import (
-    BoxPointTable,
-    CountProfile,
-    box_points_simplex,
-    compute_vectors,
-    count_points,
-    count_profile,
-    f_star_from_profile,
-    h_star_of,
-)
-from .errors import (
-    CostGuardExceeded,
-    DegenerateSimplexError,
-    EhrstarError,
-    InputError,
-    NotFullDimensionalError,
-    VolumeCapExceeded,
-)
-from .lattice import (
-    HalfSpace,
-    LatticePolytope,
-    LatticeSimplex,
-    affine_dimension,
-    iterated_pyramid,
-    make_cube,
-    make_higashitani,
-    make_random_simplex,
-    make_unimodular_simplex,
-    polytope_from_json,
-    pyramid,
-)
-from .starbasis import (
-    FStarVector,
-    HStarVector,
-    alternating_sum,
-    degree_of,
-    eval_ehrhart,
-    eval_ehrhart_f,
-    f_from_h,
-    gorenstein_index,
-    h_from_f,
-    hstar_poly_identity_check,
-    series_numerator,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuditReport",
-    "BoxPointTable",
-    "CheckResult",
-    "CostGuardExceeded",
-    "CountProfile",
-    "DegenerateSimplexError",
-    "EhrstarError",
-    "FStarVector",
-    "HStarVector",
-    "HalfSpace",
-    "InputError",
-    "LatticePolytope",
-    "LatticeSimplex",
-    "NotFullDimensionalError",
-    "SearchOutcome",
-    "SpikeRange",
-    "VolumeCapExceeded",
-    "affine_dimension",
-    "alternating_sum",
-    "box_points_simplex",
-    "check_binom_diff_lemma",
-    "compute_vectors",
-    "count_points",
-    "count_profile",
-    "degree_of",
-    "eval_ehrhart",
-    "eval_ehrhart_f",
-    "f_from_h",
-    "f_star_from_profile",
-    "full_audit",
-    "gorenstein_index",
-    "h_from_f",
-    "h_star_of",
-    "hstar_poly_identity_check",
-    "iterated_pyramid",
-    "make_cube",
-    "make_higashitani",
-    "make_random_simplex",
-    "make_unimodular_simplex",
-    "polytope_from_json",
-    "pyramid",
-    "search_nonunimodal",
-    "series_numerator",
-    "unimodality",
-]
+# Each submodule and the public names it defines.
+_EXPORTS = {
+    "audit": ("AuditReport", "CheckResult", "SearchOutcome", "SpikeRange",
+              "check_binom_diff_lemma", "full_audit", "search_nonunimodal", "unimodality"),
+    "engine": ("BoxPointTable", "CountProfile", "box_points_simplex", "compute_vectors",
+               "count_points", "count_profile", "f_star_from_profile", "h_star_of"),
+    "errors": ("CostGuardExceeded", "DegenerateSimplexError", "EhrstarError", "InputError",
+               "NotFullDimensionalError", "VolumeCapExceeded"),
+    "intlinalg": (),
+    "lattice": ("HalfSpace", "LatticePolytope", "LatticeSimplex", "affine_dimension",
+                "iterated_pyramid", "make_cube", "make_higashitani", "make_random_simplex",
+                "make_unimodular_simplex", "polytope_from_json", "pyramid"),
+    "starbasis": ("FStarVector", "HStarVector", "alternating_sum", "degree_of", "eval_ehrhart",
+                  "eval_ehrhart_f", "f_from_h", "gorenstein_index", "h_from_f",
+                  "hstar_poly_identity_check", "series_numerator"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    if name in _OWNER:
+        return getattr(import_module(f"{__name__}.{_OWNER[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_OWNER, *_EXPORTS})

@@ -378,24 +378,25 @@ def _scan_plan(p: LatticePolytope) -> _ScanPlan:
     flat and non-lattice input even at d = 0. A generator's simplex is a
     `LatticePolytope` with a vertex list like any other.
 
-    A simplex, a polytope of d >= 1 whose double description has d + 1
-    vertices, is anchored on (NV, S). NV is its normalized volume: the
-    cached `normalized_volume` of a vertex list, and |det| of the
-    homogenized vertices of a half-space list (which leaves that property
-    None). S is the sum of NV / h_F over its facets F, where h_F is the
-    lattice distance of F from the vertex off it: (b + a . v) / gcd(a) for
-    the facet's row b + a . x >= 0 at that vertex, the only one where the row
-    is not 0, as a kept half-space row need not be primitive. NV / h_F is
-    the normalized volume of F, so h_F must divide NV.
+    A simplex, a polytope of d >= 1 with d + 1 facets, is anchored on
+    (NV, S) however its vertex list is padded (a repeated vertex, a point on
+    an edge or inside). Each facet F's row b + a . x >= 0 is 0 on F and
+    largest at the vertex v_F off it. NV is the normalized volume: the
+    cached `normalized_volume` of a list of just the d + 1 vertices, else
+    |det| of the v_F homogenized (which leaves that property None). S is the
+    sum of NV / h_F over the facets, where h_F = (b + a . v_F) / gcd(a) is
+    the lattice distance of F from v_F, as a kept half-space row need not
+    be primitive. NV / h_F is the volume of F, so h_F must divide NV.
     """
     vertices, facets = p.double_description
     d = p.ambient_dim
     anchor = None
-    if d >= 1 and len(vertices) == d + 1:
-        volume = p.normalized_volume or abs(det(_homogenized_columns(vertices)))
+    if d >= 1 and len(facets) == d + 1:
+        tops = [max((f.offset + sum(a * x for a, x in zip(f.normal, v)), v) for v in vertices)
+                for f in facets]
+        volume = p.normalized_volume or abs(det(_homogenized_columns([v for _, v in tops])))
         facet_sum = 0
-        for f in facets:
-            height = max(f.offset + sum(a * x for a, x in zip(f.normal, v)) for v in vertices)
+        for f, (height, _) in zip(facets, tops):
             height //= math.gcd(*f.normal)
             if volume % height:
                 raise ArithmeticError("a facet's lattice distance does not divide the normalized volume")
@@ -406,11 +407,13 @@ def _scan_plan(p: LatticePolytope) -> _ScanPlan:
 
 
 def count_points(p: LatticePolytope, n: int, *, count_cap: int = DEFAULT_COUNT_CAP) -> int:
-    """Exact number of lattice points in the n-th dilate, n >= 1."""
+    """Exact number of lattice points in the n-th dilate, n >= 1: with a box
+    or pyramid hint the Newton form of its ehr(0..d+1) at n, else a scan."""
     if n < 1:
         raise InputError("dilate must be positive")
     if p.hint is not None:
-        return _counts_through(p, n, count_cap)[n]
+        diffs = _forward_differences(_counts_through(p, p.ambient_dim + 1, count_cap))
+        return sum(c * math.comb(n, j) for j, c in enumerate(diffs))
     plan = _scan_plan(p)
     _check_scan_cost(plan, n, count_cap)
     return _scan_dilate(plan, n)[0]

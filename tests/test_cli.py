@@ -22,6 +22,8 @@ from ehrstar.lattice import GENERATOR_DIM_CAP
 from ehrstar.starbasis import VECTOR_DIM_CAP
 
 SPIKE15_H = ["1"] + ["0"] * 7 + ["131"] + ["0"] * 7
+# conv{(0, 0), (2, 0), (0, 2)} listed with a point of an edge and a point inside
+PADDED_TRIANGLE = [[0, 0], [2, 0], [0, 2], [1, 0], [1, 1]]
 SPIKE15_F = [16, 120, 560, 1820, 4368, 8008, 11440, 13001,
              12488, 11676, 11704, 10990, 7896, 3788, 1064, 132]
 
@@ -181,6 +183,16 @@ class TestCompute:
             assert code == 3 and out == ""
             assert err == (f"error: bounding-box scan would visit {cap} candidates (cap {cap - 1}); "
                            "raise the cap or use the parallelepiped route\n")
+
+    def test_padded_simplex_scans_no_dilate(self, capsys, tmp_path):
+        # a d = 2 simplex is anchored however its vertex list is padded, so no
+        # box is scanned and no count cap refuses it
+        path = tmp_path / "padded.json"
+        path.write_text(json.dumps({"ambient_dim": 2, "vertices": PADDED_TRIANGLE}))
+        code, out, err = run(capsys, "compute", "--input", str(path))
+        assert (code, err) == (0, "")
+        assert "h*: 1 3 0" in out and "route: interpolation" in out
+        assert run(capsys, "compute", "--input", str(path), "--count-cap", "1") == (0, out, "")
 
     @pytest.mark.parametrize("command", ["compute", "audit", "series"])
     def test_scan_past_the_kernel_limit_exit_3(self, capsys, tmp_path, command):
@@ -979,11 +991,17 @@ class TestProcess:
         # a simplex of d <= 2 on the interpolation route is anchored on its
         # volume and facet volumes and scans no dilate
         ["compute", "--builtin", "random-2-9-1", "--volume-cap", "1"],
-    ], ids=["import", "compute", "audit", "series", "convert", "compute-interpolation-d2"])
+        # and so is one whose vertex list is padded with an edge point and an
+        # inner point
+        ["compute", "--input", "{padded}"],
+    ], ids=["import", "compute", "audit", "series", "convert", "compute-interpolation-d2",
+            "compute-padded-triangle"])
     def test_commands_without_a_scan_do_not_import_numpy(self, tmp_path, argv):
         vectors = tmp_path / "vectors.json"
         vectors.write_text(json.dumps({"d": 15, "h_star": SPIKE15_H}))
-        argv = [a.format(vectors=vectors) for a in argv]
+        padded = tmp_path / "padded.json"
+        padded.write_text(json.dumps({"ambient_dim": 2, "vertices": PADDED_TRIANGLE}))
+        argv = [a.format(vectors=vectors, padded=padded) for a in argv]
         out, loaded = self.loaded_after(*argv)
         assert loaded == set()  # fractions too: only the unused solve_rational imports it
         if argv:

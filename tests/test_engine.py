@@ -85,6 +85,17 @@ class TestCountPoints:
         point = LatticePolytope(0, vertices=((),))
         assert count_points(point, 5) == 1
 
+    def test_hinted_polytopes_at_a_huge_dilate(self):
+        # a box or pyramid hint evaluates the Newton form of ehr(0..d+1) at n,
+        # so the work does not grow with n; the pyramid over the unit square
+        # by its four rows scans its base's profile, not its n-th dilate
+        n = 10**12
+        square = LatticePolytope(2, halfspaces=tuple(_axis_rows([0, 0], [1, 1])))
+        assert count_points(make_cube(3, -1, 1), n) == (2 * n + 1) ** 3
+        assert count_points(pyramid(square), n) == (n + 1) * (n + 2) * (2 * n + 3) // 6
+        m = n + 1  # ehr(n) = sum over t <= n of (t + 1)(t + 2)(2t + 3) / 6
+        assert count_points(iterated_pyramid(make_cube(2, 0, 1), 2), n) == m * (m + 1) ** 2 * (m + 2) // 12
+
 
 class TestCountProfile:
     def test_square(self):
@@ -912,11 +923,36 @@ class TestReciprocityRoute:
         for p in (LatticePolytope(2, vertices=vertices), LatticePolytope(2, halfspaces=rows)):
             assert ehrstar.engine._scan_plan(p).anchor == (6, 6)
         assert LatticePolytope(2, halfspaces=rows).normalized_volume is None
-        # a vertex list of d + 2 points and a box are not simplices, and
+        # the same simplex listed with a repeated vertex, a point of an edge
+        # or a point inside is anchored alike, on the volume of its 3 vertices
+        for extra in ((2, 0), (1, 0), (1, 1)):
+            padded = LatticePolytope(2, vertices=vertices + (extra,))
+            assert padded.normalized_volume is None
+            assert ehrstar.engine._scan_plan(padded).anchor == (6, 6)
+        # a quadrilateral of d + 2 vertices and a box are not simplices, and
         # d = 0 has no second coefficient
-        for p in (LatticePolytope(2, vertices=vertices + ((1, 1),)), _box_and_its_center(2),
+        for p in (LatticePolytope(2, vertices=vertices + ((1, 3),)), _box_and_its_center(2),
                   LatticePolytope(0, vertices=((),))):
             assert ehrstar.engine._scan_plan(p).anchor is None
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_padded_simplices_are_anchored(self, monkeypatch, d):
+        # twice a random simplex, listed with a repeated vertex or with the
+        # midpoint of an edge: each is anchored, scans ceil(d/2) - 1 dilates
+        # and counts what the simplex listed once counts
+        vertices = tuple(tuple(2 * x for x in v) for v in make_random_simplex(d, 2, d).vertices)
+        expected = compute_vectors(LatticeSimplex.from_vertices(vertices)).counts
+        scan = ehrstar.engine._scan_dilate
+        passes = []
+        monkeypatch.setattr(ehrstar.engine, "_scan_dilate", lambda plan, n: passes.append(n) or scan(plan, n))
+        midpoint = tuple((a + b) // 2 for a, b in zip(vertices[0], vertices[-1]))
+        for extra in (vertices[0], midpoint):
+            padded = LatticePolytope(d, vertices=vertices + (extra,))
+            assert padded.normalized_volume is None
+            assert ehrstar.engine._scan_plan(padded).anchor is not None
+            passes.clear()
+            assert count_profile(padded).counts == expected
+            assert passes == list(range(1, (d + 1) // 2))
 
     def test_corrupted_volume_or_facet_distance_raises(self, monkeypatch):
         # NV = 6 is divisible by the distances 2, 3 and 6; 7 is not, nor is 6
@@ -954,7 +990,8 @@ class TestReciprocityRoute:
     def test_corrupted_interior_count_at_odd_d_raises(self, monkeypatch, d):
         # the spare node catches it, over the ceil(d/2) passes of a vertex
         # list that is no simplex and the ceil(d/2) - 1 of a simplex; at
-        # d = 1 the simplex makes no pass, so there is nothing to corrupt
+        # d = 1 every polytope is a simplex, which makes no pass, so the
+        # ceil(d/2) passes run over the plan without the anchor
         scan = ehrstar.engine._scan_dilate
         passes = []
 
@@ -964,8 +1001,12 @@ class TestReciprocityRoute:
             return points, interior + (n == 1)
 
         monkeypatch.setattr(ehrstar.engine, "_scan_dilate", interior_of_n1_plus_one)
+        box = _box_and_its_center(d)
         with pytest.raises(ArithmeticError, match="degree d"):
-            count_profile(_box_and_its_center(d))
+            if d == 1:
+                ehrstar.engine._reciprocity_counts(_unanchored_plan(box), d + 1, 10**9)
+            else:
+                count_profile(box)
         assert passes == list(range(1, (d + 1) // 2 + 1))
         passes.clear()
         s = make_random_simplex(d, 2, 5)
@@ -981,7 +1022,8 @@ class TestReciprocityRoute:
         # ceil(d/2) - 1 passes for a simplex, none at d <= 2, and ceil(d/2)
         # for a vertex list that is no simplex, each counting a dilate's
         # points and interior points, over one plan; the one-dilate kernel is
-        # not called
+        # not called. The simplex's counts are the parallelepiped's; at d = 1
+        # the box and its center is the segment [0, 2] padded, a simplex.
         scan = ehrstar.engine._scan_dilate
         passes = []
 
@@ -995,9 +1037,12 @@ class TestReciprocityRoute:
         monkeypatch.setattr(ehrstar.engine, "_scan_dilate", recorded)
         monkeypatch.setattr(ehrstar.engine, "_count_box_satisfying", forbidden)
         s = make_random_simplex(d, 2, 3)
+        reference = compute_vectors(s)
+        assert reference.route == "parallelepiped"
         box = _box_and_its_center(d)
-        for p, expected, scanned in ((s, every_dilate_counts(s), (d - 1) // 2),
-                                     (box, tuple((2 * n + 1) ** d for n in range(d + 2)), (d + 1) // 2)):
+        for p, expected, scanned in ((s, reference.counts, (d - 1) // 2),
+                                     (box, tuple((2 * n + 1) ** d for n in range(d + 2)),
+                                      (d + 1) // 2 if d > 1 else 0)):
             passes.clear()
             assert count_profile(p).counts == expected
             assert [n for _, n in passes] == list(range(1, scanned + 1))
@@ -1069,7 +1114,8 @@ def _unanchored_plan(p: LatticePolytope):
 
 def _box_and_its_center(d: int) -> LatticePolytope:
     """[0, 2]^d by its 2^d vertices and the interior point (1, ..., 1): a
-    vertex list that is no simplex, also at d = 1."""
+    vertex list that is no simplex for d >= 2, and at d = 1 the segment
+    [0, 2] padded by its midpoint."""
     return LatticePolytope(d, vertices=(*product((0, 2), repeat=d), (1,) * d))
 
 
