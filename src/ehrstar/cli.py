@@ -93,35 +93,39 @@ def build_builtin(name: str) -> LatticePolytope:
     Names: cube-d-a-b, unimodular-d, higashitani-15, higashitani-a-v-b-m,
     random-d-b-s (seed s; random-d-b is seed 0), and pyr-n-<name> wrappers.
     """
-    if name.startswith("pyr-"):
+    times = []  # the pyr-n- counts, outermost first, read in a loop at any depth
+    while name.startswith("pyr-"):
         times_text, _, rest = name[len("pyr-") :].partition("-")
         try:
-            times = int_text(times_text)
+            times.append(int_text(times_text))
         except ValueError as exc:
             raise InputError(f"bad pyramid count in builtin {name!r}") from exc
-        return iterated_pyramid(build_builtin(rest), times)
-    if name == "higashitani-15":
-        return make_higashitani(7, 131, 7, 132)
+        name = rest
     kind, _, params = name.partition("-")
     values = _parse_signed_ints(params) if params else []
-    if kind == "cube" and len(values) == 3:
-        return make_cube(values[0], values[1], values[2])
-    if kind == "unimodular" and len(values) == 1:
-        return make_unimodular_simplex(values[0])
-    if kind == "higashitani" and len(values) == 4:
-        return make_higashitani(*values)
-    if kind == "random" and len(values) in (2, 3):
-        d, bound, seed = (*values, 0)[:3]
-        return make_random_simplex(d, bound, seed)
-    raise InputError(f"unknown builtin {name!r}")
+    if name == "higashitani-15":
+        p = make_higashitani(7, 131, 7, 132)
+    elif kind == "cube" and len(values) == 3:
+        p = make_cube(*values)
+    elif kind == "unimodular" and len(values) == 1:
+        p = make_unimodular_simplex(*values)
+    elif kind == "higashitani" and len(values) == 4:
+        p = make_higashitani(*values)
+    elif kind == "random" and len(values) in (2, 3):
+        p = make_random_simplex(*(*values, 0)[:3])
+    else:
+        raise InputError(f"unknown builtin {name!r}")
+    for k in reversed(times):  # innermost first, so a cap error names the same dimension
+        p = iterated_pyramid(p, k)
+    return p
 
 
 def _read_text(path: str) -> str:
-    """The whole file; an unreadable file is bad input (exit 2)."""
+    """The whole file; an unreadable or non-UTF-8 file is bad input (exit 2)."""
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 

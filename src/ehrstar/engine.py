@@ -1,8 +1,8 @@
 """Exact lattice-point counting and h*/f*-vector extraction.
 
-Every input, a generator's output included, is a `LatticePolytope`. The
-entry points dispatch on its hint, and count any other polytope by the
-scan plan `_scan_plan` builds for it. The strategies, in that order:
+Every input is a `LatticePolytope`, and every entry point takes ehr from
+one dispatch, `compute_vectors`: the parallelepiped for a simplex given by
+its vertices, else `_counts_through`, by its hint or by its `_scan_plan`:
 
   * box hints (products of segments): closed-form per-axis counts;
   * pyramid hints: cross-sections of the n-th dilate of a pyramid at
@@ -30,7 +30,7 @@ each row's bound, none of which depends on n. Each dilate is then one pass
 the projected rows give each enumerated point its integer range of s, and
 every surviving (point, s) pair counts its t-values as one integer
 interval, and its interior t-values from the same floor quotients.
-`count_points` scans its one dilate by the same plan and pass.
+`count_points` evaluates the h*-vector of `compute_vectors` at n.
 
 The h*-vector of a simplex given by its d + 1 vertices (a polytope whose
 `normalized_volume` is set, the simplex generators' output among them) is
@@ -406,19 +406,6 @@ def _scan_plan(p: LatticePolytope) -> _ScanPlan:
                      [f.normal for f in facets], [f.offset for f in facets], anchor)
 
 
-def count_points(p: LatticePolytope, n: int, *, count_cap: int = DEFAULT_COUNT_CAP) -> int:
-    """Exact number of lattice points in the n-th dilate, n >= 1: with a box
-    or pyramid hint the Newton form of its ehr(0..d+1) at n, else a scan."""
-    if n < 1:
-        raise InputError("dilate must be positive")
-    if p.hint is not None:
-        diffs = _forward_differences(_counts_through(p, p.ambient_dim + 1, count_cap))
-        return sum(c * math.comb(n, j) for j, c in enumerate(diffs))
-    plan = _scan_plan(p)
-    _check_scan_cost(plan, n, count_cap)
-    return _scan_dilate(plan, n)[0]
-
-
 def _counts_through(p: LatticePolytope, nmax: int, count_cap: int) -> list[int]:
     """[ehr(0), ..., ehr(nmax)] of p: by its box or pyramid hint, else by its scan plan."""
     if isinstance(p.hint, BoxHint):
@@ -626,3 +613,11 @@ def compute_vectors(
     profile = count_profile(p, count_cap=count_cap)
     f = f_star_from_profile(profile)
     return ComputeResult(h_from_f(f), f, profile.counts, "interpolation")
+
+
+def count_points(p: LatticePolytope, n: int, *, count_cap: int = DEFAULT_COUNT_CAP) -> int:
+    """Exact number of lattice points in the n-th dilate, n >= 1: the
+    h*-vector of `compute_vectors` evaluated at n."""
+    if n < 1:
+        raise InputError("dilate must be positive")
+    return eval_ehrhart(compute_vectors(p, count_cap=count_cap).h, n)

@@ -147,6 +147,22 @@ class TestCompute:
         assert code == 2 and out == ""
         assert err == "error: generator dimension 101 exceeds the cap 100\n"
 
+    def test_deeply_nested_pyramid_name(self, capsys):
+        # 3000 wrappers of pyr-0- are read in a loop, not one call each
+        name = "pyr-0-" * 3000 + "unimodular-2"
+        assert run(capsys, "compute", "--builtin", name) == run(
+            capsys, "compute", "--builtin", "unimodular-2")
+
+    @pytest.mark.parametrize("name, dim", [
+        pytest.param("pyr-50-pyr-49-unimodular-2", 101, id="sum"),
+        pytest.param("pyr-1-" * 2000 + "unimodular-2", 101, id="2000-levels"),
+        # the innermost wrapper already passes the cap, and is the one named
+        pytest.param("pyr-1-pyr-200-unimodular-2", 202, id="inner"),
+    ])
+    def test_pyramid_chain_over_dimension_cap_exit_2(self, capsys, name, dim):
+        assert run(capsys, "compute", "--builtin", name) == (
+            2, "", f"error: generator dimension {dim} exceeds the cap 100\n")
+
     def test_vertex_square_is_counted(self, capsys, tmp_path):
         path = tmp_path / "square.json"
         path.write_text('{"ambient_dim": 2, "vertices": [[0,0],[1,0],[0,1],[1,1]]}')
@@ -367,6 +383,14 @@ class TestConvertAndSeries:
         code, out, err = run(capsys, command, "--input", str(missing))
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: cannot read ")
+
+    @pytest.mark.parametrize("command", ["compute", "convert", "audit", "series"])
+    def test_non_utf8_input_file_exit_2(self, capsys, tmp_path, command):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b'\xff\xfe{"d": 1}')
+        assert run(capsys, command, "--input", str(path)) == (
+            2, "", f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff in "
+                   "position 0: invalid start byte\n")
 
     def test_series_json(self, capsys):
         obj = run_json(capsys, "series", "--builtin", "higashitani-15", "--format", "json")

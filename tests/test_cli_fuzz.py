@@ -5,11 +5,16 @@ random simplices, vertex lists with extra points, boxes with redundant and
 zero rows, simplices by their facets, pyramids over boxes and simplices,
 and h*- or f*-vector files. A fifth of the cases get one or two defects: a
 wrong row length, a non-integer or huge entry, a negative or huge
-dimension, a missing field. Every case ends in a documented exit: 0, 2 or
-3, or argparse's SystemExit(2) for a bad option; exit 1 only from `audit`
-on polytope data that fails a check. The caps stay small, so every case is
-cheap. `search` gets cases of its own: dimensions and spike ranges, valid
-or not, and budgets of 1..10^4; it ends in 0, 2 or 4.
+dimension, a missing field. A tenth of the files are written as bytes
+that are not UTF-8, or as UTF-8 with a byte-order mark or a non-ASCII
+letter, and a tenth of the polytope commands read a generator name
+instead of a file: small cubes, simplices and spiked simplices, in a few
+pyr-k- wrappers or in a chain of a few thousand, some of them mangled.
+Every case ends in a documented exit: 0, 2 or 3, or argparse's
+SystemExit(2) for a bad option; exit 1 only from `audit` on polytope data
+that fails a check. The caps stay small, so every case is cheap. `search`
+gets cases of its own: dimensions and spike ranges, valid or not, and
+budgets of 1..10^4; it ends in 0, 2 or 4.
 """
 
 import json
@@ -137,8 +142,43 @@ def _defect(rng, obj: dict) -> None:
         obj.pop(rng.choice(sorted(obj)))
 
 
+def _garbled(rng, data: bytes) -> bytes:
+    """data in UTF-16, or behind a byte-order mark, or with one byte of
+    0x80..0xff (never UTF-8 between ASCII bytes) or one non-ASCII letter
+    put in."""
+    kind = rng.choice(("utf-16", "bom", "byte", "letter"))
+    if kind == "utf-16":
+        return data.decode().encode("utf-16")
+    if kind == "bom":
+        return rng.choice((b"\xff\xfe", b"\xef\xbb\xbf")) + data
+    at = rng.randrange(len(data) + 1)
+    extra = bytes([rng.randint(0x80, 0xFF)]) if kind == "byte" else "\u00e9".encode()
+    return data[:at] + extra + data[at:]
+
+
+def _builtin_name(rng) -> str:
+    """A generator name in pyr-k- wrappers: a few, or a chain of a few
+    thousand, mostly pyr-0-; now and then with one character changed or cut."""
+    d = rng.randint(1, 4)
+    name = rng.choice((f"cube-{d}-{rng.randint(-2, 0)}-{rng.randint(1, 2)}", f"unimodular-{d}",
+                       f"random-{d}-{rng.randint(1, 3)}-{rng.randint(0, 99)}",
+                       f"higashitani-{rng.randint(1, 2)}-{rng.randint(1, 9)}-1-{rng.randint(1, 9)}",
+                       "higashitani-15"))
+    levels = rng.choice((0, 1, 2, rng.randint(2000, 4000)))
+    counts = [0] * levels
+    for i in rng.sample(range(levels), min(levels, rng.choice((0, 1, 2, 100)))):
+        counts[i] = rng.randint(1, 2)
+    name = "".join(f"pyr-{k}-" for k in counts) + name
+    if rng.random() < 0.2:
+        at = rng.randrange(len(name))
+        name = name[:at] + rng.choice(("", "x", "-", "9" * 5)) + name[at + 1 :]
+    return name
+
+
 def _argv(rng, command: str, path: str) -> list[str]:
     argv = [command, "--input", path]
+    if command != "convert" and rng.random() < 0.1:
+        argv[1:] = ["--builtin", _builtin_name(rng)]
     if rng.random() < 0.7:
         argv += ["--format", rng.choice(("text", "json"))]
     if command != "convert":
@@ -204,12 +244,16 @@ def test_every_case_ends_in_a_documented_exit(capsys, tmp_path, block):
     codes = []
     for _ in range(60):
         command, obj = _case(rng)
-        with open(path, "w") as fh:
-            json.dump(obj, fh)
+        data = json.dumps(obj).encode()
+        if rng.random() < 0.1:
+            data = _garbled(rng, data)
+        with open(path, "wb") as fh:
+            fh.write(data)
+        argv = _argv(rng, command, path)
         try:
-            codes.append(_outcome(capsys, _argv(rng, command, path)))
+            codes.append(_outcome(capsys, argv))
         except Exception as exc:
-            raise AssertionError(f"{command} on {obj}") from exc
+            raise AssertionError(f"{argv[:3]} on {data[:200]!r}") from exc
     assert codes.count(0) >= len(codes) / 3, codes
 
 

@@ -14,6 +14,7 @@ import ehrstar.engine
 import ehrstar.lattice
 from conftest import (
     as_halfspace_polytope,
+    bounded_volume_simplices,
     every_dilate_counts,
     fraction_brute_count,
     fraction_halfspace_box,
@@ -95,6 +96,15 @@ class TestCountPoints:
         assert count_points(pyramid(square), n) == (n + 1) * (n + 2) * (2 * n + 3) // 6
         m = n + 1  # ehr(n) = sum over t <= n of (t + 1)(t + 2)(2t + 3) / 6
         assert count_points(iterated_pyramid(make_cube(2, 0, 1), 2), n) == m * (m + 1) ** 2 * (m + 2) // 12
+
+    def test_unhinted_polytopes_at_a_huge_dilate(self):
+        # the h*-vector of `compute_vectors` gives every dilate: the box of
+        # this simplex's 1000th dilate holds 24,026,009,001 candidates, and
+        # its counts ehr(0..4) = 1 5 21 58 125 give ehr(1000) by their Newton form
+        s = make_random_simplex(3, 2, 1)
+        assert compute_vectors(s).counts == (1, 5, 21, 58, 125)
+        for p in (s, as_halfspace_polytope(s.vertices)):
+            assert count_points(p, 1000) == 1501501001
 
 
 class TestCountProfile:
@@ -194,6 +204,16 @@ class TestOracleEquivalence:
             expected = fraction_brute_count(s.vertices, n)
             assert count_points(s, n) == expected
             assert count_points(by_facets, n) == expected
+
+    @pytest.mark.parametrize("d, count", [(1, 60), (2, 70), (3, 70)])
+    def test_vertex_plan_vs_facet_plan(self, d, count):
+        # the simplices of acceptance criterion 5: one pass over the plan of
+        # the vertex list and over the plan of the facets give the same
+        # closed and interior counts at every dilate
+        for s in bounded_volume_simplices(d, 4, count, seed0=1000 * d):
+            plans = [ehrstar.engine._scan_plan(p) for p in (s, as_halfspace_polytope(s.vertices))]
+            for n in range(1, 6):
+                assert len({ehrstar.engine._scan_dilate(plan, n) for plan in plans}) == 1, (s, n)
 
     def test_square_via_halfspaces(self):
         square = LatticePolytope(
@@ -328,8 +348,13 @@ class TestHStarDispatch:
 
 class TestGuardsAndErrors:
     def test_count_cap(self):
-        with pytest.raises(CostGuardExceeded):
-            count_points(make_unimodular_simplex(3), 5, count_cap=10)
+        # the cap bounds the scanned dilates of the profile, whatever n is:
+        # a simplex by its vertices scans none, [0, 2]^3 by its vertices
+        # scans n = 1 and 2, and the box of n = 1 holds 27 candidates
+        assert count_points(make_unimodular_simplex(3), 5, count_cap=10) == math.comb(8, 3)
+        cube = LatticePolytope(3, vertices=tuple(product((0, 2), repeat=3)))
+        with pytest.raises(CostGuardExceeded, match="visit 27 candidates"):
+            count_points(cube, 1, count_cap=10)
 
     def test_plain_vertex_polytope_is_counted(self):
         square = LatticePolytope(2, vertices=((0, 0), (1, 0), (0, 1), (1, 1)))
@@ -403,10 +428,11 @@ class TestCountingDispatch:
         # d + 1 vertices: the nonzero determinant proves full dimension
         s = make_higashitani(7, 131, 7, 132)
         assert compute_vectors(LatticePolytope(s.ambient_dim, vertices=s.vertices)).h.entries == SPIKE15_H
-        # its vertex box is far over the count cap, which is checked after the dispatch
-        for entry in ("count_profile", "count_points"):
-            with pytest.raises(CostGuardExceeded):
-                _ENTRY_POINTS[entry](LatticePolytope(s.ambient_dim, vertices=s.vertices))
+        # count_points evaluates that h*; the profile scans, and its vertex
+        # box is far over the count cap, which is checked after the dispatch
+        assert count_points(LatticePolytope(s.ambient_dim, vertices=s.vertices), 1) == 16
+        with pytest.raises(CostGuardExceeded):
+            count_profile(LatticePolytope(s.ambient_dim, vertices=s.vertices))
 
     @pytest.mark.parametrize("entry", _ENTRY_POINTS)
     @pytest.mark.parametrize("vertices, outcome", [
@@ -1393,12 +1419,16 @@ class TestIntervalKernel:
 
 
 class TestBigCoordinates:
-    def test_object_dtype_path_is_exact(self):
-        # coefficients far beyond int64 force the object-dtype scan;
-        # {x : big*x >= 0, big - big*x >= 0} is just [0, 1]
+    def test_object_dtype_path_is_exact(self, monkeypatch):
+        # coefficients far beyond int64 force the object-dtype scan of the
+        # one dilate the profile of a square scans; big * x >= 0 and
+        # big - big * x >= 0 on each axis cut out just [0, 1]^2
         big = 2**70
-        p = LatticePolytope(1, halfspaces=(HalfSpace(0, (big,)), HalfSpace(big, (-big,))))
-        assert count_points(p, 3) == 4
+        rows = [HalfSpace(c, tuple(s * big * (i == j) for i in range(2)))
+                for j in range(2) for c, s in ((0, 1), (big, -1))]
+        dtypes = TestIntervalKernel._dtypes(monkeypatch)
+        assert count_points(LatticePolytope(2, halfspaces=tuple(rows)), 3) == 16
+        assert dtypes == [object]
 
     def test_box_beyond_int64(self):
         # [2^70, 2^70 + 1]^2: the enumerated axis itself is past int64
