@@ -6,8 +6,10 @@ table is the parser itself: each subparser names its `cmd_*` function
 that a command would ignore exits 2. Every command runs through `_run`,
 which turns errors into exit codes.
 Exit codes: 0 success, or a reader that closed stdout early; 1 audit/selftest
-failure signal; 2 bad input; 3 work over a cap (count, volume or
-box-derivation work); 4 search budget exhausted (partial output).
+failure signal; 2 bad input; 3 work over a cap (the count cap, the 2^62
+scan limit or the box-derivation work cap; a simplex over the volume cap is
+scanned instead, so only the count cap can then refuse it); 4 search budget
+exhausted (partial output).
 """
 
 from __future__ import annotations
@@ -18,42 +20,17 @@ import os
 import sys
 import time
 
-from . import engine
-from .audit import (
-    SpikeRange,
-    check_binom_diff_lemma,
-    full_audit,
-    search_nonunimodal,
-    search_outcome_json_lines,
-)
+import ehrstar
+
 from .errors import (
+    DEFAULT_COUNT_CAP,
+    DEFAULT_VOLUME_CAP,
     CostGuardExceeded,
     EhrstarError,
     InputError,
     VolumeCapExceeded,
     decode_json,
     int_text,
-)
-from .lattice import (
-    LatticePolytope,
-    iterated_pyramid,
-    make_cube,
-    make_higashitani,
-    make_random_simplex,
-    make_unimodular_simplex,
-    polytope_from_obj,
-)
-from .starbasis import (
-    VECTOR_DIM_CAP,
-    HStarVector,
-    degree_of,
-    f_from_h,
-    gorenstein_index,
-    h_from_f,
-    series_numerator,
-    vectors_from_json,
-    vectors_from_obj,
-    vectors_to_json_obj,
 )
 
 EXIT_OK = 0
@@ -87,7 +64,7 @@ def _parse_signed_ints(text: str) -> list[int]:
     return values
 
 
-def build_builtin(name: str) -> LatticePolytope:
+def build_builtin(name: str) -> ehrstar.lattice.LatticePolytope:
     """Instantiate a generator by name.
 
     Names: cube-d-a-b, unimodular-d, higashitani-15, higashitani-a-v-b-m,
@@ -104,19 +81,19 @@ def build_builtin(name: str) -> LatticePolytope:
     kind, _, params = name.partition("-")
     values = _parse_signed_ints(params) if params else []
     if name == "higashitani-15":
-        p = make_higashitani(7, 131, 7, 132)
+        p = ehrstar.lattice.make_higashitani(7, 131, 7, 132)
     elif kind == "cube" and len(values) == 3:
-        p = make_cube(*values)
+        p = ehrstar.lattice.make_cube(*values)
     elif kind == "unimodular" and len(values) == 1:
-        p = make_unimodular_simplex(*values)
+        p = ehrstar.lattice.make_unimodular_simplex(*values)
     elif kind == "higashitani" and len(values) == 4:
-        p = make_higashitani(*values)
+        p = ehrstar.lattice.make_higashitani(*values)
     elif kind == "random" and len(values) in (2, 3):
-        p = make_random_simplex(*(*values, 0)[:3])
+        p = ehrstar.lattice.make_random_simplex(*(*values, 0)[:3])
     else:
         raise InputError(f"unknown builtin {name!r}")
     for k in reversed(times):  # innermost first, so a cap error names the same dimension
-        p = iterated_pyramid(p, k)
+        p = ehrstar.lattice.iterated_pyramid(p, k)
     return p
 
 
@@ -141,17 +118,17 @@ def _load(args, *, vectors: bool = False):
         raise InputError("provide --input FILE or --builtin NAME")
     obj = decode_json(_read_text(args.input_path))
     if vectors and not (isinstance(obj, dict) and ("vertices" in obj or "halfspaces" in obj)):
-        return vectors_from_obj(obj)
-    return polytope_from_obj(obj)
+        return ehrstar.starbasis.vectors_from_obj(obj)
+    return ehrstar.lattice.polytope_from_obj(obj)
 
 
-def _h_star(args) -> HStarVector:
+def _h_star(args) -> ehrstar.starbasis.HStarVector:
     """The h*-vector of a polytope or vector file."""
     source = _load(args, vectors=True)
     if isinstance(source, tuple):
         h, f = source
-        return h if h is not None else h_from_f(f)
-    return engine.h_star_of(source, count_cap=args.count_cap, volume_cap=args.volume_cap)
+        return h if h is not None else ehrstar.starbasis.h_from_f(f)
+    return ehrstar.engine.h_star_of(source, count_cap=args.count_cap, volume_cap=args.volume_cap)
 
 
 # -- commands -----------------------------------------------------------------
@@ -162,14 +139,14 @@ def _int_list(values) -> str:
 
 
 def cmd_compute(args) -> int:
-    result = engine.compute_vectors(
+    result = ehrstar.engine.compute_vectors(
         _load(args), count_cap=args.count_cap, volume_cap=args.volume_cap
     )
     h, f = result.h, result.f
-    s = degree_of(h)
-    g = gorenstein_index(h)
+    s = ehrstar.starbasis.degree_of(h)
+    g = ehrstar.starbasis.gorenstein_index(h)
     if args.output_format == "json":
-        obj = vectors_to_json_obj(
+        obj = ehrstar.starbasis.vectors_to_json_obj(
             h,
             f,
             counts=[str(x) for x in result.counts],
@@ -192,13 +169,13 @@ def cmd_compute(args) -> int:
 def cmd_convert(args) -> int:
     if not args.input_path:
         raise InputError("convert needs --input FILE with a vector JSON")
-    h, f = vectors_from_json(_read_text(args.input_path))
+    h, f = ehrstar.starbasis.vectors_from_json(_read_text(args.input_path))
     if h is None:
-        h = h_from_f(f)
+        h = ehrstar.starbasis.h_from_f(f)
     if f is None:
-        f = f_from_h(h)
+        f = ehrstar.starbasis.f_from_h(h)
     if args.output_format == "json":
-        print(json.dumps(vectors_to_json_obj(h, f)))
+        print(json.dumps(ehrstar.starbasis.vectors_to_json_obj(h, f)))
     else:
         print(f"h*: {_int_list(h.entries)}")
         print(f"f*: {_int_list(f.entries)}")
@@ -206,7 +183,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    report = full_audit(_h_star(args))
+    report = ehrstar.audit.full_audit(_h_star(args))
     if args.output_format == "json":
         print(json.dumps(report.to_json_obj()))
     else:
@@ -238,7 +215,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_series(args) -> int:
-    numerator, exponent = series_numerator(_h_star(args))
+    numerator, exponent = ehrstar.starbasis.series_numerator(_h_star(args))
     if args.output_format == "json":
         print(json.dumps({
             "numerator": [str(x) for x in numerator],
@@ -274,19 +251,19 @@ def cmd_search(args) -> int:
     if args.dim is None or args.spike_pos_range is None or args.spike_val_range is None:
         raise InputError("search needs --dim, --spike-pos-range and --spike-val-range")
     spikes = [
-        SpikeRange(*_parse_range(args.spike_pos_range, "--spike-pos-range"),
-                   *_parse_range(args.spike_val_range, "--spike-val-range"))
+        ehrstar.audit.SpikeRange(*_parse_range(args.spike_pos_range, "--spike-pos-range"),
+                                 *_parse_range(args.spike_val_range, "--spike-val-range"))
     ]
     if args.spike2_pos_range or args.spike2_val_range:
         if not (args.spike2_pos_range and args.spike2_val_range):
             raise InputError("second spike needs both --spike2-pos-range and --spike2-val-range")
         spikes.append(
-            SpikeRange(*_parse_range(args.spike2_pos_range, "--spike2-pos-range"),
-                       *_parse_range(args.spike2_val_range, "--spike2-val-range"))
+            ehrstar.audit.SpikeRange(*_parse_range(args.spike2_pos_range, "--spike2-pos-range"),
+                                     *_parse_range(args.spike2_val_range, "--spike2-val-range"))
         )
-    outcome = search_nonunimodal(args.dim, spikes, args.budget)
+    outcome = ehrstar.audit.search_nonunimodal(args.dim, spikes, args.budget)
     if args.output_format == "json":
-        for line in search_outcome_json_lines(outcome):
+        for line in ehrstar.audit.search_outcome_json_lines(outcome):
             print(line)
     else:
         for c in outcome.candidates:
@@ -310,29 +287,29 @@ def _selftest_checks():
     from math import comb
 
     def square_pipeline():
-        r = engine.compute_vectors(make_cube(2, -1, 1))
+        r = ehrstar.engine.compute_vectors(ehrstar.lattice.make_cube(2, -1, 1))
         return (r.counts == (1, 9, 25, 49)
                 and r.h.entries == (1, 6, 1) and r.f.entries == (9, 16, 8))
 
     def segment_pipeline():
-        r = engine.compute_vectors(make_cube(1, 0, 1))
+        r = ehrstar.engine.compute_vectors(ehrstar.lattice.make_cube(1, 0, 1))
         return r.h.entries == (1, 0) and r.f.entries == (2, 1) and r.counts == (1, 2, 3)
 
     def unimodular_rows():
         for d in range(1, 7):
-            s = make_unimodular_simplex(d)
+            s = ehrstar.lattice.make_unimodular_simplex(d)
             expected = tuple(comb(d + 1, k + 1) for k in range(d + 1))
-            via_box = f_from_h(engine.h_star_of(s)).entries
-            via_counts = engine.f_star_from_profile(engine.count_profile(s)).entries
+            via_box = ehrstar.starbasis.f_from_h(ehrstar.engine.h_star_of(s)).entries
+            via_counts = ehrstar.engine.f_star_from_profile(ehrstar.engine.count_profile(s)).entries
             if via_box != expected or via_counts != expected:
                 return False
         return True
 
     def spiked_simplex():
-        h = engine.h_star_of(make_higashitani(7, 131, 7, 132))
+        h = ehrstar.engine.h_star_of(ehrstar.lattice.make_higashitani(7, 131, 7, 132))
         if h.entries != (1,) + (0,) * 7 + (131,) + (0,) * 7:
             return False
-        report = full_audit(h)
+        report = ehrstar.audit.full_audit(h)
         return (report.f.entries == _SPIKE15_F and not report.unimodal
                 and report.first_dip == 9 and report.all_applicable_hold)
 
@@ -342,7 +319,7 @@ def _selftest_checks():
                 for j in range(1, n + 2 - k):
                     if n == 2 * k - 1:
                         continue
-                    if not check_binom_diff_lemma(n, k, j):
+                    if not ehrstar.audit.check_binom_diff_lemma(n, k, j):
                         return False
         return True
 
@@ -350,25 +327,21 @@ def _selftest_checks():
         import random as _random
 
         rng = _random.Random(20221019)
-        from .starbasis import hstar_poly_identity_check
-
         for _ in range(200):
             d = rng.randint(0, 12)
-            h = HStarVector(tuple(rng.randint(-30, 30) for _ in range(d + 1)))
-            f = f_from_h(h)
-            if h_from_f(f).entries != h.entries:
+            h = ehrstar.starbasis.HStarVector(tuple(rng.randint(-30, 30) for _ in range(d + 1)))
+            f = ehrstar.starbasis.f_from_h(h)
+            if ehrstar.starbasis.h_from_f(f).entries != h.entries:
                 return False
-            if not hstar_poly_identity_check(h, f):
+            if not ehrstar.starbasis.hstar_poly_identity_check(h, f):
                 return False
         return True
 
     def pyramid_invariant():
-        cases = [make_cube(2, -1, 1), make_random_simplex(3, 3, 7)]
-        from .lattice import pyramid
-
+        cases = [ehrstar.lattice.make_cube(2, -1, 1), ehrstar.lattice.make_random_simplex(3, 3, 7)]
         for p in cases:
-            base = engine.h_star_of(p)
-            lifted = engine.h_star_of(pyramid(p))
+            base = ehrstar.engine.h_star_of(p)
+            lifted = ehrstar.engine.h_star_of(ehrstar.lattice.pyramid(p))
             if lifted.entries != base.entries + (0,):
                 return False
         return True
@@ -416,9 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--input", dest="input_path", help="input JSON file")
     source.add_argument("--builtin", help="builtin generator, e.g. cube-2--1-1, unimodular-4, "
                                           "higashitani-15, random-3-4-7, pyr-2-cube-2-0-1")
-    polytope.add_argument("--count-cap", type=int, default=engine.DEFAULT_COUNT_CAP,
+    polytope.add_argument("--count-cap", type=int, default=DEFAULT_COUNT_CAP,
                           help="max candidate points per bounding-box scan")
-    polytope.add_argument("--volume-cap", type=int, default=engine.DEFAULT_VOLUME_CAP,
+    polytope.add_argument("--volume-cap", type=int, default=DEFAULT_VOLUME_CAP,
                           help="max normalized volume for parallelepiped enumeration")
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--format", dest="output_format", choices=("text", "json"),
@@ -436,8 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_parser(name, parents=groups, help=help_text).set_defaults(run=run)
 
     search = sub.choices["search"]
-    search.add_argument("--dim", type=int,
-                        help=f"dimension d of the pattern, at most {VECTOR_DIM_CAP}")
+    search.add_argument("--dim", type=int, help="dimension d of the pattern, at most "
+                                                f"{ehrstar.starbasis.VECTOR_DIM_CAP}")
     search.add_argument("--spike-pos-range", help="A:B positions for the spike")
     search.add_argument("--spike-val-range", help="A:B values for the spike")
     search.add_argument("--spike2-pos-range", help="A:B positions for a second spike")

@@ -55,13 +55,17 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, product
 
-from .errors import CostGuardExceeded, InputError, VolumeCapExceeded, shown
+from .errors import (
+    DEFAULT_COUNT_CAP,
+    DEFAULT_VOLUME_CAP,
+    CostGuardExceeded,
+    InputError,
+    VolumeCapExceeded,
+    shown,
+)
 from .intlinalg import _reduce_by_gcd, det, diagonalize_lattice_basis
 from .lattice import BoxHint, LatticePolytope, PyramidHint, _homogenized_columns
 from .starbasis import FStarVector, HStarVector, eval_ehrhart, f_from_h, h_from_f
-
-DEFAULT_COUNT_CAP = 10**9
-DEFAULT_VOLUME_CAP = 10**7
 
 _SCAN_CHUNK = 1 << 17
 # `_scan_dilate` counts (prefix, s) pairs and interval widths in int64, and

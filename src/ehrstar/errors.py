@@ -1,4 +1,5 @@
-"""Exceptions shared across the package, and the checks on outside JSON.
+"""Exceptions shared across the package, the caps on work and input, and
+the checks on outside JSON.
 
 The CLI maps these onto exit codes: input problems exit 2, work over a cap
 (count, volume or box-derivation work) exits 3.
@@ -27,6 +28,11 @@ import sys
 # `shown`. c = 40 keeps all of them under 4,300 digits, and c = 41 would
 # not. The cap also bounds every Bareiss entry, a minor of the input.
 INT_DIGITS_CAP = 40
+
+# The default caps on counting work: the candidates of one bounding-box
+# scan, and the normalized volume of a parallelepiped enumeration.
+DEFAULT_COUNT_CAP = 10**9
+DEFAULT_VOLUME_CAP = 10**7
 
 
 class EhrstarError(Exception):

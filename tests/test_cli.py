@@ -763,8 +763,8 @@ class TestSelftest:
         assert re.fullmatch(r"5 check\(s\) FAILED \(\d+\.\d\ds\)", summary)
 
     def test_wrong_lemma_and_basis_change_fail(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "check_binom_diff_lemma", lambda n, k, j: False)
-        monkeypatch.setattr(cli, "h_from_f", lambda f: starbasis.HStarVector((0,) * len(f.entries)))
+        monkeypatch.setattr(ehrstar.audit, "check_binom_diff_lemma", lambda n, k, j: False)
+        monkeypatch.setattr(starbasis, "h_from_f", lambda f: starbasis.HStarVector((0,) * len(f.entries)))
         code, out, _ = run(capsys, "selftest")
         assert code == 1
         assert [line for line in out.splitlines() if "[FAIL]" in line] == [
@@ -1040,3 +1040,30 @@ class TestProcess:
         assert "ehrhart values (n = 0..4): 1 10 35 84 165" in out
         assert "route: interpolation" in out
         assert "numpy" in loaded
+
+    _POLYTOPE_MODULES = ["cli", "engine", "errors", "intlinalg", "lattice", "starbasis"]
+
+    @pytest.mark.parametrize("argv, modules", [
+        (["convert", "--input", "{vectors}"], ["cli", "errors", "starbasis"]),
+        (["search", "--dim", "15", "--spike-pos-range", "8:8", "--spike-val-range", "131:131"],
+         ["audit", "cli", "errors", "starbasis"]),
+        (["compute", "--builtin", "higashitani-15"], _POLYTOPE_MODULES),
+        (["series", "--builtin", "higashitani-15"], _POLYTOPE_MODULES),
+        (["audit", "--input", "{vectors}"], ["audit", "cli", "errors", "starbasis"]),
+    ], ids=["convert", "search", "compute", "series", "audit-vectors"])
+    def test_a_command_loads_only_the_modules_it_calls(self, tmp_path, argv, modules):
+        vectors = tmp_path / "vectors.json"
+        vectors.write_text(json.dumps({"d": 15, "h_star": SPIKE15_H}))
+        argv = [a.format(vectors=vectors) for a in argv]
+        script = (
+            "import sys\n"
+            "from ehrstar.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('ehrstar.')))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                              text=True, env=self.env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        *out, last = proc.stdout.splitlines()
+        assert out, "the command printed nothing"
+        assert last.split() == [f"ehrstar.{m}" for m in modules]
