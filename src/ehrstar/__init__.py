@@ -6,7 +6,7 @@ h*-patterns for nonunimodal f*-vectors. Each public name and submodule
 resolves on first use (PEP 562), a name from its submodule on every access.
 """
 
-from importlib import import_module
+import sys
 
 __version__ = "0.1.0"
 
@@ -30,11 +30,18 @@ _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_OWNER)
 
 
+def _submodule(name):
+    # `__import__`, unlike `importlib.import_module`, goes through the import
+    # path that `python -X importtime` times, so each submodule gets its line.
+    __import__(f"{__name__}.{name}")
+    return sys.modules[f"{__name__}.{name}"]
+
+
 def __getattr__(name):
     if name in _EXPORTS:
-        return import_module(f"{__name__}.{name}")
+        return _submodule(name)
     if name in _OWNER:
-        return getattr(import_module(f"{__name__}.{_OWNER[name]}"), name)
+        return getattr(_submodule(_OWNER[name]), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -37,15 +37,19 @@ The h*-vector of a simplex given by its d + 1 vertices (a polytope whose
 computed directly, without any counting, by enumerating the lattice points
 of the half-open parallelepiped spanned by the homogenized vertices (see
 `box_points_simplex`); a simplex given by its facets is scanned. All
-arithmetic is exact: scans run on int64 only when a conservative bound
-proves no overflow, and fall back to Python-int (object dtype) arrays
-otherwise.
+arithmetic is exact: the numpy scan kernel runs on int64 only when a
+conservative bound proves no overflow, and falls back to Python-int
+(object dtype) arrays otherwise.
 
-numpy is imported only when a scan runs (`_scan_dilate`). The
-parallelepiped route, the vector conversions, the audit and the search use
-none of it, so a process that never scans skips its import: a cold
-`compute --builtin higashitani-15` takes about 0.13 s instead of 0.26 s
-on a 2-vCPU Xeon VM.
+numpy is imported only when a scan pass of more than `_PURE_SCAN_WORK`
+(prefix, s) pairs times rows runs (`_scan_dilate`); a smaller pass runs on
+Python ints (`_pure_pass`). The parallelepiped route, the vector
+conversions, the audit and the search use none of it, so a process that
+never scans a larger box skips its import. On a 2-vCPU Xeon VM, medians of
+11 cold runs with no bytecode cache: `compute --builtin higashitani-15`
+takes about 0.10 s, and `compute --input` of 2 * (standard 3-simplex) by
+its 4 facets, one pure pass, 0.10 s instead of 0.19 s with the numpy
+kernel.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, product
+from operator import mul
 
 from .errors import (
     DEFAULT_COUNT_CAP,
@@ -71,6 +76,17 @@ _SCAN_CHUNK = 1 << 17
 # `_scan_dilate` counts (prefix, s) pairs and interval widths in int64, and
 # a box of fewer candidates keeps both below 2^62.
 _SCAN_KERNEL_LIMIT = 2**62
+# `_scan_dilate` runs `_pure_pass` when its work, the (prefix, s) pairs of
+# the dilate's box times the input rows, is at most this, and the numpy
+# kernel above it. Work 200 is where the pure pass stops being the faster:
+# timed per pass on the scans of perfbench's hscan workload (15 cycles,
+# Python 3.11, numpy 2.4, a 2-vCPU Xeon VM), a warm numpy pass, its first
+# `arrays` build included, took 0.09-0.19 ms at any work up to 1000; the
+# pure pass took 0.03-0.13 ms up to 200 (0.5-0.9 times numpy), and from
+# 201 to 500 its median ran 1.1-1.3 times numpy's, single d = 4 passes up
+# to 2.2 times. A cold process also pays 100-170 ms for the numpy import,
+# which a pure pass skips.
+_PURE_SCAN_WORK = 200
 
 
 @dataclass(frozen=True)
@@ -159,6 +175,25 @@ def _lead(col, counts):
     return n_pos, n_bound, col[:n_pos, None], -col[n_pos:n_bound, None], *strict
 
 
+def _interval(vals, lead, lo, hi):
+    """`_intervals` for one column of Python ints: the integers y in [lo, hi]
+    with vals + a * y >= 0 on every row, and with >= 1 on the strict rows, as
+    (first, last, strict first, strict last); a range is empty where its
+    last is below its first. The lead holds lists where `_lead`'s holds
+    columns."""
+    n_pos, n_bound, a_pos, a_neg, k_pos, k_neg, k_zero = lead
+    pos, neg, flat = vals[:n_pos], vals[n_pos:n_bound], vals[n_bound:]
+    first = max([lo, *(-(v // a) for v, a in zip(pos, a_pos))])
+    first_s = max([lo, *(-((v - 1) // a) for v, a in zip(pos[:k_pos], a_pos))])
+    last = min([hi, *(v // a for v, a in zip(neg, a_neg))])
+    last_s = min([hi, *((v - 1) // a for v, a in zip(neg[:k_neg], a_neg))])
+    if any(v < 0 for v in flat):
+        last = first - 1
+    if any(v < 1 for v in flat[:k_zero]):
+        last_s = first_s - 1
+    return first, last, first_s, last_s
+
+
 class _ScanPlan:
     """What the scans of the dilates nP of one system have in common.
 
@@ -200,7 +235,8 @@ class _ScanPlan:
         self._arrays = {}
 
     def _bound(self, r):  # |row| . maxabs + |offset|; a projected row has no t
-        return sum(abs(a) * m for a, m in zip(r[:-1], self.maxabs)) + abs(r[-1])
+        # an axis [0, 0] counts as [-1, 1], so the bound covers each coefficient too
+        return sum(abs(a) * max(m, 1) for a, m in zip(r[:-1], self.maxabs)) + abs(r[-1])
 
     def sizes(self, n: int) -> list[int]:
         """The points along each axis of the n-th dilate's box."""
@@ -241,6 +277,54 @@ class _ScanPlan:
         return self._arrays[dtype]
 
 
+def _pure_pass(plan: _ScanPlan, n: int, lows, highs) -> tuple[int, int]:
+    """`_scan_dilate`'s pass on Python ints, step by step as the numpy kernel
+    takes it: every prefix gets its closed and its interior range of s from
+    the projected rows (`_interval`), and every (prefix, s) pair in the
+    closed range its closed and interior t-interval from the t-rows, all of
+    which have a != 0 on t and are strict. It needs no dtype, and no
+    reduction of a projected row by gcd(n, g): dividing a row by a factor
+    of every one of its terms leaves the solutions of >= 0 and of >= 1 as
+    they are."""
+    proj, (n_pos, n_bound, *strict), _bounds, _shared = plan.projection
+    p = len(lows) - 2  # enumerated axes
+    s_col = [r[p] for r in proj]
+    s_lead = n_pos, n_bound, s_col[:n_pos], [-a for a in s_col[n_pos:n_bound]], *strict
+    t_pos = plan.t_counts[0]
+    t_lo, t_hi = lows[-1], highs[-1]
+    closed = interior = 0
+    for prefix in product(*(range(lows[j], highs[j] + 1) for j in range(p))):
+        # map stops at the end of the prefix: each row's terms on the enumerated axes
+        vals = [n * r[-1] + sum(map(mul, r, prefix)) for r in proj]
+        s_first, s_last, in_first, in_last = _interval(vals, s_lead, lows[p], highs[p])
+        if s_last < s_first:
+            continue
+        # each t-row as (its value but for the s-term, its a on s, its |a| on t)
+        t_rows = [(n * r[-1] + sum(map(mul, r, prefix)), r[p], abs(r[p + 1]))
+                  for r in plan.t_rows]
+        pos, neg = t_rows[:t_pos], t_rows[t_pos:]
+        for s in range(s_first, s_last + 1):
+            first = first_s = t_lo
+            for b, c, a in pos:  # t >= ceil(-v / a), and >= ceil((1 - v) / a)
+                v = b + c * s
+                if (q := -(v // a)) > first:
+                    first = q
+                if (q := -((v - 1) // a)) > first_s:
+                    first_s = q
+            last = last_s = t_hi
+            for b, c, a in neg:  # t <= v // a, and <= (v - 1) // a
+                v = b + c * s
+                if (q := v // a) < last:
+                    last = q
+                if (q := (v - 1) // a) < last_s:
+                    last_s = q
+            if last >= first:  # the interior t-interval lies inside the closed one
+                closed += last - first + 1
+                if in_first <= s <= in_last and last_s >= first_s:
+                    interior += last_s - first_s + 1
+    return closed, interior
+
+
 def _scan_dilate(plan: _ScanPlan, n: int) -> tuple[int, int]:
     """(closed, interior): the integer points x of the box n * mins..n * maxs
     with rows @ x + n * offsets >= 0, and those with > 0 on every row.
@@ -253,6 +337,11 @@ def _scan_dilate(plan: _ScanPlan, n: int) -> tuple[int, int]:
     those: on each pair the t-rows give the interior t-interval from the
     same quotients, and the rows with a = 0 on t, at threshold 1, give the
     interior range of s.
+
+    A pass whose work, the (prefix, s) pairs of the box times the m input
+    rows, is at most `_PURE_SCAN_WORK`, read at each call, takes the same
+    steps on Python ints (`_pure_pass`) and imports no numpy; numpy is
+    imported here only for a larger pass.
 
     C = `_SCAN_CHUNK`, read at each call, bounds the points materialized at
     once: the tail block of prefix points, built once per dilate and reused
@@ -271,12 +360,14 @@ def _scan_dilate(plan: _ScanPlan, n: int) -> tuple[int, int]:
     Otherwise the arrays hold Python ints, on which // is the same exact
     floor division.
     """
-    import numpy as np  # here, not at the top: processes that never scan skip its import
-
     sizes = plan.sizes(n)
     if any(s <= 0 for s in sizes):
         return 0, 0
     lows, highs = [n * m for m in plan.mins], [n * m for m in plan.maxs]
+    if math.prod(sizes[:-1]) * plan.m <= _PURE_SCAN_WORK:
+        return _pure_pass(plan, n, lows, highs)
+    import numpy as np  # here, not at the top: processes that scan only small boxes skip its import
+
     proj, s_counts, proj_bounds, shared = plan.projection
     reduced = {i: e for i, g in shared if (e := math.gcd(g, n)) > 1}
     proj_bound = max((n * w // reduced.get(i, 1) for i, w in enumerate(proj_bounds)), default=0)
@@ -351,9 +442,10 @@ def _scan_dilate(plan: _ScanPlan, n: int) -> tuple[int, int]:
 def _count_box_satisfying(lows, highs, rows, offsets) -> int:
     """Count integer points x with lows <= x <= highs and rows @ x + offsets >= 0.
 
-    The closed count of one `_scan_dilate` pass at n = 1 over a fresh plan,
-    in blocks of `_SCAN_CHUNK` like every pass. No entry point calls it; it
-    names the kernel for the kernel tests and for perfbench's tracer.
+    The closed count of one `_scan_dilate` pass at n = 1 over a fresh plan:
+    the pure pass for a small box, else the numpy kernel in blocks of
+    `_SCAN_CHUNK`, like every pass. No entry point calls it; it names the
+    kernel for the kernel tests and for perfbench's tracer.
     """
     return _scan_dilate(_ScanPlan(lows, highs, rows, offsets), 1)[0]
 

@@ -1018,26 +1018,36 @@ class TestProcess:
         # and so is one whose vertex list is padded with an edge point and an
         # inner point
         ["compute", "--input", "{padded}"],
+        # 2 * (standard 3-simplex) by its facets scans its dilate 1, a small
+        # scan: 9 (prefix, s) pairs of 4 rows, all on Python ints
+        ["compute", "--input", "{small_scan}"],
     ], ids=["import", "compute", "audit", "series", "convert", "compute-interpolation-d2",
-            "compute-padded-triangle"])
+            "compute-padded-triangle", "compute-small-scan"])
     def test_commands_without_a_scan_do_not_import_numpy(self, tmp_path, argv):
         vectors = tmp_path / "vectors.json"
         vectors.write_text(json.dumps({"d": 15, "h_star": SPIKE15_H}))
         padded = tmp_path / "padded.json"
         padded.write_text(json.dumps({"ambient_dim": 2, "vertices": PADDED_TRIANGLE}))
-        argv = [a.format(vectors=vectors, padded=padded) for a in argv]
+        small_scan = tmp_path / "small_scan.json"
+        small_scan.write_text(json.dumps({"ambient_dim": 3, "halfspaces": [
+            [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [2, -1, -1, -1]]}))
+        argv = [a.format(vectors=vectors, padded=padded, small_scan=small_scan) for a in argv]
         out, loaded = self.loaded_after(*argv)
         assert loaded == set()  # fractions too: only the unused solve_rational imports it
         if argv:
             assert out, "the command printed nothing"
+        if str(small_scan) in argv:
+            assert "ehrhart values (n = 0..4): 1 10 35 84 165" in out
+            assert "route: interpolation" in out
 
     def test_scan_imports_numpy(self, tmp_path):
-        # 2 * (standard 3-simplex) by its facets: counted by the box scan.
+        # 8 * (standard 4-simplex) by its facets: its dilate 1 is a scan of
+        # 729 (prefix, s) pairs of 5 rows, past `_PURE_SCAN_WORK`
         poly = tmp_path / "poly.json"
-        poly.write_text(json.dumps({"ambient_dim": 3, "halfspaces": [
-            [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [2, -1, -1, -1]]}))
+        poly.write_text(json.dumps({"ambient_dim": 4, "halfspaces": [
+            [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1], [8, -1, -1, -1, -1]]}))
         out, loaded = self.loaded_after("compute", "--input", str(poly))
-        assert "ehrhart values (n = 0..4): 1 10 35 84 165" in out
+        assert "ehrhart values (n = 0..5): 1 495 4845 20475 58905 135751" in out
         assert "route: interpolation" in out
         assert "numpy" in loaded
 

@@ -1164,12 +1164,14 @@ def _one_pass(lows, highs, rows, offsets) -> tuple[int, int]:
 
 
 def _kernel_matches(system, expected, chunk) -> None:
-    """The one-dilate kernel gives the closed count, one pass both counts,
-    each in blocks of `chunk`."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ehrstar.engine, "_SCAN_CHUNK", chunk)
-        assert _count_box_satisfying(*system) == expected[0]
-        assert _one_pass(*system) == expected
+    """The one-dilate kernel gives the closed count, one pass both counts:
+    through the pure pass, and through the numpy kernel in blocks of `chunk`."""
+    for work in (math.inf, 0):  # every pass pure, then none
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ehrstar.engine, "_PURE_SCAN_WORK", work)
+            patch.setattr(ehrstar.engine, "_SCAN_CHUNK", chunk)
+            assert _count_box_satisfying(*system) == expected[0]
+            assert _one_pass(*system) == expected
 
 
 def _needle_simplex(d: int, k: int) -> LatticePolytope:
@@ -1356,7 +1358,8 @@ class TestIntervalKernel:
 
     @staticmethod
     def _dtypes(monkeypatch):
-        """The dtype of every pass, in order."""
+        """The dtype of every pass, in order, with every pass on the numpy kernel."""
+        monkeypatch.setattr(ehrstar.engine, "_PURE_SCAN_WORK", 0)
         dtypes = []
         scan = ehrstar.engine._scan_dilate
 
@@ -1412,10 +1415,67 @@ class TestIntervalKernel:
         rows, offsets = [[0, 1], [0, -1]], [0, 1]
         assert _count_box_satisfying([big - 2, 0], [big + 1, 3], rows, offsets) == 8
 
+    def test_huge_coefficient_on_an_axis_at_zero(self):
+        # the box [0, 0] x [0, 3] bounds 2^70 * x by 0, yet the coefficient
+        # itself does not fit an int64 array: the pass takes object dtype
+        system = [0, 0], [0, 3], [[2**70, 1], [0, -1]], [0, 3]
+        _kernel_matches(system, _brute_closed_and_interior(*system), 1 << 17)
+
     def test_total_beyond_int64(self):
         # 16 intervals of 2^60 + 1 points each: the sum passes 2^63
         rows, offsets = [[0, 1], [0, -1]], [0, 2**60]
         assert _count_box_satisfying([0, 0], [15, 2**60], rows, offsets) == 16 * (2**60 + 1)
+
+
+@st.composite
+def _scan_systems(draw):
+    """A box of d <= 4 axes of at most 5 points each (now and then none),
+    moved by 0, 2^62 or about +-2^70, and 1-5 rows with small or huge
+    coefficients, whose offsets move with the box."""
+    d = draw(st.integers(0, 4))
+    shift = draw(st.sampled_from([0, 2**62, 2**70, 3 - 2**70]))
+    lows = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+    highs = [lo + draw(st.integers(-1, 4)) for lo in lows]
+    m = draw(st.integers(1, 5))
+    coefficient = st.integers(-3, 3) | st.sampled_from([2**70, -(2**70), 2**62 - 1])
+    rows = draw(st.lists(st.lists(coefficient, min_size=d, max_size=d), min_size=m, max_size=m))
+    offsets = [c - shift * sum(row) for row, c in
+               zip(rows, draw(st.lists(st.integers(-8, 8), min_size=m, max_size=m)))]
+    return [lo + shift for lo in lows], [hi + shift for hi in highs], rows, offsets
+
+
+class TestPurePass:
+    """The pure pass against the numpy kernel, which `TestIntervalKernel`
+    checks against the oracles."""
+
+    @given(_scan_systems(), st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_both_passes_agree(self, system, n):
+        plan = ehrstar.engine._ScanPlan(*system)
+        counts = []
+        for work in (math.inf, 0):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ehrstar.engine, "_PURE_SCAN_WORK", work)
+                counts.append(ehrstar.engine._scan_dilate(plan, n))
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    def test_unit_box_past_2_62(self, d):
+        # [2^70, 2^70 + 1]^d by its 2d facets: all 2^d points, none inside
+        big = 2**70
+        rows = [[sign * (i == j) for i in range(d)] for j in range(d) for sign in (1, -1)]
+        offsets = [c for _ in range(d) for c in (-big, big + 1)]
+        system = [big] * d, [big + 1] * d, rows, offsets
+        assert _brute_closed_and_interior(*system) == (2**d, int(d == 0))
+        _kernel_matches(system, (2**d, int(d == 0)), 1 << 17)
+
+    def test_small_boxes_take_the_pure_pass(self, monkeypatch):
+        # 2 * Delta_3 by its facets scans its dilate 1 in 9 (prefix, s)
+        # pairs of 4 rows; the numpy kernel's arrays are never built
+        monkeypatch.setattr(ehrstar.engine._ScanPlan, "arrays", None)
+        rows = [HalfSpace(0, tuple(int(i == j) for i in range(3))) for j in range(3)]
+        rows.append(HalfSpace(2, (-1, -1, -1)))
+        assert count_profile(LatticePolytope(3, halfspaces=tuple(rows))).counts == (1, 10, 35, 84, 165)
 
 
 class TestBigCoordinates:

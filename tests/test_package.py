@@ -81,3 +81,13 @@ def test_an_import_loads_only_what_it_names(statement, loaded):
                           env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == loaded
+
+
+def test_a_lazily_loaded_submodule_gets_its_own_importtime_line():
+    # `__getattr__` loads a submodule by `__import__`, which `-X importtime`
+    # times; `importlib.import_module` would leave it without a line
+    src = str(Path(ehrstar.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "import ehrstar; ehrstar.engine"],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert any(line.endswith("| ehrstar.engine") for line in proc.stderr.splitlines()), proc.stderr
