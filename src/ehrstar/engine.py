@@ -85,7 +85,9 @@ _SCAN_KERNEL_LIMIT = 2**62
 # pure pass took 0.03-0.13 ms up to 200 (0.5-0.9 times numpy), and from
 # 201 to 500 its median ran 1.1-1.3 times numpy's, single d = 4 passes up
 # to 2.2 times. A cold process also pays 100-170 ms for the numpy import,
-# which a pure pass skips.
+# which a pure pass skips. The CI entry-point check that `compute` of the
+# octahedron loads no numpy relies on this value: its largest pass, the
+# dilate 2, has work 5 * 5 * 8 = 200.
 _PURE_SCAN_WORK = 200
 
 
@@ -285,7 +287,13 @@ def _pure_pass(plan: _ScanPlan, n: int, lows, highs) -> tuple[int, int]:
     which have a != 0 on t and are strict. It needs no dtype, and no
     reduction of a projected row by gcd(n, g): dividing a row by a factor
     of every one of its terms leaves the solutions of >= 0 and of >= 1 as
-    they are."""
+    they are.
+
+    The t-interval is `_interval` of the t-rows, written out: calling
+    `_interval` once per (prefix, s) pair made the pass 1.7-2 times slower
+    on perfbench's hscan scans, 0.121 against 0.061 ms per pass at work
+    101-200 (medians, 15 cycles, 2-vCPU Xeon VM), which is slower than a
+    warm numpy pass (0.092 ms) and would move the crossover below 100."""
     proj, (n_pos, n_bound, *strict), _bounds, _shared = plan.projection
     p = len(lows) - 2  # enumerated axes
     s_col = [r[p] for r in proj]

@@ -1163,15 +1163,24 @@ def _one_pass(lows, highs, rows, offsets) -> tuple[int, int]:
     return ehrstar.engine._scan_dilate(ehrstar.engine._ScanPlan(lows, highs, rows, offsets), 1)
 
 
+def _each_pass(run) -> list:
+    """run() with every scan pass pure, then with every pass on the numpy
+    kernel: the two results."""
+    results = []
+    for work in (math.inf, 0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ehrstar.engine, "_PURE_SCAN_WORK", work)
+            results.append(run())
+    return results
+
+
 def _kernel_matches(system, expected, chunk) -> None:
     """The one-dilate kernel gives the closed count, one pass both counts:
     through the pure pass, and through the numpy kernel in blocks of `chunk`."""
-    for work in (math.inf, 0):  # every pass pure, then none
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ehrstar.engine, "_PURE_SCAN_WORK", work)
-            patch.setattr(ehrstar.engine, "_SCAN_CHUNK", chunk)
-            assert _count_box_satisfying(*system) == expected[0]
-            assert _one_pass(*system) == expected
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ehrstar.engine, "_SCAN_CHUNK", chunk)
+        counts = _each_pass(lambda: (_count_box_satisfying(*system), _one_pass(*system)))
+    assert counts == [(expected[0], tuple(expected))] * 2
 
 
 def _needle_simplex(d: int, k: int) -> LatticePolytope:
@@ -1354,7 +1363,8 @@ class TestIntervalKernel:
             plan = ehrstar.engine._ScanPlan(mins, maxs, rows, offsets)
             for n in (1, 2, 3, 4):
                 dilate = [n * x for x in mins], [n * x for x in maxs], rows, [n * c for c in offsets]
-                assert ehrstar.engine._scan_dilate(plan, n) == _brute_closed_and_interior(*dilate)
+                expected = _brute_closed_and_interior(*dilate)
+                assert _each_pass(lambda: ehrstar.engine._scan_dilate(plan, n)) == [expected] * 2
 
     @staticmethod
     def _dtypes(monkeypatch):
@@ -1405,15 +1415,14 @@ class TestIntervalKernel:
         # empty interval has hi - lo + 1 close to -2 * worst
         rows = [[0, 1], [0, -1], [1, 1]]
         offsets = [-(worst - 2), -(worst - 2), 0]
-        assert _count_box_satisfying([-2, -2], [2, 2], rows, offsets) == 0
+        _kernel_matches(([-2, -2], [2, 2], rows, offsets), (0, 0), 1 << 17)
 
     @pytest.mark.parametrize("chunk", [1, 1 << 17])
-    def test_axis_in_no_row_beyond_int64(self, monkeypatch, chunk):
-        # only the box bounds the first coordinate
-        monkeypatch.setattr(ehrstar.engine, "_SCAN_CHUNK", chunk)
+    def test_axis_in_no_row_beyond_int64(self, chunk):
+        # only the box bounds the first coordinate; no t is inside 0 < t < 1
         big = 2**63
         rows, offsets = [[0, 1], [0, -1]], [0, 1]
-        assert _count_box_satisfying([big - 2, 0], [big + 1, 3], rows, offsets) == 8
+        _kernel_matches(([big - 2, 0], [big + 1, 3], rows, offsets), (8, 0), chunk)
 
     def test_huge_coefficient_on_an_axis_at_zero(self):
         # the box [0, 0] x [0, 3] bounds 2^70 * x by 0, yet the coefficient
@@ -1422,9 +1431,10 @@ class TestIntervalKernel:
         _kernel_matches(system, _brute_closed_and_interior(*system), 1 << 17)
 
     def test_total_beyond_int64(self):
-        # 16 intervals of 2^60 + 1 points each: the sum passes 2^63
+        # 16 intervals of 2^60 + 1 points each, 2^60 - 1 inside: the sums pass 2^63
         rows, offsets = [[0, 1], [0, -1]], [0, 2**60]
-        assert _count_box_satisfying([0, 0], [15, 2**60], rows, offsets) == 16 * (2**60 + 1)
+        expected = 16 * (2**60 + 1), 16 * (2**60 - 1)
+        _kernel_matches(([0, 0], [15, 2**60], rows, offsets), expected, 1 << 17)
 
 
 @st.composite
@@ -1452,12 +1462,8 @@ class TestPurePass:
     @settings(max_examples=150, deadline=None)
     def test_both_passes_agree(self, system, n):
         plan = ehrstar.engine._ScanPlan(*system)
-        counts = []
-        for work in (math.inf, 0):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(ehrstar.engine, "_PURE_SCAN_WORK", work)
-                counts.append(ehrstar.engine._scan_dilate(plan, n))
-        assert counts[0] == counts[1]
+        pure, numpy_kernel = _each_pass(lambda: ehrstar.engine._scan_dilate(plan, n))
+        assert pure == numpy_kernel
 
     @pytest.mark.parametrize("d", [0, 1, 2, 3])
     def test_unit_box_past_2_62(self, d):
@@ -1494,7 +1500,7 @@ class TestBigCoordinates:
         # [2^70, 2^70 + 1]^2: the enumerated axis itself is past int64
         big = 2**70
         p = LatticePolytope(2, halfspaces=tuple(_axis_rows([big, big], [big + 1, big + 1])))
-        assert count_profile(p).counts == (1, 4, 9, 16)
+        assert _each_pass(lambda: count_profile(p).counts) == [(1, 4, 9, 16)] * 2
 
     def test_big_volume_parallelepiped(self):
         s = LatticeSimplex.from_vertices(((0, 0), (300, 1), (1, 400)))
