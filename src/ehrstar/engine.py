@@ -9,13 +9,16 @@ its vertices, else `_counts_through`, by its hint or by its `_scan_plan`:
     integer heights t are the (n-t)-th dilates of the base, so the counts
     are iterated partial sums of the base counts;
   * any other polytope, a simplex included: inequality scan of its
-    facets over the box of its vertices, both of which one
-    double-description routine (`lattice._extreme_rays`) derives through
-    `LatticePolytope.double_description`; a half-space list keeps one of
-    its own rows per facet and drops the redundant ones.
+    facets over the box of its vertices. A simplex given by d + 1 vertices
+    or by d + 1 half-spaces takes both from one scaled inverse of its
+    square matrix; every other input from one double-description routine
+    (`lattice._extreme_rays`) through `LatticePolytope.double_description`,
+    where a half-space list keeps one of its own rows per facet and drops
+    the redundant ones.
 
 Hints are trusted to be full-dimensional (a pyramid's base is checked when
-its counts are taken); the double description decides it for the rest, so
+its counts are taken); a square matrix that cuts out a lattice simplex is
+full-dimensional, and the double description decides it for the rest, so
 a rank is computed only to word that error. A profile of a scanned
 polytope scans only the dilates n <= ceil(d/2), and of a scanned simplex
 only n <= ceil(d/2) - 1, so none at d <= 2: its exact normalized volume
@@ -68,7 +71,7 @@ from .errors import (
     VolumeCapExceeded,
     shown,
 )
-from .intlinalg import _reduce_by_gcd, det, diagonalize_lattice_basis
+from .intlinalg import _reduce_by_gcd, diagonalize_lattice_basis, scaled_inverse
 from .lattice import BoxHint, LatticePolytope, PyramidHint, _homogenized_columns
 from .starbasis import FStarVector, HStarVector, eval_ehrhart, f_from_h, h_from_f
 
@@ -476,38 +479,84 @@ def _check_scan_cost(plan: _ScanPlan, n: int, count_cap: int) -> None:
 # -- strategy dispatch --------------------------------------------------------
 
 
-def _scan_plan(p: LatticePolytope) -> _ScanPlan:
-    """The scan of p: the box of its vertices and its facets, from
-    `LatticePolytope.double_description`, which rejects empty, unbounded,
-    flat and non-lattice input even at d = 0. A generator's simplex is a
-    `LatticePolytope` with a vertex list like any other.
+def _vertex_simplex(vertices):
+    """(vertices, normals, offsets, anchor) of the simplex of d + 1 points,
+    or None if they are affinely dependent. Row k of the scaled inverse
+    (A, D) of the homogenized vertices is D times the k-th barycentric
+    coordinate: it is 0 on the facet opposite v_k and D at v_k. So NV = D,
+    the rows in lowest terms are the facets in the order of the double
+    description, and facet k lies at the lattice distance D / gcd(a_k)
+    from v_k, for the normal part a_k of row k."""
+    kernel = scaled_inverse(_homogenized_columns(vertices))
+    if kernel is None:
+        return None
+    a, volume = kernel
+    rows = [_reduce_by_gcd(r) for r in a]
+    anchor = _anchor(volume, [volume // math.gcd(*r[:-1]) for r in a])
+    return vertices, [r[:-1] for r in rows], [r[-1] for r in rows], anchor
 
-    A simplex, a polytope of d >= 1 with d + 1 facets, is anchored on
-    (NV, S) however its vertex list is padded (a repeated vertex, a point on
-    an edge or inside). Each facet F's row b + a . x >= 0 is 0 on F and
-    largest at the vertex v_F off it. NV is the normalized volume: the
-    cached `normalized_volume` of a list of just the d + 1 vertices, else
-    |det| of the v_F homogenized (which leaves that property None). S is the
-    sum of NV / h_F over the facets, where h_F = (b + a . v_F) / gcd(a) is
-    the lattice distance of F from v_F, as a kept half-space row need not
-    be primitive. NV / h_F is the volume of F, so h_F must divide NV.
+
+def _facet_simplex(facets):
+    """(vertices, normals, offsets, anchor) of the lattice simplex cut out by
+    d + 1 half-spaces, or None if they cut out none. Column j of the scaled
+    inverse (A, D) of the rows (b_j, a_j) solves every row but row j with 0
+    and row j with D, so it is (D / t_j) * (1, v_j) for the vertex v_j off
+    facet j, at which row j takes its top t_j. The rows bound a simplex iff
+    every column has a positive first entry, and a lattice simplex iff that
+    entry divides the others. The rows times the homogenized vertices make
+    diag(t), so NV = prod(t) / D, and facet j lies at the lattice distance
+    t_j / gcd(a_j) from v_j."""
+    kernel = scaled_inverse([[f.offset, *f.normal] for f in facets])
+    if kernel is None:
+        return None
+    a, scale = kernel
+    vertices, tops = [], []
+    for y0, *y in zip(*a):
+        if y0 <= 0 or any(x % y0 for x in y):
+            return None
+        vertices.append([x // y0 for x in y])
+        tops.append(scale // y0)
+    volume = math.prod(tops) // scale
+    anchor = _anchor(volume, [t // math.gcd(*f.normal) for t, f in zip(tops, facets)])
+    return vertices, [f.normal for f in facets], [f.offset for f in facets], anchor
+
+
+def _anchor(volume, heights):
+    """(NV, S) of a simplex of normalized volume NV whose facets F lie at the
+    lattice distances h_F from the vertices off them: S is the sum of the
+    facets' normalized volumes NV / h_F, so every h_F must divide NV."""
+    if any(volume % h for h in heights):
+        raise ArithmeticError("a facet's lattice distance does not divide the normalized volume")
+    return volume, sum(volume // h for h in heights)
+
+
+def _scan_plan(p: LatticePolytope) -> _ScanPlan:
+    """The scan of p: the box of its vertices and its facets.
+
+    A simplex of d >= 1, given by d + 1 vertices or by d + 1 half-spaces,
+    takes both from one scaled inverse of its square matrix, which also
+    anchors it on (NV, S): its normalized volume and the sum of its
+    facets' normalized volumes (`_vertex_simplex`, `_facet_simplex`). Every
+    other input, a square system that bounds no lattice simplex among
+    them, takes both from `LatticePolytope.double_description`, which
+    rejects empty, unbounded, flat and non-lattice input, even at d = 0,
+    with its own message. A double description with d + 1 facets is a
+    simplex however its vertex list is padded (a repeated vertex, a point
+    on an edge or inside) or its rows are redundant, and `_facet_simplex`
+    of its facets anchors it. A generator's simplex is a `LatticePolytope`
+    with a vertex list like any other.
     """
-    vertices, facets = p.double_description
     d = p.ambient_dim
-    anchor = None
-    if d >= 1 and len(facets) == d + 1:
-        tops = [max((f.offset + sum(a * x for a, x in zip(f.normal, v)), v) for v in vertices)
-                for f in facets]
-        volume = p.normalized_volume or abs(det(_homogenized_columns([v for _, v in tops])))
-        facet_sum = 0
-        for f, (height, _) in zip(facets, tops):
-            height //= math.gcd(*f.normal)
-            if volume % height:
-                raise ArithmeticError("a facet's lattice distance does not divide the normalized volume")
-            facet_sum += volume // height
-        anchor = volume, facet_sum
+    simplex = None
+    if d >= 1 and len(p.vertices or p.halfspaces) == d + 1:
+        simplex = _vertex_simplex(p.vertices) if p.vertices is not None else _facet_simplex(p.halfspaces)
+    if simplex is None:
+        vertices, facets = p.double_description
+        anchor = _facet_simplex(facets)[3] if d >= 1 and len(facets) == d + 1 else None
+        simplex = vertices, [f.normal for f in facets], [f.offset for f in facets], anchor
+    vertices, normals, offsets, anchor = simplex
     return _ScanPlan([min(c) for c in zip(*vertices)], [max(c) for c in zip(*vertices)],
-                     [f.normal for f in facets], [f.offset for f in facets], anchor)
+                     normals, offsets, anchor)
 
 
 def _counts_through(p: LatticePolytope, nmax: int, count_cap: int) -> list[int]:

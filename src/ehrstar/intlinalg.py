@@ -10,6 +10,7 @@ so a process that never calls it skips that import.
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 
 IntMatrix = list[list[int]]
 
@@ -20,14 +21,16 @@ def _eliminate(rows: IntMatrix, rhs: IntMatrix) -> tuple[int, IntMatrix | None]:
     Fraction-free Gauss-Jordan on [rows | rhs]: column k is cleared by the
     first row at or below k that is nonzero there, swapped up to row k.
     Each other row is scaled by that pivot, loses its column-k multiple of
-    the pivot row and is divided exactly by the previous pivot. The left
-    block ends as p * I, where p is the determinant of the row-permuted
-    matrix, so the right block is p * rows^-1 @ rhs.
+    the pivot row and is divided exactly by the previous pivot. That leaves
+    p on the diagonal and 0 elsewhere in columns 0..k, for the pivot p, so
+    only the columns past k are computed, in place. The left block ends as
+    p * I, where p is the determinant of the row-permuted matrix, so the
+    right block is p * rows^-1 @ rhs.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
-    a = [list(r) + list(b) for r, b in zip(rows, rhs)]
+    a = [[*r, *b] for r, b in zip(rows, rhs)]
     sign, prev = 1, 1
     for k in range(n):
         piv = next((i for i in range(k, n) if a[i][k]), None)
@@ -37,9 +40,15 @@ def _eliminate(rows: IntMatrix, rhs: IntMatrix) -> tuple[int, IntMatrix | None]:
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
         pr = a[k]
-        p = pr[k]
-        a = [row if i == k else [(p * x - row[k] * y) // prev for x, y in zip(row, pr)]
-             for i, row in enumerate(a)]
+        p, tail = pr[k], pr[k + 1 :]
+        for row in a:
+            if row is pr:
+                continue
+            f = row[k]
+            if f:
+                row[k + 1 :] = [(p * x - f * y) // prev for x, y in zip(row[k + 1 :], tail)]
+            elif p != prev:  # a row with 0 in column k is only rescaled
+                row[k + 1 :] = [p * x // prev for x in row[k + 1 :]]
         prev = p
     return sign * prev, [[sign * x for x in row[n:]] for row in a]
 
@@ -103,14 +112,14 @@ def scaled_inverse(rows: IntMatrix) -> tuple[IntMatrix, int] | None:
     columns of A span the cone {x : rows @ x >= 0} when rows are independent.
     """
     n = len(rows)
-    identity = [[int(i == j) for j in range(n)] for i in range(n)]
-    d, x = _eliminate(rows, identity)
+    d, x = _eliminate(rows, [[int(i == j) for j in range(n)] for i in range(n)])
     if x is None:
         return None
     if d < 0:
         d, x = -d, [[-v for v in row] for row in x]
-    product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*rows)] for row in x]
-    if product != [[d * v for v in row] for row in identity]:
+    cols = list(zip(*rows))
+    if any(sum(map(mul, row, col)) != (d if i == j else 0)
+           for i, row in enumerate(x) for j, col in enumerate(cols)):
         raise ArithmeticError("scaled inverse fails A @ rows == D * I")
     return x, d
 

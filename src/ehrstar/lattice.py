@@ -6,8 +6,10 @@ tuple or a half-space tuple, whose points and normals are tuples of ints. A
 vertex list of d + 1 affinely independent points is a simplex: its
 `normalized_volume` is set, and the parallelepiped route reads it;
 `LatticeSimplex.from_vertices` builds one and checks that it is one. One
-double-description routine, `_extreme_rays`, gives every polytope that is
-counted by a scan both: `LatticePolytope.double_description` reads the
+double-description routine, `_extreme_rays`, gives both to every polytope
+that is counted by a scan, but a simplex given by d + 1 vertices or by
+d + 1 half-spaces, which takes them from one scaled inverse
+(`engine._scan_plan`): `LatticePolytope.double_description` reads the
 facets of a vertex list off it, and the vertices of a half-space list
 together with the rows that bound its facets.
 Generators may attach a structure hint (box product, pyramid tower) that
@@ -38,9 +40,11 @@ LatticePoint = tuple[int, ...]
 RANDOM_SIMPLEX_DRAWS = 1000  # degenerate draws before make_random_simplex gives up
 # The largest dimension built by a generator or read from a polytope file,
 # checked before any entry is built. The exact linear algebra on d x d
-# integer matrices that every route starts with grows steeply: a cold
-# `compute` of the unimodular d-simplex given by its vertices takes 0.5 s
-# at d = 100, 1.5 s at d = 200 and 9.3 s at d = 400 on a 2-vCPU Xeon VM.
+# integer matrices that every route starts with grows steeply. On a 2-vCPU
+# Xeon VM a cold `compute` of the unimodular d-simplex given by its
+# vertices takes 0.08 s at d = 100, 0.13 s at d = 200 and 0.76 s at
+# d = 400 (medians of 3-5 runs), and the scan plan of a random 100-simplex
+# with coordinates in [-2, 2], one dense scaled inverse, 0.6 s.
 GENERATOR_DIM_CAP = 100
 # Work cap of `_extreme_rays`. A step is charged n units per ray for
 # reading its row against the rays (n = d + 1 entries each), then
@@ -56,8 +60,9 @@ GENERATOR_DIM_CAP = 100
 # 10-, 11- and 12-cubes by their facets plus 1,000 rows 100 + i + x_1 >= 0,
 # and the polars of the cyclic polytopes C(30, 6) and C(23, 17)), so a run
 # stops within about 3 s. The 6-dimensional cross-polytope takes 7,200
-# units (3 ms), the facets of the unimodular 100-simplex 30,600 (0.34 s,
-# mostly its scaled inverse), the square with 1,996 corner cuts 32,000
+# units (3 ms), the facets of the unimodular 100-simplex 30,600 (0.05 s,
+# mostly its scaled inverse; a scan plans that simplex without the double
+# description), the square with 1,996 corner cuts 32,000
 # (30 ms), and 40 random points of [-2, 2]^5 3.3e5 (0.06 s).
 _HALFSPACE_WORK_CAP = 10**7
 

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ehrstar
-from ehrstar import cli, intlinalg, lattice, starbasis
+from ehrstar import cli, engine, intlinalg, lattice, starbasis
 from ehrstar.cli import build_builtin, build_parser, main
 from ehrstar.lattice import GENERATOR_DIM_CAP
 from ehrstar.starbasis import VECTOR_DIM_CAP
@@ -487,7 +487,8 @@ class TestPolytopeDimensionCap:
             raise AssertionError("exact linear algebra ran past the dimension cap")
 
         for module, name in ((intlinalg, "det"), (intlinalg, "scaled_inverse"), (lattice, "det"),
-                             (lattice, "scaled_inverse"), (lattice, "_extreme_rays")):
+                             (lattice, "scaled_inverse"), (lattice, "_extreme_rays"),
+                             (engine, "scaled_inverse")):
             monkeypatch.setattr(module, name, refuse)
 
     @pytest.mark.parametrize("command", ["compute", "audit", "series"])

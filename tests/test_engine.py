@@ -500,7 +500,7 @@ class TestCountingDispatch:
         calls.clear()
         s = make_unimodular_simplex(3)
         assert count_profile(s).counts == every_dilate_counts(s)
-        assert count_points(s, 2) == 10 and len(calls) == 1
+        assert count_points(s, 2) == 10 and len(calls) == 0  # its plan comes from one scaled inverse
 
     @pytest.mark.parametrize("entry", _ENTRY_POINTS)
     def test_pyramid_over_a_flat_base_reports_the_base(self, entry):
@@ -980,24 +980,27 @@ class TestReciprocityRoute:
             assert count_profile(padded).counts == expected
             assert passes == list(range(1, (d + 1) // 2))
 
-    def test_corrupted_volume_or_facet_distance_raises(self, monkeypatch):
-        # NV = 6 is divisible by the distances 2, 3 and 6; 7 is not, nor is 6
-        # by the distance 4 that y >= 0 moved to 1 + y >= 0 gives
+    def test_corrupted_volume_or_facet_distance_raises(self):
+        # NV = 6 is divisible by the distances 2, 3 and 6 of the facets
+        # x >= 0, y >= 0 and 6 - 3x - 2y >= 0 from the vertices off them.
+        # The kernel's D + 1 = 7 is the vertex kernel's NV, which 2 does not
+        # divide, and makes the facet kernel's tops 7 // (D / t) for the tops
+        # t of its rows. Doubling the origin's column of the facet kernel
+        # halves the top of the facet opposite it: its distance is 3, and
+        # NV = prod(tops) / D is 3, which the distance 2 does not divide.
         vertices = ((0, 0), (2, 0), (0, 3))
-        s = LatticePolytope(2, vertices=vertices)
-        s.__dict__["normalized_volume"] = 7
-        with pytest.raises(ArithmeticError, match="does not divide the normalized volume"):
-            count_profile(s)
-        s = LatticePolytope(2, vertices=vertices)
-        box, facets = s.double_description
-        s.__dict__["double_description"] = box, tuple(
-            HalfSpace(1, f.normal) if f.normal == (0, 1) else f for f in facets)
-        with pytest.raises(ArithmeticError, match="does not divide the normalized volume"):
-            count_profile(s)
-        h = LatticePolytope(2, halfspaces=tuple(simplex_facets(vertices)))
-        monkeypatch.setattr(ehrstar.engine, "det", lambda rows: 7)
-        with pytest.raises(ArithmeticError, match="does not divide the normalized volume"):
-            count_profile(h)
+        by_vertices = LatticePolytope(2, vertices=vertices)
+        by_facets = LatticePolytope(2, halfspaces=tuple(simplex_facets(vertices)))
+        for s, corrupt in [
+            (by_vertices, lambda a, scale: (a, scale + 1)),
+            (by_facets, lambda a, scale: (a, scale + 1)),
+            (by_facets, lambda a, scale: ([[2 * r[0], *r[1:]] for r in a], scale)),
+        ]:
+            assert ehrstar.engine._scan_plan(s).anchor == (6, 6)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ehrstar.engine, "scaled_inverse", lambda rows: corrupt(*scaled_inverse(rows)))
+                with pytest.raises(ArithmeticError, match="does not divide the normalized volume"):
+                    count_profile(s)
 
     @pytest.mark.parametrize("d, bump, message", [
         # a facet sum one off adds d * n^(d-1) to 2 d! ehr(n): at odd d the
@@ -1118,6 +1121,124 @@ class TestReciprocityRoute:
                 LatticePolytope(3, halfspaces=p.double_description[1]))
             with pytest.raises(CostGuardExceeded, match=f"visit {top} candidates"):
                 count_profile(p, count_cap=top - 1)
+
+
+def _plan_data(plan):
+    """What a scan plan holds that a pass reads: box, sorted rows and anchor."""
+    return plan.mins, plan.maxs, plan.t_rows, plan.flat, plan.anchor
+
+
+def _double_description_plan(p: LatticePolytope):
+    """`_plan_data` of the plan of p as the double description derives it.
+    A simplex's NV is |det| of the points at which its d + 1 facet rows are
+    largest, and S sums NV / h_F for the lattice distance h_F of each facet
+    from that point."""
+    vertices, facets = p.double_description
+    d = p.ambient_dim
+    anchor = None
+    if d >= 1 and len(facets) == d + 1:
+        tops = [max((f.offset + sum(a * x for a, x in zip(f.normal, v)), v) for v in vertices)
+                for f in facets]
+        volume = abs(det(_homogenized_columns([v for _, v in tops])))
+        heights = [t // math.gcd(*f.normal) for f, (t, _) in zip(facets, tops)]
+        assert all(volume % h == 0 for h in heights)
+        anchor = volume, sum(volume // h for h in heights)
+    return _plan_data(ehrstar.engine._ScanPlan(
+        [min(c) for c in zip(*vertices)], [max(c) for c in zip(*vertices)],
+        [f.normal for f in facets], [f.offset for f in facets], anchor))
+
+
+def _plan_outcome(plan_of, p: LatticePolytope):
+    """plan_of(copy of p), or the type and message of what it raised."""
+    copy = LatticePolytope(p.ambient_dim, vertices=p.vertices, halfspaces=p.halfspaces)
+    try:
+        return plan_of(copy)
+    except (InputError, NotFullDimensionalError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestSimplexKernel:
+    """A simplex by its d + 1 vertices or by d + 1 half-spaces takes its plan
+    from one scaled inverse, without the double description. That plan, and
+    the anchor a padded list or a list with redundant rows takes from its
+    double description's facets, equal the plan the double description
+    derives; a square system that bounds no lattice simplex fails with the
+    double description's own message."""
+
+    @staticmethod
+    def _listings(rng, d):
+        """A random d-simplex by its vertices, by its facets each scaled and
+        shuffled, by its vertices padded, and by its facets among redundant rows."""
+        vertices = tuple(tuple(2 * x for x in v) for v in make_random_simplex(d, 2, rng.randrange(10**6)).vertices)
+        facets = LatticePolytope(d, vertices=vertices).double_description[1]
+        scaled = [HalfSpace(k * f.offset, tuple(k * a for a in f.normal))
+                  for f in facets for k in [rng.randint(1, 3)]]
+        rng.shuffle(scaled)
+        midpoint = tuple((a + b) // 2 for a, b in zip(vertices[0], vertices[-1]))
+        padded = [*vertices, rng.choice((vertices[-1], midpoint))]
+        rng.shuffle(padded)
+        redundant = [*scaled, HalfSpace(1, (0,) * d),
+                     *(HalfSpace(f.offset + rng.randint(0, 2), f.normal) for f in rng.sample(facets, 2))]
+        rng.shuffle(redundant)
+        return [LatticePolytope(d, vertices=vertices), LatticePolytope(d, halfspaces=tuple(scaled)),
+                LatticePolytope(d, vertices=tuple(padded)), LatticePolytope(d, halfspaces=tuple(redundant))]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_plans_equal_the_double_description(self, monkeypatch, seed):
+        calls = []
+        rays = ehrstar.lattice._extreme_rays
+        monkeypatch.setattr(ehrstar.lattice, "_extreme_rays", lambda *a: calls.append(a) or rays(*a))
+        rng = random.Random(seed)
+        for d in range(1, 7):
+            for k, p in enumerate(self._listings(rng, d)):
+                expected = _double_description_plan(LatticePolytope(d, vertices=p.vertices, halfspaces=p.halfspaces))
+                calls.clear()
+                plan = _plan_data(ehrstar.engine._scan_plan(p))
+                assert plan == expected, p
+                assert plan[-1] is not None
+                assert len(calls) == (k >= 2), p  # no double description for the square two
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[-1, 1, 0], [0, -1, 0], [0, 0, 1]], "half-space system has no vertices (empty or unbounded)"),
+        ([[0, 1, 0], [0, 0, 1], [1, 1, -1]], "half-space system is unbounded"),
+        ([[0, 1, 0], [0, 0, 1], [0, -1, -1]], "half-space polytope has affine dimension 0 inside R^2"),
+        ([[0, 1, 0], [0, 0, 1], [1, -2, -2]], "half-space polytope has the non-lattice vertex (0, 1/2); "
+                                              "only lattice polytopes are supported"),
+        ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], "half-space system is unbounded"),
+        ([[0, 1, 0], [0, 0, 1], [-1, 0, 0]], "half-space system has no vertices (empty or unbounded)"),
+        ([[2, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0], [3, -1, -1, 1]], "half-space system is unbounded"),
+    ], ids=["empty", "unbounded", "flat", "non-lattice", "zero-normal", "zero-normal-empty", "zero-normal-3d"])
+    def test_square_systems_keep_the_double_description_message(self, rows, message):
+        d = len(rows[0]) - 1
+        p = LatticePolytope(d, halfspaces=tuple(HalfSpace(r[0], tuple(r[1:])) for r in rows))
+        assert _plan_outcome(_double_description_plan, p)[1] == message
+        assert _plan_outcome(lambda q: _plan_data(ehrstar.engine._scan_plan(q)), p)[1] == message
+        with pytest.raises((InputError, NotFullDimensionalError), match=re.escape(message)):
+            count_profile(p)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_square_systems(self, seed):
+        # d + 1 random rows, or a random simplex's facets with one offset
+        # moved, now and then with a zero normal: each outcome, plan or
+        # message, is the double description's
+        rng = random.Random(seed)
+        seen = Counter()
+        for _ in range(150):
+            d = rng.randint(1, 4)
+            if rng.random() < 0.5:
+                rows = [HalfSpace(rng.randint(-4, 4), tuple(rng.randint(-2, 2) for _ in range(d)))
+                        for _ in range(d + 1)]
+            else:
+                rows = simplex_facets(make_random_simplex(d, 2, rng.randrange(10**6)).vertices)
+                j = rng.randrange(d + 1)
+                rows[j] = HalfSpace(rows[j].offset + rng.randint(-2, 2), rows[j].normal)
+            if rng.random() < 0.2:
+                rows[rng.randrange(d + 1)] = HalfSpace(rng.randint(-1, 1), (0,) * d)
+            p = LatticePolytope(d, halfspaces=tuple(rows))
+            expected = _plan_outcome(_double_description_plan, p)
+            assert _plan_outcome(lambda q: _plan_data(ehrstar.engine._scan_plan(q)), p) == expected, p
+            seen[expected[0] if isinstance(expected[0], str) else "plan"] += 1
+        assert seen["plan"] and seen["InputError"] and seen["NotFullDimensionalError"], seen
 
 
 def _random_simplex_vertices(d: int, rng: random.Random):
@@ -1365,6 +1486,21 @@ class TestIntervalKernel:
                 dilate = [n * x for x in mins], [n * x for x in maxs], rows, [n * c for c in offsets]
                 expected = _brute_closed_and_interior(*dilate)
                 assert _each_pass(lambda: ehrstar.engine._scan_dilate(plan, n)) == [expected] * 2
+
+    @pytest.mark.parametrize("offset", [1, -1])
+    def test_row_reduced_again_bounds_s(self, monkeypatch, offset):
+        # 2s + offset >= 0 has a = 0 on t, so it bounds s alone, and at even n
+        # the pass divides it by 2: at n = 2, s + 1 >= 0 keeps s = -1 in the
+        # closed count, and s - 1 >= 1 drops s = 1 from the interior. Without
+        # the division its coefficient would stay 2 against the halved offset.
+        mins, maxs = [-1, 0], [1, 3]
+        rows, offsets = [[2, 0], [0, 1], [0, -1]], [offset, 0, 3]
+        plan = ehrstar.engine._ScanPlan(mins, maxs, rows, offsets)
+        assert (0, 2) in plan.projection[3]
+        for n in (1, 2, 3, 4):
+            dilate = [n * x for x in mins], [n * x for x in maxs], rows, [n * c for c in offsets]
+            assert _each_pass(lambda: ehrstar.engine._scan_dilate(plan, n)) == [
+                _brute_closed_and_interior(*dilate)] * 2
 
     @staticmethod
     def _dtypes(monkeypatch):

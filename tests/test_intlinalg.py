@@ -81,6 +81,68 @@ def test_det_solve_and_inverse_match_the_fraction_oracle(seed):
             assert column == _solve_gauss([row + [u] for row, u in zip(m, unit)])
 
 
+def _oracle_inverse(m):
+    """(det, inverse) of Fraction Gauss-Jordan on [m | I]; (0, None) if singular."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    out = Fraction(1)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if a[i][col]), None)
+        if piv is None:
+            return 0, None
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            out = -out
+        p = a[col][col]
+        out *= p
+        a[col] = [x / p for x in a[col]]
+        for i in range(n):
+            if i != col and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    return int(out), [row[n:] for row in a]
+
+
+def _elimination_cases(seed):
+    """Seeded square matrices of n = 1..8 with entries up to 2^70: dense ones,
+    singular ones (a row a combination of two others), and ones whose leading
+    minors vanish, so that the elimination swaps rows."""
+    rng = random.Random(seed)
+    for n in range(1, 9):
+        for bound in (1, 9, 2**20, 2**70):
+            m = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+            yield m
+            if n > 1:
+                i, j, k = (rng.sample(range(n), 3) if n > 2 else [0, 1, 1])
+                f, g = rng.randint(-3, 3), rng.randint(-3, 3)
+                yield [[f * x + g * y for x, y in zip(m[j], m[k])] if r == i else row
+                       for r, row in enumerate(m)]
+                # lower triangular with a nonzero diagonal, rows shuffled: the
+                # first pivot is zero unless row 0 stays on top
+                low = [[rng.randint(-bound, bound) if c < r else (rng.choice((-1, 1)) * rng.randint(1, bound)
+                        if c == r else 0) for c in range(n)] for r in range(n)]
+                rng.shuffle(low)
+                yield low
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_elimination_matches_fraction_gauss_jordan(seed):
+    seen = {"singular": 0, "swapped": 0}
+    for m in _elimination_cases(seed):
+        d, inverse = _oracle_inverse(m)
+        assert det(m) == d
+        result = scaled_inverse(m)
+        if d == 0:
+            assert result is None
+            seen["singular"] += 1
+            continue
+        seen["swapped"] += m[0][0] == 0
+        a, scale = result
+        assert scale == abs(d)
+        assert a == [[int(scale * x) for x in row] for row in inverse]
+    assert all(seen.values()), seen
+
+
 def test_det_edge_cases():
     assert det([]) == 1
     assert det([[-7]]) == -7
