@@ -1167,9 +1167,11 @@ class TestSimplexKernel:
 
     @staticmethod
     def _listings(rng, d):
-        """A random d-simplex by its vertices, by its facets each scaled and
-        shuffled, by its vertices padded, and by its facets among redundant rows."""
-        vertices = tuple(tuple(2 * x for x in v) for v in make_random_simplex(d, 2, rng.randrange(10**6)).vertices)
+        """Twice a random d-simplex, so that an edge's midpoint is a lattice
+        point: by its vertices, by its facets each scaled and shuffled, by its
+        vertices padded, and by its facets among redundant rows."""
+        simplex = make_random_simplex(d, 2, rng.randrange(10**6))
+        vertices = tuple(tuple(2 * x for x in v) for v in simplex.vertices)
         facets = LatticePolytope(d, vertices=vertices).double_description[1]
         scaled = [HalfSpace(k * f.offset, tuple(k * a for a in f.normal))
                   for f in facets for k in [rng.randint(1, 3)]]
@@ -1191,7 +1193,7 @@ class TestSimplexKernel:
         rng = random.Random(seed)
         for d in range(1, 7):
             for k, p in enumerate(self._listings(rng, d)):
-                expected = _double_description_plan(LatticePolytope(d, vertices=p.vertices, halfspaces=p.halfspaces))
+                expected = _plan_outcome(_double_description_plan, p)
                 calls.clear()
                 plan = _plan_data(ehrstar.engine._scan_plan(p))
                 assert plan == expected, p
