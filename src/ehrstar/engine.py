@@ -27,12 +27,13 @@ Ehrhart-Macdonald reciprocity turns their interior counts into ehr(-n),
 and Newton forward differences on the nodes -k..k give the whole
 polynomial. The scan is built once per polytope as a plan (`_ScanPlan`):
 the box, which gives each dilate's size to the caps, the rows sorted, one
-Fourier-Motzkin step that eliminates t from them (on the first pass), and
-each row's bound, none of which depends on n. Each dilate is then one pass
-(`_scan_dilate`) that enumerates all box axes but the last two, s and t:
-the projected rows give each enumerated point its integer range of s, and
-every surviving (point, s) pair counts its t-values as one integer
-interval, and its interior t-values from the same floor quotients.
+Fourier-Motzkin step that eliminates t from them (on the first numpy
+pass), and each row's bound, none of which depends on n. Each dilate is
+then one pass (`_scan_dilate`) that enumerates all box axes but the last
+two, s and t: every (point, s) pair counts its t-values as one integer
+interval, and its interior t-values from the same floor quotients. The
+numpy kernel takes only the pairs in the range of s that the projected
+rows leave each point; the pure pass of a small box walks every pair.
 `count_points` evaluates the h*-vector of `compute_vectors` at n.
 
 The h*-vector of a simplex given by its d + 1 vertices (a polytope whose
@@ -45,8 +46,8 @@ conservative bound proves no overflow, and falls back to Python-int
 (object dtype) arrays otherwise.
 
 numpy is imported only when a scan pass of more than `_PURE_SCAN_WORK`
-(prefix, s) pairs times rows runs (`_scan_dilate`); a smaller pass runs on
-Python ints (`_pure_pass`). The parallelepiped route, the vector
+(prefix, s) pairs times rows runs (`_scan_dilate`); a smaller pass walks
+its box on Python ints (`_pure_pass`). The parallelepiped route, the vector
 conversions, the audit and the search use none of it, so a process that
 never scans a larger box skips its import. On a 2-vCPU Xeon VM, medians of
 11 cold runs with no bytecode cache: `compute --builtin higashitani-15`
@@ -81,16 +82,18 @@ _SCAN_CHUNK = 1 << 17
 _SCAN_KERNEL_LIMIT = 2**62
 # `_scan_dilate` runs `_pure_pass` when its work, the (prefix, s) pairs of
 # the dilate's box times the input rows, is at most this, and the numpy
-# kernel above it. Work 200 is where the pure pass stops being the faster:
-# timed per pass on the scans of perfbench's hscan workload (15 cycles,
-# Python 3.11, numpy 2.4, a 2-vCPU Xeon VM), a warm numpy pass, its first
-# `arrays` build included, took 0.09-0.19 ms at any work up to 1000; the
-# pure pass took 0.03-0.13 ms up to 200 (0.5-0.9 times numpy), and from
-# 201 to 500 its median ran 1.1-1.3 times numpy's, single d = 4 passes up
-# to 2.2 times. A cold process also pays 100-170 ms for the numpy import,
-# which a pure pass skips. The CI entry-point check that `compute` of the
-# octahedron loads no numpy relies on this value: its largest pass, the
-# dilate 2, has work 5 * 5 * 8 = 200.
+# kernel above it. Timed per pass on the scans of perfbench's hscan workload
+# (15 cycles, each pass on a fresh plan, medians of three runs, Python 3.11,
+# numpy 2.4, a 2-vCPU Xeon VM), a warm numpy pass, its projection and
+# `arrays` build included, took 0.11-0.14 ms at any work up to 1000; the
+# pure pass took 0.3 times that up to work 100 and 0.5 times from 101 to
+# 200 (single passes up to 1.04 times), 0.86-0.92 times from 201 to 300,
+# and from 301 on its median ran 1.0-1.7 times numpy's, single d = 4 passes
+# up to 2.5 times. So 200 sits below the crossover, near 300. A cold
+# process also pays 100-170 ms for the numpy import, which a pure pass
+# skips. The CI entry-point check that `compute` of the octahedron loads no
+# numpy relies on this value: its largest pass, the dilate 2, has work
+# 5 * 5 * 8 = 200.
 _PURE_SCAN_WORK = 200
 
 
@@ -180,25 +183,6 @@ def _lead(col, counts):
     return n_pos, n_bound, col[:n_pos, None], -col[n_pos:n_bound, None], *strict
 
 
-def _interval(vals, lead, lo, hi):
-    """`_intervals` for one column of Python ints: the integers y in [lo, hi]
-    with vals + a * y >= 0 on every row, and with >= 1 on the strict rows, as
-    (first, last, strict first, strict last); a range is empty where its
-    last is below its first. The lead holds lists where `_lead`'s holds
-    columns."""
-    n_pos, n_bound, a_pos, a_neg, k_pos, k_neg, k_zero = lead
-    pos, neg, flat = vals[:n_pos], vals[n_pos:n_bound], vals[n_bound:]
-    first = max([lo, *(-(v // a) for v, a in zip(pos, a_pos))])
-    first_s = max([lo, *(-((v - 1) // a) for v, a in zip(pos[:k_pos], a_pos))])
-    last = min([hi, *(v // a for v, a in zip(neg, a_neg))])
-    last_s = min([hi, *((v - 1) // a for v, a in zip(neg[:k_neg], a_neg))])
-    if any(v < 0 for v in flat):
-        last = first - 1
-    if any(v < 1 for v in flat[:k_zero]):
-        last_s = first_s - 1
-    return first, last, first_s, last_s
-
-
 class _ScanPlan:
     """What the scans of the dilates nP of one system have in common.
 
@@ -207,10 +191,10 @@ class _ScanPlan:
     (`sizes(n)` points per axis) with the offsets times n, and nothing else
     depends on n. So the plan holds, once: the rows with a != 0 on t, sorted
     by its sign; each row's bound |row| . max|x| + |offset| over the box,
-    which the dilate multiplies by n; and, from the first pass on, so after
-    the caps are checked, the `projection` of t: the Fourier-Motzkin step
-    keeps the rows with a = 0 and pairs every row with a > 0 with every row
-    with a < 0 into (-a_j) * row_i + a_i * row_j, up to m^2 / 4 rows. A
+    which the dilate multiplies by n; and, from the first numpy pass on, so
+    after the caps are checked, the `projection` of t: the Fourier-Motzkin
+    step keeps the rows with a = 0 and pairs every row with a > 0 with every
+    row with a < 0 into (-a_j) * row_i + a_i * row_j, up to m^2 / 4 rows. A
     projected row is reduced by its gcd at n = 1, which holds at every n as
     the row scales with n as a whole; at n it shrinks further only by
     gcd(n, g) for the gcd g of its coefficients, which `shared` keeps where
@@ -283,38 +267,39 @@ class _ScanPlan:
 
 
 def _pure_pass(plan: _ScanPlan, n: int, lows, highs) -> tuple[int, int]:
-    """`_scan_dilate`'s pass on Python ints, step by step as the numpy kernel
-    takes it: every prefix gets its closed and its interior range of s from
-    the projected rows (`_interval`), and every (prefix, s) pair in the
-    closed range its closed and interior t-interval from the t-rows, all of
-    which have a != 0 on t and are strict. It needs no dtype, and no
-    reduction of a projected row by gcd(n, g): dividing a row by a factor
-    of every one of its terms leaves the solutions of >= 0 and of >= 1 as
-    they are.
+    """`_scan_dilate`'s pass on Python ints: it walks every (prefix, s) pair
+    of the box. A pair counts if every row with a = 0 on t is >= 0 on it,
+    and towards the interior only if every such row is >= 1; the t-rows, all
+    of which have a != 0 on t and are strict, give its closed and interior
+    t-interval from the same floor quotients. It needs no dtype.
 
-    The t-interval is `_interval` of the t-rows, written out: calling
-    `_interval` once per (prefix, s) pair made the pass 1.7-2 times slower
-    on perfbench's hscan scans, 0.121 against 0.061 ms per pass at work
-    101-200 (medians, 15 cycles, 2-vCPU Xeon VM), which is slower than a
+    It builds no Fourier-Motzkin projection to prune s: in a box of at most
+    `_PURE_SCAN_WORK` steps the projection costs more than it saves. Timed
+    per pass on perfbench's hscan scans, each on a fresh plan (medians of
+    three runs, 15 cycles, 2-vCPU Xeon VM), the walk took 0.034-0.042 ms at
+    work <= 100 and 0.059-0.061 ms at 101-200, against 0.064-0.088 and
+    0.083-0.087 ms for a pass that built the projection and took each
+    prefix's range of s from it.
+
+    The t-interval is written out: calling a helper for it once per
+    (prefix, s) pair made the pass 1.7-2 times slower on the same scans,
+    0.121 against 0.061 ms per pass at work 101-200, which is slower than a
     warm numpy pass (0.092 ms) and would move the crossover below 100."""
-    proj, (n_pos, n_bound, *strict), _bounds, _shared = plan.projection
     p = len(lows) - 2  # enumerated axes
-    s_col = [r[p] for r in proj]
-    s_lead = n_pos, n_bound, s_col[:n_pos], [-a for a in s_col[n_pos:n_bound]], *strict
     t_pos = plan.t_counts[0]
     t_lo, t_hi = lows[-1], highs[-1]
     closed = interior = 0
     for prefix in product(*(range(lows[j], highs[j] + 1) for j in range(p))):
         # map stops at the end of the prefix: each row's terms on the enumerated axes
-        vals = [n * r[-1] + sum(map(mul, r, prefix)) for r in proj]
-        s_first, s_last, in_first, in_last = _interval(vals, s_lead, lows[p], highs[p])
-        if s_last < s_first:
-            continue
+        flat = [(n * r[-1] + sum(map(mul, r, prefix)), r[p]) for r in plan.flat]
         # each t-row as (its value but for the s-term, its a on s, its |a| on t)
         t_rows = [(n * r[-1] + sum(map(mul, r, prefix)), r[p], abs(r[p + 1]))
                   for r in plan.t_rows]
         pos, neg = t_rows[:t_pos], t_rows[t_pos:]
-        for s in range(s_first, s_last + 1):
+        for s in range(lows[p], highs[p] + 1):
+            least = min([b + c * s for b, c in flat], default=1)  # of the a = 0 rows
+            if least < 0:
+                continue
             first = first_s = t_lo
             for b, c, a in pos:  # t >= ceil(-v / a), and >= ceil((1 - v) / a)
                 v = b + c * s
@@ -331,7 +316,7 @@ def _pure_pass(plan: _ScanPlan, n: int, lows, highs) -> tuple[int, int]:
                     last_s = q
             if last >= first:  # the interior t-interval lies inside the closed one
                 closed += last - first + 1
-                if in_first <= s <= in_last and last_s >= first_s:
+                if least >= 1 and last_s >= first_s:
                     interior += last_s - first_s + 1
     return closed, interior
 
@@ -350,9 +335,10 @@ def _scan_dilate(plan: _ScanPlan, n: int) -> tuple[int, int]:
     interior range of s.
 
     A pass whose work, the (prefix, s) pairs of the box times the m input
-    rows, is at most `_PURE_SCAN_WORK`, read at each call, takes the same
-    steps on Python ints (`_pure_pass`) and imports no numpy; numpy is
-    imported here only for a larger pass.
+    rows, is at most `_PURE_SCAN_WORK`, read at each call, walks those
+    pairs on Python ints (`_pure_pass`), evaluating each row at most once
+    per pair, and imports no numpy; numpy is imported here only for a
+    larger pass.
 
     C = `_SCAN_CHUNK`, read at each call, bounds the points materialized at
     once: the tail block of prefix points, built once per dilate and reused
@@ -454,9 +440,10 @@ def _count_box_satisfying(lows, highs, rows, offsets) -> int:
     """Count integer points x with lows <= x <= highs and rows @ x + offsets >= 0.
 
     The closed count of one `_scan_dilate` pass at n = 1 over a fresh plan:
-    the pure pass for a small box, else the numpy kernel in blocks of
-    `_SCAN_CHUNK`, like every pass. No entry point calls it; it names the
-    kernel for the kernel tests and for perfbench's tracer.
+    the pure walk of every (prefix, s) pair for a small box, else the numpy
+    kernel in blocks of `_SCAN_CHUNK`, like every pass. No entry point
+    calls it; it names the kernel for the kernel tests and for perfbench's
+    tracer.
     """
     return _scan_dilate(_ScanPlan(lows, highs, rows, offsets), 1)[0]
 

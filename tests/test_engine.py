@@ -1615,11 +1615,17 @@ class TestPurePass:
 
     def test_small_boxes_take_the_pure_pass(self, monkeypatch):
         # 2 * Delta_3 by its facets scans its dilate 1 in 9 (prefix, s)
-        # pairs of 4 rows; the numpy kernel's arrays are never built
+        # pairs of 4 rows, and the octahedron by its vertices its dilate 2 in
+        # 5 * 5 pairs of 8 rows, work 200; neither the numpy kernel's arrays
+        # nor the Fourier-Motzkin projection is ever built
         monkeypatch.setattr(ehrstar.engine._ScanPlan, "arrays", None)
+        monkeypatch.setattr(ehrstar.engine._ScanPlan, "projection", None)
         rows = [HalfSpace(0, tuple(int(i == j) for i in range(3))) for j in range(3)]
         rows.append(HalfSpace(2, (-1, -1, -1)))
         assert count_profile(LatticePolytope(3, halfspaces=tuple(rows))).counts == (1, 10, 35, 84, 165)
+        octahedron = LatticePolytope(3, vertices=tuple(
+            tuple(sign * (i == j) for i in range(3)) for j in range(3) for sign in (1, -1)))
+        assert count_profile(octahedron).counts == (1, 7, 25, 63, 129)
 
 
 class TestBigCoordinates:
