@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 from math import comb
 from typing import Sequence
 
@@ -49,11 +50,11 @@ def _vacuous(name: str, reason: str) -> CheckResult:
     return CheckResult(name, holds=True, applicable=False, note=reason)
 
 
-def _chain(name: str, entries, start: int, stop: int, strict: bool) -> CheckResult:
-    """entries[k-1] > entries[k] (or >=) for start <= k <= stop."""
-    for k in range(start, stop + 1):
-        ok = entries[k - 1] > entries[k] if strict else entries[k - 1] >= entries[k]
-        if not ok:
+def _falls_from(name: str, f: FStarVector, start: int) -> CheckResult:
+    """f_{k-1} > f_k for start <= k <= d."""
+    e = f.entries
+    for k in range(start, f.dim + 1):
+        if not e[k - 1] > e[k]:
             return CheckResult(name, holds=False, witness=k)
     return CheckResult(name, holds=True)
 
@@ -79,7 +80,7 @@ def check_last_quarter(f: FStarVector) -> CheckResult:
     name = "last_quarter_decrease"
     if f.dim < 2:
         return _vacuous(name, "stated for d >= 2")
-    return _chain(name, f.entries, 3 * f.dim // 4 + 1, f.dim, strict=True)
+    return _falls_from(name, f, 3 * f.dim // 4 + 1)
 
 
 def check_mirror(f: FStarVector) -> CheckResult:
@@ -114,7 +115,7 @@ def check_gorenstein_range(f: FStarVector, g: int | None) -> CheckResult:
         return _vacuous(name, "h*-vector is not symmetric about its degree")
     d = f.dim
     start = -(-(d + 1 + (d + 1 - g) // 2) // 2)
-    return _chain(name, f.entries, start, d, strict=True)
+    return _falls_from(name, f, start)
 
 
 def check_degree_range(f: FStarVector, s: int) -> CheckResult:
@@ -122,7 +123,7 @@ def check_degree_range(f: FStarVector, s: int) -> CheckResult:
     name = "low_degree_tail"
     if s == 0:
         return _vacuous(name, "degree 0 (unimodular simplex) is exempt")
-    return _chain(name, f.entries, -(-(f.dim + s) // 2), f.dim, strict=True)
+    return _falls_from(name, f, -(-(f.dim + s) // 2))
 
 
 def check_hibi(h: HStarVector) -> CheckResult:
@@ -167,12 +168,6 @@ def unimodality(f: FStarVector) -> tuple[bool, int | None, int | None]:
     raise AssertionError("non-unimodal vector without a dip")
 
 
-def _peak_positions(entries) -> tuple[int, int]:
-    top = max(entries)
-    idx = [i for i, x in enumerate(entries) if x == top]
-    return idx[0], idx[-1]
-
-
 def check_peak_window(f: FStarVector, s: int) -> CheckResult:
     """For degree s >= 1 and d >= 2s^2-2s-2: unimodal, with some peak position
     inside [floor(d/2), ceil((d+s)/2) - 1].
@@ -183,11 +178,11 @@ def check_peak_window(f: FStarVector, s: int) -> CheckResult:
         return _vacuous(name, "needs positive degree")
     if d < 2 * s * s - 2 * s - 2:
         return _vacuous(name, f"needs d >= 2s^2-2s-2 = {2 * s * s - 2 * s - 2}")
-    uni, _peak, dip = unimodality(f)
+    uni, first, dip = unimodality(f)
     if not uni:
         return CheckResult(name, holds=False, witness=dip)
     lo, hi = d // 2, -(-(d + s) // 2) - 1
-    first, last = _peak_positions(f.entries)
+    last = d - f.entries[::-1].index(f.entries[first])
     if first > hi or last < lo:
         return CheckResult(name, holds=False, witness=first)
     return CheckResult(name, holds=True)
@@ -374,13 +369,10 @@ def search_nonunimodal(d: int, spikes: Sequence[SpikeRange], budget: int) -> Sea
         raise InputError("pattern must have one or two spikes")
     if budget < 1:
         raise InputError("budget must be positive")
+    combos = _spike_combos(d, spikes)
     found: list[SearchCandidate] = []
     scanned = 0
-    truncated = False
-    for combo in _spike_combos(d, spikes):
-        if scanned >= budget:
-            truncated = True
-            break
+    for combo in islice(combos, budget):
         scanned += 1
         entries = [1] + [0] * d
         for pos, val in combo:
@@ -393,7 +385,7 @@ def search_nonunimodal(d: int, spikes: Sequence[SpikeRange], budget: int) -> Sea
             continue
         found.append(SearchCandidate(h, dip, combo))
     found.sort(key=lambda c: c.spikes)
-    return SearchOutcome(d, tuple(found), scanned, truncated)
+    return SearchOutcome(d, tuple(found), scanned, next(combos, None) is not None)
 
 
 def search_outcome_json_lines(outcome: SearchOutcome) -> list[str]:

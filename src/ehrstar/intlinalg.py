@@ -98,7 +98,7 @@ class EchelonBasis:
 
 def solve_rational(rows: IntMatrix, rhs: list[int]):
     """Solve A x = b exactly over Q as a list of Fractions; None if A is singular."""
-    from fractions import Fraction  # here: no other path of the package needs the module
+    from fractions import Fraction  # here: no result path needs the module
 
     d, x = _eliminate(rows, [[b] for b in rhs])
     return None if x is None else [Fraction(row[0], d) for row in x]

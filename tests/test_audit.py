@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehrstar.audit import (
+    CheckResult,
     SpikeRange,
     check_binom_diff_lemma,
     check_degree5_unimodal,
@@ -46,6 +47,17 @@ def H(*entries):
 
 def unimodular_f(d):
     return f_from_h(HStarVector((1,) + (0,) * d))
+
+
+class TestCheckResult:
+    @pytest.mark.parametrize("holds, witness, message", [
+        (True, 0, "a passing check must not carry a witness"),
+        (False, None, "a failing check must carry a witness"),
+    ])
+    def test_witness_must_match_the_verdict(self, holds, witness, message):
+        with pytest.raises(ValueError) as excinfo:
+            CheckResult("x", holds=holds, witness=witness)
+        assert str(excinfo.value) == message
 
 
 class TestFirstHalf:
@@ -214,6 +226,15 @@ class TestPeakWindow:
         r = check_peak_window(F(3, 1, 3), 1)
         assert r.applicable and not r.holds and r.witness == 1
 
+    @pytest.mark.parametrize("entries, witness", [
+        ((1, 9, 9, 9, 2, 1, 1), None),  # peaks 1..3 reach the window [3, 3]
+        ((1, 2, 2, 2, 9, 9, 9), 4),  # peaks 4..6 start past it
+        ((9, 9, 9, 2, 2, 1, 1), 0),  # peaks 0..2 end before it
+    ])
+    def test_plateau_peaks_meet_the_window(self, entries, witness):
+        r = check_peak_window(F(*entries), 1)
+        assert r.applicable and r.holds == (witness is None) and r.witness == witness
+
 
 class TestDegree5Unimodal:
     def test_low_degree_spike_patterns(self):
@@ -325,6 +346,25 @@ class TestSearch:
         outcome = search_nonunimodal(15, [SpikeRange(8, 8, 2, 200)], 10)
         assert outcome.truncated
         assert outcome.scanned == 10
+
+    @pytest.mark.parametrize("spikes, budget, scanned, truncated", [
+        # 199 patterns: values 2..200 at position 8
+        ([SpikeRange(8, 8, 2, 200)], 198, 198, True),
+        ([SpikeRange(8, 8, 2, 200)], 199, 199, False),
+        ([SpikeRange(8, 8, 2, 200)], 200, 199, False),
+        # 100 patterns: positions (8, 12) and (8, 13), 10 * 5 values each
+        ([SpikeRange(8, 8, 131, 140), SpikeRange(12, 13, 1, 5)], 99, 99, True),
+        ([SpikeRange(8, 8, 131, 140), SpikeRange(12, 13, 1, 5)], 100, 100, False),
+        ([SpikeRange(8, 8, 131, 140), SpikeRange(12, 13, 1, 5)], 101, 100, False),
+    ], ids=["one-198", "one-199", "one-200", "two-99", "two-100", "two-101"])
+    def test_budget_boundary(self, spikes, budget, scanned, truncated):
+        outcome = search_nonunimodal(15, spikes, budget)
+        assert (outcome.scanned, outcome.truncated) == (scanned, truncated)
+
+    def test_huge_value_range_is_walked_lazily(self):
+        # a tuple of the values could not be allocated
+        outcome = search_nonunimodal(15, [SpikeRange(8, 8, 2, 10**18)], 5)
+        assert (outcome.scanned, outcome.truncated) == (5, True)
 
     def test_two_spikes(self):
         outcome = search_nonunimodal(

@@ -679,6 +679,17 @@ class TestSearch:
         summary = json.loads(out.strip().splitlines()[-1])["summary"]
         assert summary["truncated"] is True
 
+    @pytest.mark.parametrize("budget, code, summary", [
+        (198, 4, "69 candidate(s) from 198 pattern(s) at d = 15 [budget exhausted, partial]"),
+        (199, 0, "70 candidate(s) from 199 pattern(s) at d = 15"),
+        (200, 0, "70 candidate(s) from 199 pattern(s) at d = 15"),
+    ])
+    def test_budget_boundary(self, capsys, budget, code, summary):
+        # 199 patterns: values 2..200 at position 8, candidates from 131 on
+        result, out, err = run(capsys, "search", "--dim", "15", "--spike-pos-range", "8:8",
+                               "--spike-val-range", "2:200", "--budget", str(budget))
+        assert (result, err, out.splitlines()[-2]) == (code, "", summary)
+
     def test_text_mode_carries_disclaimer(self, capsys):
         code, out, _ = run(
             capsys, "search", "--dim", "15", "--spike-pos-range", "8:8",
@@ -771,6 +782,13 @@ class TestSelftest:
         assert [line for line in out.splitlines() if "[FAIL]" in line] == [
             "  [FAIL] binomial difference lemma", "  [FAIL] basis round trips"]
         assert out.splitlines()[-1].startswith("2 check(s) FAILED")
+
+    def test_failed_polynomial_identity_fails_the_round_trips(self, capsys, monkeypatch):
+        monkeypatch.setattr(starbasis, "hstar_poly_identity_check", lambda h, f: False)
+        code, out, _ = run(capsys, "selftest")
+        assert code == 1
+        assert [line for line in out.splitlines() if "[FAIL]" in line] == [
+            "  [FAIL] basis round trips"]
 
 
 _POLYTOPE_COMMANDS = ("compute", "audit", "series")

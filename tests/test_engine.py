@@ -186,6 +186,23 @@ class TestBoxPoints:
         with pytest.raises(InputError, match="needs a simplex given by its d \\+ 1 vertices"):
             box_points_simplex(p)
 
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda diag, t: ([2 * diag[0], *diag[1:]], t), "normal form inconsistent with the volume"),
+        (lambda diag, t: (diag, [[x + 1 for x in row] for row in t]),
+         "residue lift has non-integer height"),
+        (lambda diag, t: (diag, [[0] * len(row) for row in t]),  # every lift at height 0
+         "parallelepiped enumeration lost residues"),
+    ], ids=["diag", "lift", "heights"])
+    def test_corrupted_diagonal_form_raises(self, monkeypatch, corrupt, message):
+        # homogenized vertices of conv{0, e_1, e_2, (1, 3, 5)}: diag (1, 1, 1, 5)
+        s = LatticeSimplex.from_vertices(((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 3, 5)))
+        diagonalize = ehrstar.engine.diagonalize_lattice_basis
+        monkeypatch.setattr(ehrstar.engine, "diagonalize_lattice_basis",
+                            lambda rows: corrupt(*diagonalize(rows)))
+        with pytest.raises(ArithmeticError) as excinfo:
+            box_points_simplex(s)
+        assert str(excinfo.value) == message
+
     @given(small_simplices)
     @settings(max_examples=25, deadline=None)
     def test_agrees_with_interpolation(self, s):

@@ -12,6 +12,7 @@ from math import prod
 import pytest
 from conftest import _solve_gauss
 
+from ehrstar import intlinalg
 from ehrstar.intlinalg import det, diagonalize_lattice_basis, scaled_inverse, solve_rational
 
 
@@ -141,6 +142,19 @@ def test_elimination_matches_fraction_gauss_jordan(seed):
         assert scale == abs(d)
         assert a == [[int(scale * x) for x in row] for row in inverse]
     assert all(seen.values()), seen
+
+
+def test_scaled_inverse_checks_its_product(monkeypatch):
+    eliminate = intlinalg._eliminate
+
+    def first_entry_off_by_one(rows, rhs):
+        d, x = eliminate(rows, rhs)
+        return d, [[x[0][0] + 1, *x[0][1:]], *x[1:]]
+
+    monkeypatch.setattr(intlinalg, "_eliminate", first_entry_off_by_one)
+    with pytest.raises(ArithmeticError) as excinfo:
+        scaled_inverse([[2, 1], [1, 1]])
+    assert str(excinfo.value) == "scaled inverse fails A @ rows == D * I"
 
 
 def test_det_edge_cases():
