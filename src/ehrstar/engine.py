@@ -27,33 +27,38 @@ Ehrhart-Macdonald reciprocity turns their interior counts into ehr(-n),
 and Newton forward differences on the nodes -k..k give the whole
 polynomial. The scan is built once per polytope as a plan (`_ScanPlan`):
 the box, which gives each dilate's size to the caps, the rows sorted, one
-Fourier-Motzkin step that eliminates t from them (on the first numpy
+Fourier-Motzkin step that eliminates t from them (on the first sliced
 pass), and each row's bound, none of which depends on n. Each dilate is
-then one pass (`_scan_dilate`) that enumerates all box axes but the last
-two, s and t: every (point, s) pair counts its t-values as one integer
-interval, and its interior t-values from the same floor quotients. The
-numpy kernel takes only the pairs in the range of s that the projected
-rows leave each point; the pure pass of a small box walks every pair.
-`count_points` evaluates the h*-vector of `compute_vectors` at n.
+then one pass (`_scan_dilate`) of one of three kernels, chosen by its
+size. The pure pass and the sliced kernel enumerate all box axes but the
+last two, s and t: every (point, s) pair counts its t-values as one
+integer interval, and its interior t-values from the same floor
+quotients. The pure pass of a small box walks every pair; the sliced
+kernel takes only the pairs in the range of s that the projected rows
+leave each point. The dense pass of a small box evaluates every row at
+every box point. `count_points` evaluates the h*-vector of
+`compute_vectors` at n.
 
 The h*-vector of a simplex given by its d + 1 vertices (a polytope whose
 `normalized_volume` is set, the simplex generators' output among them) is
 computed directly, without any counting, by enumerating the lattice points
 of the half-open parallelepiped spanned by the homogenized vertices (see
 `box_points_simplex`); a simplex given by its facets is scanned. All
-arithmetic is exact: the numpy scan kernel runs on int64 only when a
-conservative bound proves no overflow, and falls back to Python-int
-(object dtype) arrays otherwise.
+arithmetic is exact: the numpy kernels run on int64 only when a
+conservative bound proves no overflow. Otherwise the dense pass does not
+run, and the sliced kernel runs on Python-int (object dtype) arrays.
 
 numpy is imported only when a scan pass of more than `_PURE_SCAN_WORK`
 (prefix, s) pairs times rows runs (`_scan_dilate`); a smaller pass walks
-its box on Python ints (`_pure_pass`). The parallelepiped route, the vector
-conversions, the audit and the search use none of it, so a process that
-never scans a larger box skips its import. On a 2-vCPU Xeon VM, medians of
-11 cold runs with no bytecode cache: `compute --builtin higashitani-15`
-takes about 0.10 s, and `compute --input` of 2 * (standard 3-simplex) by
-its 4 facets, one pure pass, 0.10 s instead of 0.19 s with the numpy
-kernel.
+its box on Python ints (`_pure_pass`). A numpy pass of at most
+`_DENSE_SCAN_CELLS` box points times rows runs `_dense_pass` when its
+int64 bound holds, and the sliced kernel otherwise. The parallelepiped
+route, the vector conversions, the audit and the search use none of it,
+so a process that never scans a larger box skips its import. On a 2-vCPU
+Xeon VM, medians of 11 cold runs with no bytecode cache: `compute
+--builtin higashitani-15` takes about 0.10 s, and `compute --input` of
+2 * (standard 3-simplex) by its 4 facets, one pure pass, 0.10 s instead
+of 0.19 s with the numpy kernel.
 """
 
 from __future__ import annotations
@@ -81,20 +86,26 @@ _SCAN_CHUNK = 1 << 17
 # a box of fewer candidates keeps both below 2^62.
 _SCAN_KERNEL_LIMIT = 2**62
 # `_scan_dilate` runs `_pure_pass` when its work, the (prefix, s) pairs of
-# the dilate's box times the input rows, is at most this, and the numpy
-# kernel above it. Timed per pass on the scans of perfbench's hscan workload
-# (15 cycles, each pass on a fresh plan, medians of three runs, Python 3.11,
-# numpy 2.4, a 2-vCPU Xeon VM), a warm numpy pass, its projection and
-# `arrays` build included, took 0.11-0.14 ms at any work up to 1000; the
-# pure pass took 0.3 times that up to work 100 and 0.5 times from 101 to
-# 200 (single passes up to 1.04 times), 0.86-0.92 times from 201 to 300,
-# and from 301 on its median ran 1.0-1.7 times numpy's, single d = 4 passes
-# up to 2.5 times. So 200 sits below the crossover, near 300. A cold
-# process also pays 100-170 ms for the numpy import, which a pure pass
-# skips. The CI entry-point check that `compute` of the octahedron loads no
-# numpy relies on this value: its largest pass, the dilate 2, has work
-# 5 * 5 * 8 = 200.
+# the dilate's box times the input rows, is at most this. That skips the
+# numpy import, 100-170 ms of a cold process, but is slower in a warm one:
+# timed per pass on the scans of perfbench's hscan workload (15 cycles,
+# each pass on a fresh plan, best of 5, three runs, Python 3.11, numpy 2.4,
+# a 2-vCPU Xeon VM), the pure pass's median time over the dense pass's was
+# 1.5-1.6 at work up to 100, 2.3-2.6 from 101 to 200 and 3.8-3.9 from 201
+# to 400. CI's check that `compute` of the octahedron loads no numpy needs
+# at least 200: its dilate 2 has work 5 * 5 * 8.
 _PURE_SCAN_WORK = 200
+# A larger pass runs `_dense_pass` when its cells, the dilate's box points
+# times the rows, are at most this, and the sliced kernel above it. On the
+# same passes, the dense pass's median time over the sliced kernel's, whose
+# projection and `arrays` are built in the pass, was, by cells:
+#   <= 2*10^3: 0.24-0.25     2-4*10^4: 0.54-0.56
+#   2-5*10^3: 0.26-0.27      4-8*10^4: 0.86-0.91
+#   5-10*10^3: 0.33-0.36     8-16*10^4: 1.50-1.63
+#   1-2*10^4: 0.42           above: 4.8-5.1
+# Up to 2^15 no single pass took more than 0.90 times; from 2^15 to 2^16
+# some took up to 1.27 times, and from 2^16 on the median passes 1.
+_DENSE_SCAN_CELLS = 2**15
 
 
 @dataclass(frozen=True)
@@ -191,7 +202,8 @@ class _ScanPlan:
     (`sizes(n)` points per axis) with the offsets times n, and nothing else
     depends on n. So the plan holds, once: the rows with a != 0 on t, sorted
     by its sign; each row's bound |row| . max|x| + |offset| over the box,
-    which the dilate multiplies by n; and, from the first numpy pass on, so
+    which the dilate multiplies by n, the max over the t-rows (`row_bound`)
+    and over every row (`bound`); and, from the first sliced pass on, so
     after the caps are checked, the `projection` of t: the Fourier-Motzkin
     step keeps the rows with a = 0 and pairs every row with a > 0 with every
     row with a < 0 into (-a_j) * row_i + a_i * row_j, up to m^2 / 4 rows. A
@@ -221,6 +233,7 @@ class _ScanPlan:
         self.flat = [r for r in full if not r[-2]]
         self.m = len(full)
         self.row_bound = max(map(self._bound, self.t_rows), default=0)
+        self.bound = max([self.row_bound, *map(self._bound, self.flat)])  # of every row
         self._arrays = {}
 
     def _bound(self, r):  # |row| . maxabs + |offset|; a projected row has no t
@@ -274,17 +287,10 @@ def _pure_pass(plan: _ScanPlan, n: int, lows, highs) -> tuple[int, int]:
     t-interval from the same floor quotients. It needs no dtype.
 
     It builds no Fourier-Motzkin projection to prune s: in a box of at most
-    `_PURE_SCAN_WORK` steps the projection costs more than it saves. Timed
-    per pass on perfbench's hscan scans, each on a fresh plan (medians of
-    three runs, 15 cycles, 2-vCPU Xeon VM), the walk took 0.034-0.042 ms at
-    work <= 100 and 0.059-0.061 ms at 101-200, against 0.064-0.088 and
-    0.083-0.087 ms for a pass that built the projection and took each
-    prefix's range of s from it.
-
-    The t-interval is written out: calling a helper for it once per
-    (prefix, s) pair made the pass 1.7-2 times slower on the same scans,
-    0.121 against 0.061 ms per pass at work 101-200, which is slower than a
-    warm numpy pass (0.092 ms) and would move the crossover below 100."""
+    `_PURE_SCAN_WORK` steps the projection costs more than it saves (0.06
+    against 0.085 ms per pass at work 101-200 on perfbench's hscan scans).
+    The t-interval is written out: a helper called once per (prefix, s)
+    pair made the pass 1.7-2 times slower on the same scans."""
     p = len(lows) - 2  # enumerated axes
     t_pos = plan.t_counts[0]
     t_lo, t_hi = lows[-1], highs[-1]
@@ -321,24 +327,54 @@ def _pure_pass(plan: _ScanPlan, n: int, lows, highs) -> tuple[int, int]:
     return closed, interior
 
 
+def _box_values(coefs, offsets, lows, highs, dtype):
+    """offsets + coefs @ x at every point x of the box lows..highs: one row
+    per row of coefs, one column per point, the last axis fastest."""
+    import numpy as np
+
+    vals = offsets
+    for j, (lo, hi) in enumerate(zip(lows, highs)):
+        step = coefs[:, j : j + 1] * np.arange(lo, hi + 1, dtype=dtype)
+        vals = (vals[:, :, None] + step[:, None, :]).reshape(len(coefs), vals.shape[1] * (hi - lo + 1))
+    return vals
+
+
+def _dense_pass(plan: _ScanPlan, n: int, lows, highs) -> tuple[int, int]:
+    """`_scan_dilate`'s pass on int64 for a small box: every row at every box
+    point, and the points whose least row value is >= 0 (closed) and >= 1
+    (interior). With no rows, the least is `initial`, 1: every point."""
+    import numpy as np
+
+    rows = np.array(plan.t_rows + plan.flat, dtype=np.int64).reshape(plan.m, len(lows) + 1)
+    vals = _box_values(rows[:, :-1], rows[:, -1:] * n, lows, highs, np.int64)
+    least = np.minimum.reduce(vals, axis=0, initial=1)
+    return int(np.count_nonzero(least >= 0)), int(np.count_nonzero(least >= 1))
+
+
 def _scan_dilate(plan: _ScanPlan, n: int) -> tuple[int, int]:
     """(closed, interior): the integer points x of the box n * mins..n * maxs
     with rows @ x + n * offsets >= 0, and those with > 0 on every row.
 
-    Only the first d - 2 axes are enumerated; s and t name the last two. For
-    each enumerated prefix the projected rows give the range of s outside of
-    which the t-interval is empty (`_intervals`, clipped to the box); the
-    surviving (prefix, s) pairs are expanded with np.repeat, and each counts
-    its t-values as one interval. The interior points' pairs are among
-    those: on each pair the t-rows give the interior t-interval from the
-    same quotients, and the rows with a = 0 on t, at threshold 1, give the
-    interior range of s.
+    The pass takes one of three kernels, by the size constants read at each
+    call:
+      * work, the (prefix, s) pairs of the box times the m input rows, at
+        most `_PURE_SCAN_WORK`: `_pure_pass` walks those pairs on Python
+        ints, evaluating each row at most once per pair, and imports no
+        numpy; numpy is imported here only for a larger pass;
+      * cells, the box points times the rows, at most `_DENSE_SCAN_CELLS`,
+        with n * `plan.bound`, the box coordinates + 1 and the point count
+        all below 2^62, which bounds every value `_dense_pass` forms: it
+        evaluates every row at every point on int64, with no projection;
+      * any other pass: the sliced kernel, below.
 
-    A pass whose work, the (prefix, s) pairs of the box times the m input
-    rows, is at most `_PURE_SCAN_WORK`, read at each call, walks those
-    pairs on Python ints (`_pure_pass`), evaluating each row at most once
-    per pair, and imports no numpy; numpy is imported here only for a
-    larger pass.
+    The sliced kernel enumerates only the first d - 2 axes; s and t name
+    the last two. For each enumerated prefix the projected rows give the
+    range of s outside of which the t-interval is empty (`_intervals`,
+    clipped to the box); the surviving (prefix, s) pairs are expanded with
+    np.repeat, and each counts its t-values as one interval. The interior
+    points' pairs are among those: on each pair the t-rows give the
+    interior t-interval from the same quotients, and the rows with a = 0 on
+    t, at threshold 1, give the interior range of s.
 
     C = `_SCAN_CHUNK`, read at each call, bounds the points materialized at
     once: the tail block of prefix points, built once per dilate and reused
@@ -347,7 +383,7 @@ def _scan_dilate(plan: _ScanPlan, n: int) -> tuple[int, int]:
     that survive, and the pairs are expanded at most C at a time, into a few
     arrays of (t-rows) * C cells each.
 
-    The int64 path runs only when `worst` < 2^62, which bounds every
+    Its int64 path runs only when `worst` < 2^62, which bounds every
     intermediate: the partial values of the rows and of the projected rows
     (each row's own bound, which for a projected row is at most
     |a_j| * W_i + |a_i| * W_j for the bounds W of its pair, and less after
@@ -363,12 +399,16 @@ def _scan_dilate(plan: _ScanPlan, n: int) -> tuple[int, int]:
     lows, highs = [n * m for m in plan.mins], [n * m for m in plan.maxs]
     if math.prod(sizes[:-1]) * plan.m <= _PURE_SCAN_WORK:
         return _pure_pass(plan, n, lows, highs)
+    points = math.prod(sizes)
+    if (points * max(plan.m, 1) <= _DENSE_SCAN_CELLS
+            and max(n * plan.bound, n * max(plan.maxabs) + 1, points) < _SCAN_KERNEL_LIMIT):
+        return _dense_pass(plan, n, lows, highs)
     import numpy as np  # here, not at the top: processes that scan only small boxes skip its import
 
     proj, s_counts, proj_bounds, shared = plan.projection
     reduced = {i: e for i, g in shared if (e := math.gcd(g, n)) > 1}
     proj_bound = max((n * w // reduced.get(i, 1) for i, w in enumerate(proj_bounds)), default=0)
-    worst = max(n * plan.row_bound, proj_bound, n * max(plan.maxabs) + 1, math.prod(sizes))
+    worst = max(n * plan.row_bound, proj_bound, n * max(plan.maxabs) + 1, points)
     dtype = np.int64 if worst < _SCAN_KERNEL_LIMIT else object
     pm, tm, s_lead, t_lead = plan.arrays(dtype)
     p = len(lows) - 2  # enumerated axes
@@ -387,14 +427,7 @@ def _scan_dilate(plan: _ScanPlan, n: int) -> tuple[int, int]:
         split -= 1
         tail_count *= sizes[split]
 
-    # One row of projected-row values per projected row, one column per
-    # tail point; the last tail axis varies fastest.
-    tail_vals = p_off
-    for j in range(split, p):
-        step = pm[:, j : j + 1] * np.arange(lows[j], highs[j] + 1, dtype=dtype)
-        cells = tail_vals[:, :, None] + step[:, None, :]
-        tail_vals = cells.reshape(len(pm), tail_vals.shape[1] * sizes[j])
-
+    tail_vals = _box_values(pm[:, split:p], p_off, lows[split:p], highs[split:p], dtype)
     closed = interior = 0
     for prefix in product(*(range(lows[j], highs[j] + 1) for j in range(split))):
         vals, t_vals = tail_vals, t_off
@@ -440,10 +473,10 @@ def _count_box_satisfying(lows, highs, rows, offsets) -> int:
     """Count integer points x with lows <= x <= highs and rows @ x + offsets >= 0.
 
     The closed count of one `_scan_dilate` pass at n = 1 over a fresh plan:
-    the pure walk of every (prefix, s) pair for a small box, else the numpy
-    kernel in blocks of `_SCAN_CHUNK`, like every pass. No entry point
-    calls it; it names the kernel for the kernel tests and for perfbench's
-    tracer.
+    the pure walk of every (prefix, s) pair for a small box, the dense pass
+    for a small numpy box, else the sliced kernel in blocks of
+    `_SCAN_CHUNK`, like every pass. No entry point calls it; it names the
+    kernel for the kernel tests and for perfbench's tracer.
     """
     return _scan_dilate(_ScanPlan(lows, highs, rows, offsets), 1)[0]
 

@@ -1304,23 +1304,25 @@ def _one_pass(lows, highs, rows, offsets) -> tuple[int, int]:
 
 
 def _each_pass(run) -> list:
-    """run() with every scan pass pure, then with every pass on the numpy
-    kernel: the two results."""
+    """run() with every scan pass pure, then dense where its int64 bound
+    allows, then sliced: the three results."""
     results = []
-    for work in (math.inf, 0):
+    for work, cells in ((math.inf, 0), (0, math.inf), (0, 0)):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ehrstar.engine, "_PURE_SCAN_WORK", work)
+            patch.setattr(ehrstar.engine, "_DENSE_SCAN_CELLS", cells)
             results.append(run())
     return results
 
 
 def _kernel_matches(system, expected, chunk) -> None:
     """The one-dilate kernel gives the closed count, one pass both counts:
-    through the pure pass, and through the numpy kernel in blocks of `chunk`."""
+    through the pure pass, the dense pass, and the sliced kernel in blocks
+    of `chunk`."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ehrstar.engine, "_SCAN_CHUNK", chunk)
         counts = _each_pass(lambda: (_count_box_satisfying(*system), _one_pass(*system)))
-    assert counts == [(expected[0], tuple(expected))] * 2
+    assert counts == [(expected[0], tuple(expected))] * 3
 
 
 def _needle_simplex(d: int, k: int) -> LatticePolytope:
@@ -1333,6 +1335,13 @@ def _needle_simplex(d: int, k: int) -> LatticePolytope:
     return LatticeSimplex.from_vertices(
         [(0,) * d, top] + [tuple(x + (j == i) for j, x in enumerate(top)) for i in range(d - 1)]
     )
+
+
+def _delta_rows(k, shift) -> tuple:
+    """k * Delta_d moved by shift, by its d + 1 facets."""
+    d = len(shift)
+    rows = [HalfSpace(-t, tuple(int(i == j) for i in range(d))) for j, t in enumerate(shift)]
+    return (*rows, HalfSpace(k + sum(shift), (-1,) * d))
 
 
 class TestIntervalKernel:
@@ -1504,7 +1513,7 @@ class TestIntervalKernel:
             for n in (1, 2, 3, 4):
                 dilate = [n * x for x in mins], [n * x for x in maxs], rows, [n * c for c in offsets]
                 expected = _brute_closed_and_interior(*dilate)
-                assert _each_pass(lambda: ehrstar.engine._scan_dilate(plan, n)) == [expected] * 2
+                assert _each_pass(lambda: ehrstar.engine._scan_dilate(plan, n)) == [expected] * 3
 
     @pytest.mark.parametrize("offset", [1, -1])
     def test_row_reduced_again_bounds_s(self, monkeypatch, offset):
@@ -1519,12 +1528,13 @@ class TestIntervalKernel:
         for n in (1, 2, 3, 4):
             dilate = [n * x for x in mins], [n * x for x in maxs], rows, [n * c for c in offsets]
             assert _each_pass(lambda: ehrstar.engine._scan_dilate(plan, n)) == [
-                _brute_closed_and_interior(*dilate)] * 2
+                _brute_closed_and_interior(*dilate)] * 3
 
     @staticmethod
     def _dtypes(monkeypatch):
-        """The dtype of every pass, in order, with every pass on the numpy kernel."""
+        """The dtype of every pass, in order, with every pass on the sliced kernel."""
         monkeypatch.setattr(ehrstar.engine, "_PURE_SCAN_WORK", 0)
+        monkeypatch.setattr(ehrstar.engine, "_DENSE_SCAN_CELLS", 0)
         dtypes = []
         scan = ehrstar.engine._scan_dilate
 
@@ -1557,10 +1567,8 @@ class TestIntervalKernel:
         # 10 * Delta_3 translated near 2^58: the bound of the dilate 1, the
         # one scanned, stays below 2^62
         shift = [2**58 + 17, 2**58 - 400, 2**58 + 999]
-        rows = [HalfSpace(-t, tuple(int(i == j) for i in range(3))) for j, t in enumerate(shift)]
-        rows.append(HalfSpace(10 + sum(shift), (-1, -1, -1)))
         dtypes = self._dtypes(monkeypatch)
-        counts = count_profile(LatticePolytope(3, halfspaces=tuple(rows))).counts
+        counts = count_profile(LatticePolytope(3, halfspaces=_delta_rows(10, shift))).counts
         assert counts == tuple(math.comb(10 * n + 3, 3) for n in range(5))
         assert len(dtypes) == 1 and object not in dtypes
 
@@ -1610,15 +1618,15 @@ def _scan_systems(draw):
 
 
 class TestPurePass:
-    """The pure pass against the numpy kernel, which `TestIntervalKernel`
-    checks against the oracles."""
+    """The pure pass against the dense pass and the sliced kernel, which
+    `TestIntervalKernel` checks against the oracles."""
 
     @given(_scan_systems(), st.integers(1, 3))
     @settings(max_examples=150, deadline=None)
     def test_both_passes_agree(self, system, n):
         plan = ehrstar.engine._ScanPlan(*system)
-        pure, numpy_kernel = _each_pass(lambda: ehrstar.engine._scan_dilate(plan, n))
-        assert pure == numpy_kernel
+        pure, dense, sliced = _each_pass(lambda: ehrstar.engine._scan_dilate(plan, n))
+        assert pure == dense == sliced
 
     @pytest.mark.parametrize("d", [0, 1, 2, 3])
     def test_unit_box_past_2_62(self, d):
@@ -1645,6 +1653,73 @@ class TestPurePass:
         assert count_profile(octahedron).counts == (1, 7, 25, 63, 129)
 
 
+class TestDensePass:
+    """The dense pass: every row at every point of a small box, on int64."""
+
+    @staticmethod
+    def _dense_dilates(monkeypatch) -> list:
+        """The dilate of every dense pass, in order."""
+        dense = ehrstar.engine._dense_pass
+        dilates = []
+        monkeypatch.setattr(ehrstar.engine, "_dense_pass",
+                            lambda plan, n, *box: dilates.append(n) or dense(plan, n, *box))
+        return dilates
+
+    def test_small_boxes_take_the_dense_pass(self, monkeypatch):
+        # 7 * Delta_4 by its facets scans its dilate 1: 8^4 points of 5 rows,
+        # 20,480 cells, with neither the sliced kernel's arrays nor the
+        # Fourier-Motzkin projection ever built
+        monkeypatch.setattr(ehrstar.engine._ScanPlan, "arrays", None)
+        monkeypatch.setattr(ehrstar.engine._ScanPlan, "projection", None)
+        dilates = self._dense_dilates(monkeypatch)
+        counts = count_profile(LatticePolytope(4, halfspaces=_delta_rows(7, [0] * 4))).counts
+        assert counts == tuple(math.comb(7 * n + 4, 4) for n in range(6))
+        assert dilates == [1]
+
+    def test_simplex_near_2_58_takes_the_dense_pass(self, monkeypatch):
+        # 10 * Delta_3 near 2^58: every row's bound at the dilate 1, the one
+        # scanned, stays below 2^62, so its 11^3 points run the dense pass
+        monkeypatch.setattr(ehrstar.engine, "_PURE_SCAN_WORK", 0)
+        monkeypatch.setattr(ehrstar.engine._ScanPlan, "arrays", None)
+        monkeypatch.setattr(ehrstar.engine._ScanPlan, "projection", None)
+        dilates = self._dense_dilates(monkeypatch)
+        p = LatticePolytope(3, halfspaces=_delta_rows(10, [2**58 + 17, 2**58 - 400, 2**58 + 999]))
+        assert count_profile(p).counts == tuple(math.comb(10 * n + 3, 3) for n in range(5))
+        assert dilates == [1]
+
+    def test_simplex_past_2_62_takes_the_object_dtype(self, monkeypatch):
+        # moved to 2^60, the last facet's bound passes 2^62: the dense pass,
+        # int64 only, leaves the dilate to the sliced kernel on Python ints
+        monkeypatch.setattr(ehrstar.engine, "_PURE_SCAN_WORK", 0)
+        dilates = self._dense_dilates(monkeypatch)
+        dtypes = TestIntervalKernel._dtypes(monkeypatch)
+        monkeypatch.setattr(ehrstar.engine, "_DENSE_SCAN_CELLS", math.inf)
+        p = LatticePolytope(3, halfspaces=_delta_rows(10, [2**60 + 17, 2**60 - 400, 2**60 + 999]))
+        assert count_profile(p).counts == tuple(math.comb(10 * n + 3, 3) for n in range(5))
+        assert dilates == [] and dtypes == [object]
+
+    def test_bound_covers_the_rows_without_t(self, monkeypatch):
+        # 2^62 x + 2^63 >= 0 has a = 0 on t and values 0..2^64 on [-2, 2],
+        # while the t-rows t + 2 >= 0 and 2 - t >= 0 stay small: the bound of
+        # every row keeps the pass off int64, and the sliced kernel, which
+        # divides that row by its gcd 2^62, counts it on int64
+        rows, offsets = [[2**62, 0], [0, 1], [0, -1]], [2**63, 2, 2]
+        plan = ehrstar.engine._ScanPlan([-2, -2], [2, 2], rows, offsets)
+        assert plan.row_bound < 2**62 <= plan.bound
+        dilates = self._dense_dilates(monkeypatch)
+        system = [-2, -2], [2, 2], rows, offsets
+        assert _brute_closed_and_interior(*system) == (25, 12)
+        _kernel_matches(system, (25, 12), 1 << 17)
+        assert dilates == []
+
+    @pytest.mark.parametrize("chunk", [1, 1 << 17])
+    @pytest.mark.parametrize("lows, highs", [([], []), ([3], [5]), ([-1, 0, 2], [1, 3, 2])])
+    def test_no_rows(self, lows, highs, chunk):
+        # no row bounds anything: every box point counts, inside too
+        points = math.prod(hi - lo + 1 for lo, hi in zip(lows, highs))
+        _kernel_matches((lows, highs, [], []), (points, points), chunk)
+
+
 class TestBigCoordinates:
     def test_object_dtype_path_is_exact(self, monkeypatch):
         # coefficients far beyond int64 force the object-dtype scan of the
@@ -1661,7 +1736,7 @@ class TestBigCoordinates:
         # [2^70, 2^70 + 1]^2: the enumerated axis itself is past int64
         big = 2**70
         p = LatticePolytope(2, halfspaces=tuple(_axis_rows([big, big], [big + 1, big + 1])))
-        assert _each_pass(lambda: count_profile(p).counts) == [(1, 4, 9, 16)] * 2
+        assert _each_pass(lambda: count_profile(p).counts) == [(1, 4, 9, 16)] * 3
 
     def test_big_volume_parallelepiped(self):
         s = LatticeSimplex.from_vertices(((0, 0), (300, 1), (1, 400)))
