@@ -26,27 +26,27 @@ and facet volumes give its two leading coefficients (`_scan_plan`).
 Ehrhart-Macdonald reciprocity turns their interior counts into ehr(-n),
 and Newton forward differences on the nodes -k..k give the whole
 polynomial. The scan is built once per polytope as a plan (`_ScanPlan`):
-the box, which gives each dilate's size to the caps, the rows sorted, one
-Fourier-Motzkin step that eliminates t from them (on the first sliced
-pass), and each row's bound, none of which depends on n. Each dilate is
-then one pass (`_scan_dilate`) of one of three kernels, chosen by its
-size. The pure pass and the sliced kernel enumerate all box axes but the
-last two, s and t: every (point, s) pair counts its t-values as one
-integer interval, and its interior t-values from the same floor
-quotients. The pure pass of a small box walks every pair; the sliced
-kernel takes only the pairs in the range of s that the projected rows
-leave each point. The dense pass of a small box evaluates every row at
-every box point. `count_points` evaluates the h*-vector of
-`compute_vectors` at n.
+the box moved to the origin, whose widths give each dilate's size to the
+caps, the rows moved with it and sorted, one Fourier-Motzkin step that
+eliminates t from them (on the first sliced pass), and each row's bound,
+none of which depends on n. Each dilate is then one pass (`_scan_dilate`)
+of one of three kernels, chosen by its size and its bound. The pure pass
+and the sliced kernel enumerate all box axes but the last two, s and t:
+every (point, s) pair counts its t-values as one integer interval, and
+its interior t-values from the same floor quotients. The pure pass walks
+every pair; the sliced kernel takes only the pairs in the range of s that
+the projected rows leave each point. The dense pass of a small box
+evaluates every row at every box point. `count_points` evaluates the
+h*-vector of `compute_vectors` at n.
 
 The h*-vector of a simplex given by its d + 1 vertices (a polytope whose
 `normalized_volume` is set, the simplex generators' output among them) is
 computed directly, without any counting, by enumerating the lattice points
 of the half-open parallelepiped spanned by the homogenized vertices (see
 `box_points_simplex`); a simplex given by its facets is scanned. All
-arithmetic is exact: the numpy kernels run on int64 only when a
-conservative bound proves no overflow. Otherwise the dense pass does not
-run, and the sliced kernel runs on Python-int (object dtype) arrays.
+arithmetic is exact: every scan box starts at the origin, numpy runs on
+int64 only where a conservative bound proves it, and a pass whose bound
+reaches 2^62 walks its box on Python ints (`_pure_pass`).
 
 numpy is imported only when a scan pass of more than `_PURE_SCAN_WORK`
 (prefix, s) pairs times rows runs (`_scan_dilate`); a smaller pass walks
@@ -82,8 +82,8 @@ from .lattice import BoxHint, LatticePolytope, PyramidHint, _homogenized_columns
 from .starbasis import FStarVector, HStarVector, eval_ehrhart, f_from_h, h_from_f
 
 _SCAN_CHUNK = 1 << 17
-# `_scan_dilate` counts (prefix, s) pairs and interval widths in int64, and
-# a box of fewer candidates keeps both below 2^62.
+# The numpy passes of `_scan_dilate` run on int64 only below this bound,
+# which also caps a scanned box's candidates (`_check_scan_cost`).
 _SCAN_KERNEL_LIMIT = 2**62
 # `_scan_dilate` runs `_pure_pass` when its work, the (prefix, s) pairs of
 # the dilate's box times the input rows, is at most this. That skips the
@@ -150,8 +150,8 @@ class BoxPointTable:
 # -- bounding-box scans -------------------------------------------------------
 
 
-def _intervals(vals, lead, lo, hi):
-    """Per column of vals, the integers y in [lo, hi] with vals + a * y >= 0 on
+def _intervals(vals, lead, hi):
+    """Per column of vals, the integers y in [0, hi] with vals + a * y >= 0 on
     every row (closed) and with vals + a * y >= 1 on the strict rows, as
     (closed firsts, closed widths, strict firsts, strict widths).
 
@@ -174,8 +174,8 @@ def _intervals(vals, lead, lo, hi):
         return q, q[:k] - (q[:k] * a[:k] == v[:k])
 
     q, q_s = floors(vals[:n_pos], a_pos, k_pos)
-    first = -least(q, axis=0, initial=-lo)
-    first_s = -least(q_s, axis=0, initial=-lo)
+    first = -least(q, axis=0, initial=0)
+    first_s = -least(q_s, axis=0, initial=0)
     q, q_s = floors(vals[n_pos:n_bound], a_neg, k_neg)
     width = np.maximum(least(q, axis=0, initial=hi) - first + 1, 0)
     width_s = np.maximum(least(q_s, axis=0, initial=hi) - first_s + 1, 0)
@@ -198,15 +198,18 @@ class _ScanPlan:
     """What the scans of the dilates nP of one system have in common.
 
     The system is a box mins..maxs and rows: row . x + offset >= 0, in `dim`
-    axes. Its n-th dilate (`_scan_dilate`) scans the box n * mins..n * maxs
-    (`sizes(n)` points per axis) with the offsets times n, and nothing else
-    depends on n. So the plan holds, once: the rows with a != 0 on t, sorted
-    by its sign; each row's bound |row| . max|x| + |offset| over the box,
-    which the dilate multiplies by n, the max over the t-rows (`row_bound`)
-    and over every row (`bound`); and, from the first sliced pass on, so
-    after the caps are checked, the `projection` of t: the Fourier-Motzkin
-    step keeps the rows with a = 0 and pairs every row with a > 0 with every
-    row with a < 0 into (-a_j) * row_i + a_i * row_j, up to m^2 / 4 rows. A
+    axes. Its n-th dilate (`_scan_dilate`), the box n * mins..n * maxs with
+    the offsets times n, is moved to the origin: x = n * mins + y gives
+    row . y + n * (offset + row . mins) >= 0 on the box 0..n * widths
+    (`sizes(n)` points per axis), each row in lowest terms, its offset
+    included, which keeps both counts (an integer v / g is >= 1 iff v is).
+    So the plan holds, once: the moved rows with a != 0 on t, sorted by its
+    sign; each row's bound |row| . widths + |offset| over the box, which
+    the dilate multiplies by n, the max over the t-rows (`row_bound`) and
+    over every row (`bound`); and, from the first sliced pass on, so after
+    the caps are checked, the `projection` of t: the Fourier-Motzkin step
+    keeps the rows with a = 0 and pairs every row with a > 0 with every row
+    with a < 0 into (-a_j) * row_i + a_i * row_j, up to m^2 / 4 rows. A
     projected row is reduced by its gcd at n = 1, which holds at every n as
     the row scales with n as a whole; at n it shrinks further only by
     gcd(n, g) for the gcd g of its coefficients, which `shared` keeps where
@@ -223,9 +226,9 @@ class _ScanPlan:
         self.dim = len(mins)
         self.anchor = anchor
         pad = [0] * (2 - self.dim)
-        self.mins, self.maxs = [*pad, *mins], [*pad, *maxs]
-        self.maxabs = [max(abs(lo), abs(hi)) for lo, hi in zip(self.mins, self.maxs)]
-        full = [[*pad, *row, c] for row, c in zip(rows, offsets)]
+        self.widths = [*pad, *(hi - lo for lo, hi in zip(mins, maxs))]
+        full = [_reduce_by_gcd([*pad, *row, c + sum(map(mul, row, mins))])
+                for row, c in zip(rows, offsets)]
         pos = [r for r in full if r[-2] > 0]
         neg = [r for r in full if r[-2] < 0]
         self.t_rows = pos + neg
@@ -234,21 +237,20 @@ class _ScanPlan:
         self.m = len(full)
         self.row_bound = max(map(self._bound, self.t_rows), default=0)
         self.bound = max([self.row_bound, *map(self._bound, self.flat)])  # of every row
-        self._arrays = {}
 
-    def _bound(self, r):  # |row| . maxabs + |offset|; a projected row has no t
-        # an axis [0, 0] counts as [-1, 1], so the bound covers each coefficient too
-        return sum(abs(a) * max(m, 1) for a, m in zip(r[:-1], self.maxabs)) + abs(r[-1])
+    def _bound(self, r):  # |row| . widths + |offset|; a projected row has no t
+        # an axis of width 0 counts as width 1, so the bound covers each coefficient too
+        return sum(abs(a) * max(w, 1) for a, w in zip(r[:-1], self.widths)) + abs(r[-1])
 
     def sizes(self, n: int) -> list[int]:
         """The points along each axis of the n-th dilate's box."""
-        return [n * (hi - lo) + 1 for lo, hi in zip(self.mins, self.maxs)]
+        return [n * w + 1 for w in self.widths]
 
     @cached_property
     def projection(self):
         """(rows, s-counts, bounds, shared) of the projected rows."""
         n_pos = self.t_counts[0]
-        flat = [_reduce_by_gcd(r[:-2] + r[-1:]) for r in self.flat]
+        flat = [r[:-2] + r[-1:] for r in self.flat]  # in lowest terms already
         pairs = []
         for ri in self.t_rows[:n_pos]:
             for rj in self.t_rows[n_pos:]:
@@ -265,48 +267,48 @@ class _ScanPlan:
         shared = [(i, g) for i, r in enumerate(proj) if (g := math.gcd(*r[:-1])) != 1]
         return proj, s_counts, [self._bound(r) for r in proj], shared
 
-    def arrays(self, dtype):
-        """(pm, tm, s lead, t lead), built once per dtype: the projected rows
-        with the columns x_0 .. x_{d-3}, s, offset, and the t-rows with the
-        columns x_0 .. x_{d-3}, s, t, offset."""
+    @cached_property
+    def arrays(self):
+        """(pm, tm, s lead, t lead) on int64: the projected rows with the
+        columns x_0 .. x_{d-3}, s, offset, and the t-rows with the columns
+        x_0 .. x_{d-3}, s, t, offset, whose bounds cover every entry."""
         import numpy as np
 
-        if dtype not in self._arrays:
-            d = len(self.mins)
-            pm = np.array(self.projection[0], dtype=dtype).reshape(-1, d)
-            tm = np.array(self.t_rows, dtype=dtype).reshape(-1, d + 1)
-            self._arrays[dtype] = pm, tm, _lead(pm[:, d - 2], self.projection[1]), _lead(tm[:, d - 1], self.t_counts)
-        return self._arrays[dtype]
+        d = len(self.widths)
+        pm = np.array(self.projection[0], dtype=np.int64).reshape(-1, d)
+        tm = np.array(self.t_rows, dtype=np.int64).reshape(-1, d + 1)
+        return pm, tm, _lead(pm[:, d - 2], self.projection[1]), _lead(tm[:, d - 1], self.t_counts)
 
 
-def _pure_pass(plan: _ScanPlan, n: int, lows, highs) -> tuple[int, int]:
+def _pure_pass(plan: _ScanPlan, n: int, sizes) -> tuple[int, int]:
     """`_scan_dilate`'s pass on Python ints: it walks every (prefix, s) pair
-    of the box. A pair counts if every row with a = 0 on t is >= 0 on it,
-    and towards the interior only if every such row is >= 1; the t-rows, all
-    of which have a != 0 on t and are strict, give its closed and interior
-    t-interval from the same floor quotients. It needs no dtype.
+    of the box 0..sizes - 1. A pair counts if every row with a = 0 on t is
+    >= 0 on it, and towards the interior only if every such row is >= 1;
+    the t-rows, all of which have a != 0 on t and are strict, give its
+    closed and interior t-interval from the same floor quotients, exactly
+    at any size.
 
     It builds no Fourier-Motzkin projection to prune s: in a box of at most
     `_PURE_SCAN_WORK` steps the projection costs more than it saves (0.06
     against 0.085 ms per pass at work 101-200 on perfbench's hscan scans).
     The t-interval is written out: a helper called once per (prefix, s)
     pair made the pass 1.7-2 times slower on the same scans."""
-    p = len(lows) - 2  # enumerated axes
+    p = len(sizes) - 2  # enumerated axes
     t_pos = plan.t_counts[0]
-    t_lo, t_hi = lows[-1], highs[-1]
+    t_hi = sizes[-1] - 1
     closed = interior = 0
-    for prefix in product(*(range(lows[j], highs[j] + 1) for j in range(p))):
+    for prefix in product(*map(range, sizes[:p])):
         # map stops at the end of the prefix: each row's terms on the enumerated axes
         flat = [(n * r[-1] + sum(map(mul, r, prefix)), r[p]) for r in plan.flat]
         # each t-row as (its value but for the s-term, its a on s, its |a| on t)
         t_rows = [(n * r[-1] + sum(map(mul, r, prefix)), r[p], abs(r[p + 1]))
                   for r in plan.t_rows]
         pos, neg = t_rows[:t_pos], t_rows[t_pos:]
-        for s in range(lows[p], highs[p] + 1):
+        for s in range(sizes[p]):
             least = min([b + c * s for b, c in flat], default=1)  # of the a = 0 rows
             if least < 0:
                 continue
-            first = first_s = t_lo
+            first = first_s = 0
             for b, c, a in pos:  # t >= ceil(-v / a), and >= ceil((1 - v) / a)
                 v = b + c * s
                 if (q := -(v // a)) > first:
@@ -327,45 +329,46 @@ def _pure_pass(plan: _ScanPlan, n: int, lows, highs) -> tuple[int, int]:
     return closed, interior
 
 
-def _box_values(coefs, offsets, lows, highs, dtype):
-    """offsets + coefs @ x at every point x of the box lows..highs: one row
-    per row of coefs, one column per point, the last axis fastest."""
+def _box_values(coefs, offsets, sizes):
+    """offsets + coefs @ x at every x in the box 0..sizes - 1, on int64: one
+    row per row of coefs, one column per point, the last axis fastest."""
     import numpy as np
 
     vals = offsets
-    for j, (lo, hi) in enumerate(zip(lows, highs)):
-        step = coefs[:, j : j + 1] * np.arange(lo, hi + 1, dtype=dtype)
-        vals = (vals[:, :, None] + step[:, None, :]).reshape(len(coefs), vals.shape[1] * (hi - lo + 1))
+    for j, size in enumerate(sizes):
+        step = coefs[:, j : j + 1] * np.arange(size, dtype=np.int64)
+        vals = (vals[:, :, None] + step[:, None, :]).reshape(len(coefs), vals.shape[1] * size)
     return vals
 
 
-def _dense_pass(plan: _ScanPlan, n: int, lows, highs) -> tuple[int, int]:
+def _dense_pass(plan: _ScanPlan, n: int, sizes) -> tuple[int, int]:
     """`_scan_dilate`'s pass on int64 for a small box: every row at every box
     point, and the points whose least row value is >= 0 (closed) and >= 1
     (interior). With no rows, the least is `initial`, 1: every point."""
     import numpy as np
 
-    rows = np.array(plan.t_rows + plan.flat, dtype=np.int64).reshape(plan.m, len(lows) + 1)
-    vals = _box_values(rows[:, :-1], rows[:, -1:] * n, lows, highs, np.int64)
+    rows = np.array(plan.t_rows + plan.flat, dtype=np.int64).reshape(plan.m, len(sizes) + 1)
+    vals = _box_values(rows[:, :-1], rows[:, -1:] * n, sizes)
     least = np.minimum.reduce(vals, axis=0, initial=1)
     return int(np.count_nonzero(least >= 0)), int(np.count_nonzero(least >= 1))
 
 
 def _scan_dilate(plan: _ScanPlan, n: int) -> tuple[int, int]:
-    """(closed, interior): the integer points x of the box n * mins..n * maxs
-    with rows @ x + n * offsets >= 0, and those with > 0 on every row.
+    """(closed, interior) of the n-th dilate of the plan's system: the
+    points y of the box 0..n * widths with rows @ y + n * offsets >= 0 for
+    the moved rows, and those with > 0 on every row.
 
     The pass takes one of three kernels, by the size constants read at each
-    call:
+    call and by its int64 bound:
       * work, the (prefix, s) pairs of the box times the m input rows, at
         most `_PURE_SCAN_WORK`: `_pure_pass` walks those pairs on Python
         ints, evaluating each row at most once per pair, and imports no
         numpy; numpy is imported here only for a larger pass;
       * cells, the box points times the rows, at most `_DENSE_SCAN_CELLS`,
-        with n * `plan.bound`, the box coordinates + 1 and the point count
-        all below 2^62, which bounds every value `_dense_pass` forms: it
-        evaluates every row at every point on int64, with no projection;
-      * any other pass: the sliced kernel, below.
+        with n * `plan.bound` and the point count, which bound its values,
+        below 2^62: `_dense_pass` evaluates every row at every point on int64;
+      * any other pass: the sliced kernel, below, on int64 when `worst` <
+        2^62, else `_pure_pass`.
 
     The sliced kernel enumerates only the first d - 2 axes; s and t name
     the last two. For each enumerated prefix the projected rows give the
@@ -383,35 +386,31 @@ def _scan_dilate(plan: _ScanPlan, n: int) -> tuple[int, int]:
     that survive, and the pairs are expanded at most C at a time, into a few
     arrays of (t-rows) * C cells each.
 
-    Its int64 path runs only when `worst` < 2^62, which bounds every
-    intermediate: the partial values of the rows and of the projected rows
-    (each row's own bound, which for a projected row is at most
+    `worst` < 2^62 bounds every intermediate of the sliced kernel: the
+    coefficients and the partial values of the rows and of the projected
+    rows (each row's own bound, which for a projected row is at most
     |a_j| * W_i + |a_i| * W_j for the bounds W of its pair, and less after
     the gcd), the quotients (|v // a| <= |v|, and one more at threshold 1),
-    the box coordinates +- 1, the difference hi - lo + 1 of two of those,
-    and the pair and point totals (at most the number of candidates).
-    Otherwise the arrays hold Python ints, on which // is the same exact
-    floor division.
+    and, by the point count, each coordinate + 1, interval width and total.
     """
     sizes = plan.sizes(n)
     if any(s <= 0 for s in sizes):
         return 0, 0
-    lows, highs = [n * m for m in plan.mins], [n * m for m in plan.maxs]
     if math.prod(sizes[:-1]) * plan.m <= _PURE_SCAN_WORK:
-        return _pure_pass(plan, n, lows, highs)
+        return _pure_pass(plan, n, sizes)
     points = math.prod(sizes)
-    if (points * max(plan.m, 1) <= _DENSE_SCAN_CELLS
-            and max(n * plan.bound, n * max(plan.maxabs) + 1, points) < _SCAN_KERNEL_LIMIT):
-        return _dense_pass(plan, n, lows, highs)
-    import numpy as np  # here, not at the top: processes that scan only small boxes skip its import
-
+    if points * max(plan.m, 1) <= _DENSE_SCAN_CELLS and max(n * plan.bound, points) < _SCAN_KERNEL_LIMIT:
+        return _dense_pass(plan, n, sizes)
     proj, s_counts, proj_bounds, shared = plan.projection
     reduced = {i: e for i, g in shared if (e := math.gcd(g, n)) > 1}
     proj_bound = max((n * w // reduced.get(i, 1) for i, w in enumerate(proj_bounds)), default=0)
-    worst = max(n * plan.row_bound, proj_bound, n * max(plan.maxabs) + 1, points)
-    dtype = np.int64 if worst < _SCAN_KERNEL_LIMIT else object
-    pm, tm, s_lead, t_lead = plan.arrays(dtype)
-    p = len(lows) - 2  # enumerated axes
+    worst = max(n * plan.row_bound, proj_bound, points)
+    if worst >= _SCAN_KERNEL_LIMIT:
+        return _pure_pass(plan, n, sizes)
+    import numpy as np  # here, not at the top: processes that scan only small boxes skip its import
+
+    pm, tm, s_lead, t_lead = plan.arrays
+    p = len(sizes) - 2  # enumerated axes
     p_off, t_off = pm[:, -1:] * n, tm[:, -1:] * n
     if reduced:
         pm = pm.copy()
@@ -427,26 +426,26 @@ def _scan_dilate(plan: _ScanPlan, n: int) -> tuple[int, int]:
         split -= 1
         tail_count *= sizes[split]
 
-    tail_vals = _box_values(pm[:, split:p], p_off, lows[split:p], highs[split:p], dtype)
+    tail_vals = _box_values(pm[:, split:p], p_off, sizes[split:p])
     closed = interior = 0
-    for prefix in product(*(range(lows[j], highs[j] + 1) for j in range(split))):
+    for prefix in product(*map(range, sizes[:split])):
         vals, t_vals = tail_vals, t_off
         if prefix:
-            x = np.array(prefix, dtype=dtype)
+            x = np.array(prefix, dtype=np.int64)
             vals = vals + (pm[:, :split] @ x).reshape(-1, 1)
             t_vals = t_vals + (tm[:, :split] @ x).reshape(-1, 1)
-        s_first, widths, in_first, in_widths = _intervals(vals, s_lead, lows[p], highs[p])
+        s_first, widths, in_first, in_widths = _intervals(vals, s_lead, sizes[p] - 1)
         keep = np.flatnonzero(widths)
         if not keep.size:
             continue
-        widths = widths[keep].astype(np.int64)
+        widths = widths[keep]
         ends = np.cumsum(widths)
         # the s of pair number i, in the run of kept column c, is first[c] + i
-        first = s_first[keep] - (ends - widths).astype(dtype)
+        first = s_first[keep] - (ends - widths)
         # the t-rows' values, but for their s-term, at the kept columns
         if split < p:
             for j, x in zip(range(split, p), np.unravel_index(keep, sizes[split:p])):
-                t_vals = t_vals + tm[:, j : j + 1] * (x.astype(dtype) + lows[j])
+                t_vals = t_vals + tm[:, j : j + 1] * x
         if plan.flat:
             in_first, in_widths = in_first[keep], in_widths[keep]
         total = int(ends[-1])
@@ -458,9 +457,9 @@ def _scan_dilate(plan: _ScanPlan, n: int) -> tuple[int, int]:
                 c0 = int(np.searchsorted(ends, k, side="right"))
                 c1 = int(np.searchsorted(ends, k_end - 1, side="right")) + 1
                 reps = np.minimum(ends[c0:c1], k_end) - np.maximum(ends[c0:c1] - widths[c0:c1], k)
-            s_vals = first[c0:c1].repeat(reps) + np.arange(k, k_end, dtype=dtype)
+            s_vals = first[c0:c1].repeat(reps) + np.arange(k, k_end, dtype=np.int64)
             pair_vals = t_vals[:, c0:c1].repeat(reps, axis=1) + tm[:, p : p + 1] * s_vals
-            _lo, width, _in_lo, in_width = _intervals(pair_vals, t_lead, lows[-1], highs[-1])
+            _lo, width, _in_lo, in_width = _intervals(pair_vals, t_lead, sizes[-1] - 1)
             closed += int(width.sum())
             if plan.flat:
                 off = s_vals - in_first[c0:c1].repeat(reps)
@@ -472,11 +471,11 @@ def _scan_dilate(plan: _ScanPlan, n: int) -> tuple[int, int]:
 def _count_box_satisfying(lows, highs, rows, offsets) -> int:
     """Count integer points x with lows <= x <= highs and rows @ x + offsets >= 0.
 
-    The closed count of one `_scan_dilate` pass at n = 1 over a fresh plan:
-    the pure walk of every (prefix, s) pair for a small box, the dense pass
-    for a small numpy box, else the sliced kernel in blocks of
-    `_SCAN_CHUNK`, like every pass. No entry point calls it; it names the
-    kernel for the kernel tests and for perfbench's tracer.
+    The closed count of one `_scan_dilate` pass at n = 1 over a fresh plan,
+    on the box moved to the origin: the pure walk for a small box or a bound
+    of 2^62 or more, else the dense pass or the sliced kernel, on int64. No
+    entry point calls it; it names the kernel for the kernel tests and for
+    perfbench's tracer.
     """
     return _scan_dilate(_ScanPlan(lows, highs, rows, offsets), 1)[0]
 

@@ -6,6 +6,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -939,7 +940,7 @@ class TestReciprocityRoute:
     @pytest.mark.parametrize("d", range(1, 9))
     def test_anchored_simplices_match_two_references(self, d):
         # by vertices and by facet rows scaled by 1, 2 or 3, at the origin and
-        # translated near 2^59 (where the scans take the object path): the
+        # translated near 2^59 (which the plan moves back to the origin): the
         # parallelepiped's counts, and the ceil(d/2) dilates of the plan
         # without the anchor
         rng = random.Random(d)
@@ -1141,8 +1142,9 @@ class TestReciprocityRoute:
 
 
 def _plan_data(plan):
-    """What a scan plan holds that a pass reads: box, sorted rows and anchor."""
-    return plan.mins, plan.maxs, plan.t_rows, plan.flat, plan.anchor
+    """What a scan plan holds that a pass reads: the widths of its box, the
+    rows moved with the box to the origin and sorted, and the anchor."""
+    return plan.widths, plan.t_rows, plan.flat, plan.anchor
 
 
 def _double_description_plan(p: LatticePolytope):
@@ -1315,6 +1317,34 @@ def _each_pass(run) -> list:
     return results
 
 
+def _kernels(monkeypatch) -> list:
+    """The kernel of every non-empty scan pass, in order: "pure", "dense" or
+    "sliced". The sliced kernel is seen by its `_intervals` calls, each of
+    which must be on int64; the dense pass builds its own int64 rows."""
+    engine = ehrstar.engine
+    kernels, seen = [], []
+    pure, dense, intervals = engine._pure_pass, engine._dense_pass, engine._intervals
+    scan = engine._scan_dilate
+
+    def sliced(vals, *args):
+        assert vals.dtype == np.int64, vals.dtype
+        seen.append("sliced")
+        return intervals(vals, *args)
+
+    def recorded(plan, n):
+        seen.clear()
+        result = scan(plan, n)
+        assert len(set(seen)) <= 1, seen
+        kernels.extend(seen[:1])
+        return result
+
+    monkeypatch.setattr(engine, "_pure_pass", lambda *args: seen.append("pure") or pure(*args))
+    monkeypatch.setattr(engine, "_dense_pass", lambda *args: seen.append("dense") or dense(*args))
+    monkeypatch.setattr(engine, "_intervals", sliced)
+    monkeypatch.setattr(engine, "_scan_dilate", recorded)
+    return kernels
+
+
 def _kernel_matches(system, expected, chunk) -> None:
     """The one-dilate kernel gives the closed count, one pass both counts:
     through the pure pass, the dense pass, and the sliced kernel in blocks
@@ -1413,87 +1443,109 @@ class TestIntervalKernel:
     def _projected_system(worst, min_sum):
         """Rows B x + a t + c_i >= 0 and B x - b t + c_j >= 0 on [-w, w] x [-3, 3].
 
-        Their one projected row is (a + b) B x + (b c_i + a c_j) >= 0, in
-        lowest terms; a + b >= min_sum, w and B are chosen to make its
-        bound equal `worst`.
+        Their one projected row is (a + b) B x + r >= 0 for r = b c_i + a c_j,
+        in lowest terms. Moved to the origin, x = y - w, it is
+        (a + b) B y + r - (a + b) B w, and its bound over y in [0, 2w] is
+        3 (a + b) B w - r; a + b >= min_sum, w and B are chosen to make it
+        equal `worst`.
         """
-        for a, b, w, r in product(range(1, 5), range(1, 5), (2, 3), range(1, 100)):
-            if a + b < min_sum or math.gcd(a, b) > 1 or (worst - r) % (w * (a + b)):
+        for a, b, w, r in product(range(1, 5), range(1, 5), (2, 3), range(-99, 100)):
+            if a + b < min_sum or math.gcd(a, b) > 1 or (worst + r) % (3 * w * (a + b)):
                 continue
-            big = (worst - r) // (w * (a + b))
+            big = (worst + r) // (3 * w * (a + b))
             for ci, cj in product(range(-6, 7), repeat=2):
-                if abs(b * ci + a * cj) == r and math.gcd((a + b) * big, r) == 1:
+                if b * ci + a * cj == r and math.gcd((a + b) * big, r) == 1:
                     return a, b, [-w, -3], [w, 3], [[big, a], [big, -b]], [ci, cj]
         raise AssertionError("no system with that bound")
 
     # The input rows stay below 2^62, so the projected row alone decides the
-    # dtype; at 2^64 + 1 its values on the enumerated axis (d = 3) would wrap
-    # around on int64.
+    # kernel: the dense pass, which needs no projection, runs at every bound,
+    # and the sliced kernel only below 2^62, where `_pure_pass` takes over.
+    # At 2^64 + 1 the projected row's values on the enumerated axis (d = 3)
+    # would wrap around on int64.
     @pytest.mark.parametrize("worst, min_sum", [
         (2**62 - 1, 2), (2**62, 2), (2**62 + 1, 2), (2**64 + 1, 5),
     ])
     @pytest.mark.parametrize("d", [2, 3])
-    def test_projected_bound_near_2_62(self, d, worst, min_sum):
+    def test_projected_bound_near_2_62(self, monkeypatch, d, worst, min_sum):
         a, b, lows, highs, rows, offsets = self._projected_system(worst, min_sum)
-        maxabs = [max(-lo, hi) for lo, hi in zip(lows, highs)]
-        row_bounds = [sum(abs(x) * m for x, m in zip(row, maxabs)) + abs(c)
-                      for row, c in zip(rows, offsets)]
+        widths = [hi - lo for lo, hi in zip(lows, highs)]
+        moved = [c + sum(x * lo for x, lo in zip(row, lows)) for row, c in zip(rows, offsets)]
+        row_bounds = [sum(abs(x) * w for x, w in zip(row, widths)) + abs(c) for row, c in zip(rows, moved)]
         assert max(row_bounds) < 2**62
-        coef, off = (a + b) * rows[0][0], b * offsets[0] + a * offsets[1]
-        assert math.gcd(coef, off) == 1 and abs(coef) * maxabs[0] + abs(off) == worst
+        coef, off = (a + b) * rows[0][0], b * moved[0] + a * moved[1]
+        assert math.gcd(coef, off) == 1 and abs(coef) * widths[0] + abs(off) == worst
         if d == 3:  # x becomes the enumerated axis, so the projected row is summed on it
             lows, highs = [lows[0], -1, lows[1]], [highs[0], 1, highs[1]]
             rows = [[row[0], 0, row[1]] for row in rows]
         expected = _brute_closed_and_interior(lows, highs, rows, offsets)
         assert 0 < expected[0] < math.prod(hi - lo + 1 for lo, hi in zip(lows, highs))
+        kernels = _kernels(monkeypatch)
         for chunk in (1, 5, 1 << 17):
             _kernel_matches((lows, highs, rows, offsets), expected, chunk)
+        sliced = "sliced" if worst < 2**62 else "pure"
+        assert kernels == ["pure", "pure", "dense", "dense", sliced, sliced] * 3
 
-    # `worst` bounds the partial values |rows @ x + offsets| over the box;
-    # below 2^62 the kernel runs on int64, from 2^62 on on Python ints
+    # `worst` bounds the values |rows @ y + offsets| over the box moved to the
+    # origin, so by the widths of the box; below 2^62 the dense pass runs on
+    # int64, from 2^62 on every pass walks on Python ints
     @pytest.mark.parametrize("worst", [2**62 - 1, 2**62, 2**62 + 1])
     @pytest.mark.parametrize("seed", range(12))
-    def test_worst_bound_near_2_62(self, seed, worst):
+    def test_worst_bound_near_2_62(self, monkeypatch, seed, worst):
         rng = random.Random(seed)
         d = rng.randint(1, 3)
         lows, highs, rows, offsets = self._system(rng, d)
-        maxabs = [max(abs(lo), abs(hi)) for lo, hi in zip(lows, highs)]
+        widths = [max(hi - lo, 1) for lo, hi in zip(lows, highs)]  # a width of 0 counts as 1
         i = rng.randrange(len(rows))
         if not any(rows[i]):
             rows[i][0] = 1
-        bound = sum(abs(a) * m for a, m in zip(rows[i], maxabs)) + abs(offsets[i])
-        if bound == 0:
-            offsets[i] = 1
-            bound = 1
+        rows[i] = [a // math.gcd(*rows[i]) for a in rows[i]]
+        moved = offsets[i] + sum(a * lo for a, lo in zip(rows[i], lows))
+        bound = sum(abs(a) * w for a, w in zip(rows[i], widths)) + abs(moved)
+        # the row times a scale prime to `worst`, its moved offset padded away
+        # from 0 to the bound `worst`: in lowest terms, as gcd(scale, pad) is 1
         scale = worst // bound
+        while math.gcd(scale, worst) != 1:
+            scale -= 1
         pad = worst - scale * bound
         rows[i] = [scale * a for a in rows[i]]
-        offsets[i] = scale * offsets[i] + (pad if offsets[i] >= 0 else -pad)
-        assert sum(abs(a) * m for a, m in zip(rows[i], maxabs)) + abs(offsets[i]) == worst
+        moved = scale * moved + (pad if moved >= 0 else -pad)
+        offsets[i] = moved - sum(a * lo for a, lo in zip(rows[i], lows))
+        assert sum(abs(a) * w for a, w in zip(rows[i], widths)) + abs(moved) == worst
         system = lows, highs, rows, offsets
+        plan = ehrstar.engine._ScanPlan(*system)
+        assert plan.bound == worst
+        kernels = _kernels(monkeypatch)
         _kernel_matches(system, _brute_closed_and_interior(*system), 1 << 17)
+        if any(hi < lo for lo, hi in zip(lows, highs)):
+            assert kernels == []
+        elif worst < 2**62:  # the sliced kernel's own bound covers the pair rows
+            sliced = "sliced" if max([plan.row_bound, *plan.projection[2]]) < 2**62 else "pure"
+            assert kernels == ["pure", "pure", "dense", "dense", sliced, sliced]
+        else:
+            assert kernels == ["pure"] * 6
 
     @pytest.mark.parametrize("chunk", [1, 1 << 17])
     @pytest.mark.parametrize("d, axis", [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
     def test_interior_at_closed_bound_2_62_minus_1(self, monkeypatch, d, axis, chunk):
-        # a * x - a >= 0 with 3a = 2^62 - 1 on [-2, 2]: its closed bound is
-        # 2^62 - 1 and its strict version, offset - a - 1, has the bound
-        # 2^62, yet the closed bound decides the dtype: the pass runs on
-        # int64 and reads x >= 2 off the same quotients.
-        a = (2**62 - 1) // 3
-        assert 3 * a == 2**62 - 1
-        dtypes = []
-        arrays = ehrstar.engine._ScanPlan.arrays
-        monkeypatch.setattr(ehrstar.engine._ScanPlan, "arrays",
-                            lambda plan, dtype: dtypes.append(dtype) or arrays(plan, dtype))
-        unit = [int(j == axis) for j in range(d)]
-        rows = [[a * u for u in unit], [-1] * d, [1] * d] + [[int(j == k) for j in range(d)] for k in range(d)]
-        offsets = [-a, 2 * d + 1, d, 2] + [1] * (d - 1)
+        # a * x - a - 10 >= 0 with 7a + 10 = 2^62 - 1 on [-2, 2]^d: moved to
+        # the origin, x = y - 2, it is a * y - 3a - 10 >= 0 on [0, 4], in lowest
+        # terms, of the bound 2^62 - 1. Its strict version, offset - 1, has
+        # the bound 2^62, yet the closed bound decides: every pass runs on
+        # int64 and reads x >= 2 off the same quotients. With -x + 3 >= 0 it
+        # makes one pair row, a constant, when x is t.
+        a = (2**62 - 11) // 7
+        assert 7 * a + 10 == 2**62 - 1 and math.gcd(a, 3 * a + 10) == 1
+        units = [[int(j == k) for j in range(d)] for k in range(d)]
+        rows = [[a * u for u in units[axis]], [-u for u in units[axis]], *units,
+                *([-u for u in unit] for k, unit in enumerate(units) if k != axis)]
+        offsets = [-a - 10, 3] + [2] * (2 * d - 1)
         system = [-2] * d, [2] * d, rows, offsets
         expected = _brute_closed_and_interior(*system)
-        assert expected[0] > expected[1] > 0
+        assert expected == (5 ** (d - 1), 3 ** (d - 1))
+        kernels = _kernels(monkeypatch)
         _kernel_matches(system, expected, chunk)
-        assert dtypes and all(dtype is not object for dtype in dtypes)
+        assert kernels == ["pure", "pure", "dense", "dense", "sliced", "sliced"]
 
     @pytest.mark.parametrize("chunk", [1, 5, 1 << 17])
     @pytest.mark.parametrize("seed", range(12))
@@ -1531,46 +1583,38 @@ class TestIntervalKernel:
                 _brute_closed_and_interior(*dilate)] * 3
 
     @staticmethod
-    def _dtypes(monkeypatch):
-        """The dtype of every pass, in order, with every pass on the sliced kernel."""
+    def _sliced_kernels(monkeypatch):
+        """`_kernels`, with every pass sent past the pure walk and the dense pass."""
         monkeypatch.setattr(ehrstar.engine, "_PURE_SCAN_WORK", 0)
         monkeypatch.setattr(ehrstar.engine, "_DENSE_SCAN_CELLS", 0)
-        dtypes = []
-        scan = ehrstar.engine._scan_dilate
-
-        def recorded(plan, n, **kwargs):
-            arrays = plan.arrays
-            plan.arrays = lambda dtype: dtypes.append(dtype) or arrays(dtype)
-            try:
-                return scan(plan, n, **kwargs)
-            finally:
-                del plan.arrays
-
-        monkeypatch.setattr(ehrstar.engine, "_scan_dilate", recorded)
-        return dtypes
+        return _kernels(monkeypatch)
 
     def test_pair_row_reduced_again_at_the_dilate(self, monkeypatch):
         # B x + t + 3 >= 0 and B x - t - 2 >= 0 on [-2, 2] x [-3, 3], with
-        # 4B = 2^62 - 64: the pair row 2B x + 1 has the bound 2^62 - 63. At
-        # n = 2 it is 2B x + 2, which is B x + 1 in lowest terms, of the
-        # same bound; times 2 it would pass 2^62. So both dilates run on int64.
-        big = 2**60 - 16
+        # 12B = 2^62 - 64: moved to the origin, x = y - 2 and t = u - 3, their
+        # pair row is 2B y - 4B + 1, of the bound 12B - 1 = 2^62 - 65. At
+        # n = 2 it is 2B y - 8B + 2, which is B y - 4B + 1 in lowest terms,
+        # of the same bound; times 2 it would pass 2^62. So both dilates run
+        # the sliced kernel on int64.
+        big = (2**62 - 64) // 12
+        assert 12 * big == 2**62 - 64
         mins, maxs, rows, offsets = [-2, -3], [2, 3], [[big, 1], [big, -1]], [3, -2]
-        dtypes = self._dtypes(monkeypatch)
+        kernels = self._sliced_kernels(monkeypatch)
         plan = ehrstar.engine._ScanPlan(mins, maxs, rows, offsets)
+        assert plan.projection[2] == [12 * big - 1]
         for n in (1, 2):
             dilate = [n * x for x in mins], [n * x for x in maxs], rows, [n * c for c in offsets]
             assert ehrstar.engine._scan_dilate(plan, n) == _brute_closed_and_interior(*dilate)
-        assert len(dtypes) == 2 and object not in dtypes
+        assert kernels == ["sliced", "sliced"]
 
     def test_dilated_simplex_near_2_58_stays_on_int64(self, monkeypatch):
-        # 10 * Delta_3 translated near 2^58: the bound of the dilate 1, the
-        # one scanned, stays below 2^62
+        # 10 * Delta_3 translated near 2^58: moved to the origin, the bound
+        # of the dilate 1, the one scanned, is that of 10 * Delta_3
         shift = [2**58 + 17, 2**58 - 400, 2**58 + 999]
-        dtypes = self._dtypes(monkeypatch)
+        kernels = self._sliced_kernels(monkeypatch)
         counts = count_profile(LatticePolytope(3, halfspaces=_delta_rows(10, shift))).counts
         assert counts == tuple(math.comb(10 * n + 3, 3) for n in range(5))
-        assert len(dtypes) == 1 and object not in dtypes
+        assert kernels == ["sliced"]
 
     @pytest.mark.parametrize("worst", [2**62 - 1, 2**62, 2**62 + 1, 3 * 2**61])
     def test_bounds_far_outside_the_box(self, worst):
@@ -1589,7 +1633,8 @@ class TestIntervalKernel:
 
     def test_huge_coefficient_on_an_axis_at_zero(self):
         # the box [0, 0] x [0, 3] bounds 2^70 * x by 0, yet the coefficient
-        # itself does not fit an int64 array: the pass takes object dtype
+        # itself does not fit an int64 array: the bound counts the axis as
+        # width 1, and every pass walks on Python ints
         system = [0, 0], [0, 3], [[2**70, 1], [0, -1]], [0, 3]
         _kernel_matches(system, _brute_closed_and_interior(*system), 1 << 17)
 
@@ -1627,6 +1672,23 @@ class TestPurePass:
         plan = ehrstar.engine._ScanPlan(*system)
         pure, dense, sliced = _each_pass(lambda: ehrstar.engine._scan_dilate(plan, n))
         assert pure == dense == sliced
+
+    @given(_scan_systems(), st.integers(1, 2), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_moved_and_scaled_systems_count_alike(self, system, n, data):
+        # z = x + v moves the box by v and each offset by -row . v, and a
+        # positive factor keeps the sign of its row: each kernel counts the
+        # dilate n of the moved system as brute force counts the original's
+        lows, highs, rows, offsets = system
+        v = data.draw(st.lists(st.integers(-2**70, 2**70), min_size=len(lows), max_size=len(lows)))
+        factors = data.draw(st.lists(st.integers(1, 2**40), min_size=len(rows), max_size=len(rows)))
+        plan = ehrstar.engine._ScanPlan(
+            [lo + c for lo, c in zip(lows, v)], [hi + c for hi, c in zip(highs, v)],
+            [[k * a for a in row] for k, row in zip(factors, rows)],
+            [k * (c - sum(a * x for a, x in zip(row, v))) for k, row, c in zip(factors, rows, offsets)])
+        expected = _brute_closed_and_interior(
+            [n * lo for lo in lows], [n * hi for hi in highs], rows, [n * c for c in offsets])
+        assert _each_pass(lambda: ehrstar.engine._scan_dilate(plan, n)) == [expected] * 3
 
     @pytest.mark.parametrize("d", [0, 1, 2, 3])
     def test_unit_box_past_2_62(self, d):
@@ -1687,30 +1749,50 @@ class TestDensePass:
         assert count_profile(p).counts == tuple(math.comb(10 * n + 3, 3) for n in range(5))
         assert dilates == [1]
 
-    def test_simplex_past_2_62_takes_the_object_dtype(self, monkeypatch):
-        # moved to 2^60, the last facet's bound passes 2^62: the dense pass,
-        # int64 only, leaves the dilate to the sliced kernel on Python ints
+    def test_simplex_past_2_62_takes_the_pure_pass(self, monkeypatch):
+        # 10 * Delta_3 moved by about 2^70, with its last facet
+        # -(x1 + x2 + x3) + 10 >= 0 put as K (10 - x1 - x2 - x3) + r >= 0,
+        # 1 <= r < K, which keeps its points: on the box moved to the
+        # origin, [0, 10]^3, that row has the bound 40K + r = worst. Below
+        # 2^62 the dense pass and the sliced kernel run on int64; from 2^62
+        # on every pass walks on Python ints.
         monkeypatch.setattr(ehrstar.engine, "_PURE_SCAN_WORK", 0)
-        dilates = self._dense_dilates(monkeypatch)
-        dtypes = TestIntervalKernel._dtypes(monkeypatch)
-        monkeypatch.setattr(ehrstar.engine, "_DENSE_SCAN_CELLS", math.inf)
-        p = LatticePolytope(3, halfspaces=_delta_rows(10, [2**60 + 17, 2**60 - 400, 2**60 + 999]))
-        assert count_profile(p).counts == tuple(math.comb(10 * n + 3, 3) for n in range(5))
-        assert dilates == [] and dtypes == [object]
+        kernels = _kernels(monkeypatch)
+        shift = [2**70 + 5, 2**70 - 7, 2**70 + 11]
+        for worst in (2**62 - 1, 2**62, 2**62 + 1):
+            k, r = next(((worst - r) // 40, r) for r in range(1, 100)
+                        if (worst - r) % 40 == 0 and math.gcd((worst - r) // 40, r) == 1)
+            rows = [[int(i == j) for i in range(3)] for j in range(3)] + [[-k] * 3]
+            offsets = [-c for c in shift] + [k * (10 + sum(shift)) + r]
+            expected = _brute_closed_and_interior([0] * 3, [10] * 3, rows, [0] * 3 + [10 * k + r])
+            assert expected == (math.comb(13, 3), math.comb(10, 3))  # r >= 1 keeps x1 + x2 + x3 = 10 inside
+            plan = ehrstar.engine._ScanPlan(shift, [c + 10 for c in shift], rows, offsets)
+            assert plan.bound == plan.row_bound == worst
+            kernels.clear()
+            assert _each_pass(lambda: ehrstar.engine._scan_dilate(plan, 1)) == [expected] * 3
+            assert kernels == (["pure", "dense", "sliced"] if worst < 2**62 else ["pure"] * 3)
 
     def test_bound_covers_the_rows_without_t(self, monkeypatch):
-        # 2^62 x + 2^63 >= 0 has a = 0 on t and values 0..2^64 on [-2, 2],
-        # while the t-rows t + 2 >= 0 and 2 - t >= 0 stay small: the bound of
-        # every row keeps the pass off int64, and the sliced kernel, which
-        # divides that row by its gcd 2^62, counts it on int64
-        rows, offsets = [[2**62, 0], [0, 1], [0, -1]], [2**63, 2, 2]
-        plan = ehrstar.engine._ScanPlan([-2, -2], [2, 2], rows, offsets)
-        assert plan.row_bound < 2**62 <= plan.bound
-        dilates = self._dense_dilates(monkeypatch)
-        system = [-2, -2], [2, 2], rows, offsets
-        assert _brute_closed_and_interior(*system) == (25, 12)
-        _kernel_matches(system, (25, 12), 1 << 17)
-        assert dilates == []
+        # A x + A - c >= 0, 1 <= c < A, has a = 0 on t, and moved to the
+        # origin, x = y - 2, it is A y - A - c >= 0 on [0, 4], in lowest terms
+        # for gcd(A, c) = 1, of the bound 5A + c = worst. The t-rows t + 2 >= 0
+        # and 2 - t >= 0 stay small. So the dense pass's bound, that of every
+        # row, and the sliced kernel's, of the projected rows, both reach
+        # `worst`: below 2^62 both run on int64, and from 2^62 on every pass
+        # walks on Python ints.
+        kernels = _kernels(monkeypatch)
+        for worst in (2**62 - 1, 2**62, 2**62 + 1):
+            c = next(c for c in range(1, 100) if (worst - c) % 5 == 0 and math.gcd((worst - c) // 5, c) == 1)
+            big = (worst - c) // 5
+            rows, offsets = [[big, 0], [0, 1], [0, -1]], [big - c, 2, 2]
+            plan = ehrstar.engine._ScanPlan([-2, -2], [2, 2], rows, offsets)
+            assert plan.row_bound < 2**62 and plan.bound == worst
+            system = [-2, -2], [2, 2], rows, offsets
+            assert _brute_closed_and_interior(*system) == (15, 9)  # x >= 0, and -1 <= t <= 1 inside
+            kernels.clear()
+            _kernel_matches(system, (15, 9), 1 << 17)
+            int64 = ["pure", "pure", "dense", "dense", "sliced", "sliced"]
+            assert kernels == (int64 if worst < 2**62 else ["pure"] * 6)
 
     @pytest.mark.parametrize("chunk", [1, 1 << 17])
     @pytest.mark.parametrize("lows, highs", [([], []), ([3], [5]), ([-1, 0, 2], [1, 3, 2])])
@@ -1721,16 +1803,36 @@ class TestDensePass:
 
 
 class TestBigCoordinates:
-    def test_object_dtype_path_is_exact(self, monkeypatch):
-        # coefficients far beyond int64 force the object-dtype scan of the
-        # one dilate the profile of a square scans; big * x >= 0 and
-        # big - big * x >= 0 on each axis cut out just [0, 1]^2
+    def test_huge_normals_run_on_int64(self, monkeypatch):
+        # big * x >= 0 and big - big * x >= 0 on each axis cut out just
+        # [0, 1]^2; the plan divides each row by its gcd, big, so the one
+        # dilate the profile of the square scans runs on int64
         big = 2**70
         rows = [HalfSpace(c, tuple(s * big * (i == j) for i in range(2)))
                 for j in range(2) for c, s in ((0, 1), (big, -1))]
-        dtypes = TestIntervalKernel._dtypes(monkeypatch)
+        kernels = TestIntervalKernel._sliced_kernels(monkeypatch)
         assert count_points(LatticePolytope(2, halfspaces=tuple(rows)), 3) == 16
-        assert dtypes == [object]
+        assert kernels == ["sliced"]
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_moved_simplices_stay_on_int64(self, monkeypatch, d):
+        # make_random_simplex(d, 2, seed) moved by 2^70, by its facets and by
+        # its vertices with one repeated, so that it is scanned: it counts as
+        # the simplex at the origin, and with every pass above the pure walk,
+        # each runs on int64
+        big = 2**70
+        for seed in range(3):
+            s = make_random_simplex(d, 2, seed)
+            vertices = [tuple(x + big for x in v) for v in s.vertices]
+            listings = (LatticePolytope(d, halfspaces=tuple(simplex_facets(vertices))),
+                        LatticePolytope(d, vertices=(*vertices, vertices[0])))
+            expected = compute_vectors(s).counts
+            assert [count_profile(p).counts for p in listings] == [expected] * 2
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ehrstar.engine, "_PURE_SCAN_WORK", 0)
+                kernels = _kernels(patch)
+                assert [count_profile(p).counts for p in listings] == [expected] * 2
+            assert kernels and "pure" not in kernels
 
     def test_box_beyond_int64(self):
         # [2^70, 2^70 + 1]^2: the enumerated axis itself is past int64
